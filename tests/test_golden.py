@@ -1,0 +1,95 @@
+"""Golden outputs of small sweeps, pinned byte for byte.
+
+Each digest is the SHA-256 of one file that ``skipchurn`` writes.  The runs
+cover what the one-topology benchmark workloads do not reach: dispersion
+across several topologies, merging topology runs, the config-file path,
+uniform churn, and per-search traces written from worker processes.  A change
+to any simulated number, report format or random stream changes a digest, so
+such a change has to re-pin these on purpose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from skipchurn import cli
+
+RESULTS = ("results.csv", "results.json")
+
+STABILIZER_SWEEP = [
+    "run", "--capacity", "64", "--slots", "12", "--topologies", "3", "--search-cap", "40",
+    "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
+    "--stabilizer", "interlaced,kademlia,dks,none", "--predictor", "swdbg", "--backup-size", "8,40",
+]
+
+PREDICTOR_SWEEP_CONFIG = """\
+# lifetime, LUDP and DBG-3 under uniform churn
+capacity = 64
+slots = 12
+topologies = 3
+search-cap = 40
+seed = 2
+stabilizer = interlaced
+predictor = lifetime,ludp,dbg3
+backup-size = 8
+churn-kind = uniform
+uniform-q = 0.3
+workers = 1
+"""
+
+PREDICTOR_TABLE = [
+    "predict-bench", "--capacity", "64", "--slots", "16", "--topologies", "2",
+    "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
+]
+
+GOLDEN = {
+    "stabilizer_sweep": {
+        "results.csv": "4c676ddc32038e2c34ecf16d71c86dabfb02be3aaaf4d96fa3d136a52047354a",
+        "results.json": "dffc5d6fa75cca6ee4e6594a99268df7ce2ba4b1bc69ce3ea5118090c1f9f70c",
+    },
+    "predictor_sweep": {
+        "results.csv": "19122232dc70c9759d2bfb2c7a3181b42fa6128bb6af8cb89f1ae2e413640ae8",
+        "results.json": "f6ab0e4516eea9037b9a6214d7f05bbd6f7f0cd3d87e08915f3ff5fd2aeddac4",
+    },
+    "predictor_sweep_trace": {
+        "trace.ndjson": "629979a74bbb910b6ff7bc1d1ce08efea467cda52dfa35a3c56fe5b0d51239a5",
+    },
+    "predictor_table": {
+        "predictor_errors.csv": "6ad2f689f3efed69f3b98a78efcd4e396385aa231e777972ccad4889583fa4b2",
+    },
+}
+
+
+def _digests(out_dir: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def _config_file(tmp_path: Path) -> Path:
+    path = tmp_path / "sweep.conf"
+    path.write_text(PREDICTOR_SWEEP_CONFIG, encoding="utf-8")
+    return path
+
+
+def test_stabilizer_sweep_over_three_topologies(tmp_path):
+    assert cli.main(STABILIZER_SWEEP + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep"]
+
+
+def test_predictor_sweep_from_config_file(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(_config_file(tmp_path)), "--out", str(out)]) == 0
+    assert _digests(out, RESULTS) == GOLDEN["predictor_sweep"]
+
+
+def test_traced_run_with_two_workers_gives_same_results(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(_config_file(tmp_path)), "--workers", "2", "--trace", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert _digests(out, RESULTS) == GOLDEN["predictor_sweep"]
+    assert _digests(out, ["trace.ndjson"]) == GOLDEN["predictor_sweep_trace"]
+
+
+def test_predictor_table(tmp_path):
+    assert cli.main(PREDICTOR_TABLE + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN["predictor_table"]
