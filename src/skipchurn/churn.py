@@ -68,7 +68,3 @@ def draw_arrival_count(model: ChurnModel, rng: np.random.Generator) -> int:
         return round(model.arrivals_per_slot)
     return int(rng.poisson(model.arrivals_per_slot))
 
-
-def uniform_churn_online(q: float, rng: np.random.Generator) -> bool:
-    """One node-slot of the uniform model: online with probability 1 - q."""
-    return bool(rng.random() >= q)

@@ -1,8 +1,16 @@
 """Experiment runner: config parsing, sweep execution, report emission.
 
-Configuration is flat ``key = value`` text; command-line flags override file
-values.  The ``run`` subcommand executes the (stabilizer x predictor x
-backup size) sweep, ``analyze`` prints the closed-form chain as JSON, and
+Configuration is flat ``key = value`` text; command-line flags ``--<key>``
+override file values.  The keys are the field names of ``SimConfig`` and
+``ChurnModel`` with dashes for underscores, each typed by its default, except
+that ``ChurnModel.kind`` is ``churn-kind`` and ``SimConfig.pred_error_mode`` is
+``pred-error``.  ``workers``, ``out`` and ``format`` configure the run itself.
+``backup-size``, ``stabilizer``, ``predictor`` and ``format`` take
+comma-separated lists; the first three are the sweep axes.  ``search-cap none``
+removes the per-slot search cap.
+
+The ``run`` subcommand executes the (stabilizer x predictor x backup size)
+sweep, ``analyze`` prints the closed-form chain as JSON, and
 ``predict-bench`` reproduces the predictor error table without the overlay.
 """
 
@@ -15,18 +23,47 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Iterable, Optional, TextIO
 
 from .analytics import analysis_chain
-from .churn import CHURN_KINDS, ChurnModel
-from .engine import RunMetrics, SimConfig, aggregate, run_topology, slot_metrics_dict
+from .churn import ChurnModel
+from .engine import RunMetrics, SimConfig, aggregate, run_topology
 from .bench import run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
-from .stabilizers import STABILIZER_KINDS
 
 DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
+
+# Keys that are not their field's name with dashes for underscores.
+_RENAMED = {"kind": "churn-kind", "pred_error_mode": "pred-error"}
+SWEEP_KEYS = ("backup-size", "stabilizer", "predictor")
+_LIST_KEYS = (*SWEEP_KEYS, "format")
+
+
+def _field_keys(cls) -> dict[str, str]:
+    """Config key -> field name for every field of ``cls`` but the nested churn model."""
+    return {
+        _RENAMED.get(f.name, f.name.replace("_", "-")): f.name
+        for f in fields(cls)
+        if f.name != "churn"
+    }
+
+
+_SIM_KEYS = _field_keys(SimConfig)
+_CHURN_KEYS = _field_keys(ChurnModel)
+
+
+def _defaults() -> dict:
+    values = {key: getattr(SimConfig, name) for key, name in _SIM_KEYS.items()}
+    values.update({key: getattr(ChurnModel, name) for key, name in _CHURN_KEYS.items()})
+    values.update({key: [values[key]] for key in SWEEP_KEYS})
+    values.update(workers=DEFAULT_WORKERS, out="results", format=["csv", "json"])
+    return values
+
+
+DEFAULTS = _defaults()
 
 
 @dataclass
@@ -40,7 +77,6 @@ class RunSpec:
     out_dir: Path
     formats: list[str]
     workers: int = DEFAULT_WORKERS
-    trace: bool = False
 
     def combinations(self) -> list[SimConfig]:
         combos = []
@@ -90,61 +126,25 @@ class ReportRow:
         )
 
 
-CSV_COLUMNS = [
-    "stabilizer",
-    "predictor",
-    "backup_size",
-    "avg_success_ratio",
-    "std_success_ratio",
-    "avg_search_latency_ms",
-    "std_search_latency_ms",
-    "avg_prediction_error",
-    "std_prediction_error",
-    "avg_resolve_messages",
-    "avg_backup_neighbors_per_level",
-    "topologies",
-    "slots",
-    "seed",
-]
-
-_INT_KEYS = {
-    "capacity",
-    "slots",
-    "topologies",
-    "seed",
-    "max-state-size",
-    "workers",
-}
-_FLOAT_KEYS = {
-    "timeout-multiplier",
-    "rtt-base-ms",
-    "rtt-per-unit-ms",
-    "session-shape",
-    "session-mean-hours",
-    "interarrival-mean-seconds",
-    "uniform-q",
-}
-_LIST_KEYS = {"backup-size", "stabilizer", "predictor", "format"}
-_STR_KEYS = {
-    "rejoin",
-    "pred-error",
-    "churn-kind",
-    "arrival-process",
-    "out",
-}
-_SPECIAL_KEYS = {"search-cap"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | _SPECIAL_KEYS
+CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
-def _parse_scalar(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key}: {raw!r}") from None
-    return raw
+def parse_value(key: str, raw: str):
+    """The typed value of ``key`` from its text, as in a config file or flag."""
+    default = DEFAULTS[key]
+    kind = type(default[0] if key in _LIST_KEYS else default)
+
+    def one(text: str):
+        if key == "search-cap" and text.lower() in ("none", "unlimited"):
+            return None
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"invalid value for {key}: {text!r}") from None
+
+    if key in _LIST_KEYS:
+        return [one(item.strip()) for item in raw.split(",") if item.strip()]
+    return one(raw.strip())
 
 
 def _read_config_file(path: Path) -> dict:
@@ -157,113 +157,89 @@ def _read_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.split("#", 1)[0].strip()
-        if key not in KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
-        if key in _LIST_KEYS:
-            values[key] = [item.strip() for item in raw.split(",") if item.strip()]
-        elif key == "search-cap":
-            values[key] = None if raw.lower() in ("none", "unlimited") else int(raw)
-        else:
-            values[key] = _parse_scalar(key, raw)
+        values[key] = parse_value(key, raw.split("#", 1)[0])
     return values
 
 
-def parse_config(path: Path | None, overrides: dict | None = None) -> RunSpec:
-    """Resolve a RunSpec from an optional config file plus override values.
+def parse_config(
+    path: Path | None, overrides: dict | None = None, defaults: dict | None = None
+) -> RunSpec:
+    """Resolve a RunSpec from an optional config file plus typed override values.
 
-    Overrides win over file values; anything left unset falls back to the
-    defaults (capacity 1024, 168 slots, 100 topologies, measured churn).
+    Overrides win over file values, which win over ``defaults`` and then over
+    ``DEFAULTS`` (the dataclass defaults: capacity 1024, 168 slots, 100
+    topologies, measured churn).
     """
-    values: dict = {}
+    values = {**DEFAULTS, **(defaults or {})}
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         values.update(_read_config_file(p))
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in KNOWN_KEYS:
+        if key not in DEFAULTS:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = val
 
-    churn_kind = values.get("churn-kind", "debian")
-    if churn_kind not in CHURN_KINDS:
-        raise ConfigError(f"churn-kind must be one of {CHURN_KINDS}, got {churn_kind!r}")
-    churn = ChurnModel(
-        kind=churn_kind,
-        session_shape=values.get("session-shape", ChurnModel.session_shape),
-        session_mean_hours=values.get("session-mean-hours", ChurnModel.session_mean_hours),
-        interarrival_mean_seconds=values.get(
-            "interarrival-mean-seconds", ChurnModel.interarrival_mean_seconds
-        ),
-        uniform_q=values.get("uniform-q", ChurnModel.uniform_q),
-        arrival_process=values.get("arrival-process", ChurnModel.arrival_process),
-    )
-
-    backup_sizes = [int(v) for v in values.get("backup-size", [40])]
-    stabilizers = list(values.get("stabilizer", ["interlaced"]))
-    predictors = list(values.get("predictor", ["swdbg"]))
-    if not backup_sizes or not stabilizers or not predictors:
+    if not all(values[key] for key in SWEEP_KEYS):
         raise ConfigError("sweep lists must be non-empty")
-    for s in stabilizers:
-        if s not in STABILIZER_KINDS:
-            raise ConfigError(f"stabilizer must be one of {STABILIZER_KINDS}, got {s!r}")
-    for p in predictors:
-        if p not in PREDICTOR_KINDS:
-            raise ConfigError(f"predictor must be one of {PREDICTOR_KINDS}, got {p!r}")
-
-    base = SimConfig(
-        capacity=values.get("capacity", 1024),
-        slots=values.get("slots", 168),
-        topologies=values.get("topologies", 100),
-        backup_size=backup_sizes[0],
-        stabilizer=stabilizers[0],
-        predictor=predictors[0],
-        timeout_multiplier=values.get("timeout-multiplier", 2.0),
-        rtt_base_ms=values.get("rtt-base-ms", 10.0),
-        rtt_per_unit_ms=values.get("rtt-per-unit-ms", 100.0),
-        search_cap=values.get("search-cap", SimConfig.search_cap),
-        seed=values.get("seed", 1),
-        rejoin=values.get("rejoin", "fresh"),
-        pred_error_mode=values.get("pred-error", "window"),
-        max_state_size=values.get("max-state-size", SimConfig.max_state_size),
-        churn=churn,
-    )
-    formats = list(values.get("format", ["csv", "json"]))
-    for f in formats:
+    for f in values["format"]:
         if f not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {f!r}")
-    return RunSpec(
-        base=base,
-        backup_sizes=backup_sizes,
-        stabilizers=stabilizers,
-        predictors=predictors,
-        out_dir=Path(values.get("out", "results")),
-        formats=formats,
-        workers=values.get("workers", DEFAULT_WORKERS),
+    churn = ChurnModel(**{name: values[key] for key, name in _CHURN_KEYS.items()})
+    base = SimConfig(
+        churn=churn,
+        **{name: values[key][0] if key in SWEEP_KEYS else values[key]
+           for key, name in _SIM_KEYS.items()},
     )
+    spec = RunSpec(
+        base=base,
+        backup_sizes=list(values["backup-size"]),
+        stabilizers=list(values["stabilizer"]),
+        predictors=list(values["predictor"]),
+        out_dir=Path(values["out"]),
+        formats=list(values["format"]),
+        workers=values["workers"],
+    )
+    spec.combinations()  # SimConfig checks every sweep value, not only the first
+    return spec
 
 
-def _topology_task(args: tuple[SimConfig, int]) -> tuple[int, RunMetrics]:
-    cfg, index = args
-    return index, run_topology(cfg, index)
+def _topology_task(args: tuple[SimConfig, int, bool]) -> tuple[RunMetrics, list[str]]:
+    """One topology run, plus its per-search trace lines when ``trace`` is set."""
+    cfg, index, trace = args
+    lines: list[str] = []
+    sink = (lambda rec: lines.append(json.dumps(rec, sort_keys=True) + "\n")) if trace else None
+    return run_topology(cfg, index, trace_sink=sink), lines
 
 
-def run_combination(cfg: SimConfig, workers: int = 1) -> RunMetrics:
-    """All topology runs of one configuration, reduced in index order."""
-    jobs = [(cfg, i) for i in range(cfg.topologies)]
+def _reduce(results: Iterable[tuple[RunMetrics, list[str]]], trace: Optional[TextIO]) -> RunMetrics:
+    runs = []
+    for metrics, lines in results:
+        if trace is not None:
+            trace.writelines(lines)
+        runs.append(metrics)
+    return aggregate(runs)
+
+
+def run_combination(cfg: SimConfig, workers: int = 1, trace: Optional[TextIO] = None) -> RunMetrics:
+    """All topology runs of one configuration, reduced in index order.
+
+    With ``trace``, each topology's per-search records are written to it in
+    topology order as the topologies finish.
+    """
+    jobs = [(cfg, i, trace is not None) for i in range(cfg.topologies)]
     if workers > 1 and cfg.topologies > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_topology_task, jobs))
-    else:
-        results = [_topology_task(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    return aggregate([m for _, m in results])
+            return _reduce(ex.map(_topology_task, jobs), trace)
+    return _reduce(map(_topology_task, jobs), trace)
 
 
-def run_experiments(spec: RunSpec) -> list[tuple[SimConfig, RunMetrics]]:
+def run_experiments(
+    spec: RunSpec, trace: Optional[TextIO] = None
+) -> list[tuple[SimConfig, RunMetrics]]:
     """Execute every sweep combination; abort naming the offender on failure."""
     out = []
     combos = spec.combinations()
@@ -272,7 +248,7 @@ def run_experiments(spec: RunSpec) -> list[tuple[SimConfig, RunMetrics]]:
         print(f"[{i}/{len(combos)}] running {label} "
               f"({cfg.topologies} topologies x {cfg.slots} slots)", file=sys.stderr)
         try:
-            metrics = run_combination(cfg, workers=spec.workers)
+            metrics = run_combination(cfg, workers=spec.workers, trace=trace)
         except Exception as exc:
             raise RuntimeError(f"combination {label} failed: {exc}") from exc
         out.append((cfg, metrics))
@@ -295,9 +271,8 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 def results_to_json(results: list[tuple[SimConfig, RunMetrics]]) -> str:
     doc = {"rows": []}
     for cfg, metrics in results:
-        row = ReportRow.from_metrics(cfg, metrics)
-        entry = {col: getattr(row, col) for col in CSV_COLUMNS}
-        entry["slot_series"] = [slot_metrics_dict(sm) for sm in metrics.slot_series]
+        entry = asdict(ReportRow.from_metrics(cfg, metrics))
+        entry["slot_series"] = [asdict(sm) for sm in metrics.slot_series]
         doc["rows"].append(entry)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -333,74 +308,26 @@ def preflight_out_dir(out_dir: Path) -> None:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--capacity", type=int, default=None)
-    parser.add_argument("--slots", type=int, default=None)
-    parser.add_argument("--topologies", type=int, default=None)
-    parser.add_argument("--backup-size", default=None,
-                        help="comma-separated list, e.g. 10,20,40")
-    parser.add_argument("--stabilizer", default=None,
-                        help=f"comma-separated list from {STABILIZER_KINDS}")
-    parser.add_argument("--predictor", default=None,
-                        help=f"comma-separated list from {PREDICTOR_KINDS}")
-    parser.add_argument("--search-cap", default=None,
-                        help="per-slot search cap; 'none' removes the cap")
-    parser.add_argument("--churn-kind", choices=CHURN_KINDS, default=None)
-    parser.add_argument("--uniform-q", type=float, default=None)
-    parser.add_argument("--interarrival-mean-seconds", type=float, default=None)
-    parser.add_argument("--session-mean-hours", type=float, default=None)
-    parser.add_argument("--session-shape", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", default=None, help="csv,json")
+    for key, default in DEFAULTS.items():
+        if key in _LIST_KEYS:
+            shown = "comma-separated list, default " + ",".join(map(str, default))
+        else:
+            shown = f"default {default}"
+        parser.add_argument(f"--{key}", dest=key, default=None, help=shown)
     parser.add_argument("--trace", action="store_true", help="write per-search trace log")
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    def split(v):
-        return [s.strip() for s in v.split(",") if s.strip()] if v is not None else None
-
-    overrides = {
-        "seed": args.seed,
-        "capacity": args.capacity,
-        "slots": args.slots,
-        "topologies": args.topologies,
-        "backup-size": split(args.backup_size),
-        "stabilizer": split(args.stabilizer),
-        "predictor": split(args.predictor),
-        "churn-kind": args.churn_kind,
-        "uniform-q": args.uniform_q,
-        "interarrival-mean-seconds": args.interarrival_mean_seconds,
-        "session-mean-hours": args.session_mean_hours,
-        "session-shape": args.session_shape,
-        "workers": args.workers,
-        "out": args.out,
-        "format": split(args.format),
-    }
-    if args.search_cap is not None:
-        overrides["search-cap"] = (
-            None if str(args.search_cap).lower() in ("none", "unlimited") else int(args.search_cap)
-        )
-    return overrides
+    given = {key: getattr(args, key) for key in DEFAULTS}
+    return {key: parse_value(key, raw) for key, raw in given.items() if raw is not None}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = parse_config(args.config, _overrides_from_args(args))
-    spec.trace = args.trace
     preflight_out_dir(spec.out_dir)
-    if spec.trace:
-        trace_path = spec.out_dir / "trace.ndjson"
-        handle = trace_path.open("w", encoding="utf-8")
-        results = []
-        try:
-            for cfg in spec.combinations():
-                runs = []
-                for t in range(cfg.topologies):
-                    sink = lambda rec: handle.write(json.dumps(rec, sort_keys=True) + "\n")
-                    runs.append(run_topology(cfg, t, trace_sink=sink))
-                results.append((cfg, aggregate(runs)))
-        finally:
-            handle.close()
+    if args.trace:
+        with (spec.out_dir / "trace.ndjson").open("w", encoding="utf-8") as trace:
+            results = run_experiments(spec, trace)
     else:
         results = run_experiments(spec)
     written = emit_reports(results, spec.formats, spec.out_dir)
@@ -416,9 +343,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict_bench(args: argparse.Namespace) -> int:
-    spec = parse_config(args.config, _overrides_from_args(args))
+    # With no predictor key in the config file or flags, every kind runs.
+    spec = parse_config(
+        args.config, _overrides_from_args(args), defaults={"predictor": list(PREDICTOR_KINDS)}
+    )
     base = spec.base
-    kinds = tuple(spec.predictors) if args.predictor else PREDICTOR_KINDS
+    kinds = tuple(spec.predictors)
     result = run_predictor_bench(
         capacity=base.capacity,
         slots=base.slots,
@@ -436,9 +366,8 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     if "swdbg" in kinds:
         print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
     if args.out:
-        out_dir = Path(args.out)
-        preflight_out_dir(out_dir)
-        path = out_dir / "predictor_errors.csv"
+        preflight_out_dir(spec.out_dir)
+        path = spec.out_dir / "predictor_errors.csv"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["predictor", "mean_error", "std_across_topologies"])

@@ -12,10 +12,9 @@ in parallel.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +28,7 @@ from .overlay import (
     PiggybackEntry,
     SearchMessage,
     TopologySnapshot,
+    _is_power_of_two,
     generate_topology,
     join_node,
     route_step,
@@ -36,7 +36,6 @@ from .overlay import (
 from .predictors import (
     DEFAULT_MAX_STATE_SIZE,
     PREDICTOR_KINDS,
-    SlidingWindowDbg,
     make_predictor,
 )
 from .stabilizers import (
@@ -47,13 +46,7 @@ from .stabilizers import (
     make_stabilizer,
 )
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_SEARCH_CAP = 2000
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,9 @@ def rtt_ms(a: NodeIdentity, b: NodeIdentity, base_ms: float, per_unit_ms: float)
 
 
 @dataclass
-class SlotMetrics:
-    slot_index: int
+class Counters:
+    """Additive run counters; every average in a report is a ratio of two."""
+
     online_count: int = 0
     searches_initiated: int = 0
     searches_succeeded: int = 0
@@ -120,6 +114,15 @@ class SlotMetrics:
     right_size_sum: int = 0
     right_size_samples: int = 0
 
+    def add(self, other: Counters) -> None:
+        for f in fields(Counters):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+@dataclass
+class SlotMetrics(Counters):
+    slot_index: int = 0
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -131,98 +134,69 @@ class SearchOutcome:
     result_num_id: int
 
 
-@dataclass(frozen=True)
-class TopologySummary:
-    """Per-run values used for across-run dispersion."""
-
-    searches: int
-    successes: int
-    latency_sum_ms: float
-    prediction_error_sum: float
-    prediction_samples: int
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
 
 
 @dataclass
 class RunMetrics:
     """Raw totals of one or more topology runs; averages are derived."""
 
-    runs: int
     slots: int
     levels: int
-    searches_initiated: int = 0
-    searches_succeeded: int = 0
-    latency_sum_ms: float = 0.0
-    prediction_error_sum: float = 0.0
-    prediction_samples: int = 0
-    resolve_invocations: int = 0
-    resolve_messages: int = 0
-    backup_entries_sum: int = 0
-    backup_samples: int = 0
-    right_size_sum: int = 0
-    right_size_samples: int = 0
+    totals: Counters = field(default_factory=Counters)
     slot_series: list[SlotMetrics] = field(default_factory=list)
-    per_topology: list[TopologySummary] = field(default_factory=list)
+    per_topology: list[Counters] = field(default_factory=list)
+
+    @property
+    def runs(self) -> int:
+        return len(self.per_topology)
 
     @property
     def avg_success_ratio(self) -> float:
-        return self.searches_succeeded / self.searches_initiated if self.searches_initiated else 0.0
+        return _ratio(self.totals.searches_succeeded, self.totals.searches_initiated)
 
     @property
     def avg_search_latency_ms(self) -> float:
-        return self.latency_sum_ms / self.searches_initiated if self.searches_initiated else 0.0
+        return _ratio(self.totals.sum_latency_ms, self.totals.searches_initiated)
 
     @property
     def avg_prediction_error(self) -> float:
-        return self.prediction_error_sum / self.prediction_samples if self.prediction_samples else 0.0
+        return _ratio(self.totals.sum_prediction_error, self.totals.prediction_samples)
 
     @property
     def avg_resolve_messages(self) -> float:
-        return self.resolve_messages / self.resolve_invocations if self.resolve_invocations else 0.0
+        return _ratio(self.totals.resolve_messages, self.totals.resolve_invocations)
 
     @property
     def avg_backup_neighbors_per_level(self) -> float:
-        if not self.backup_samples:
-            return 0.0
-        return self.backup_entries_sum / self.backup_samples / self.levels
+        return _ratio(self.totals.backup_entries_sum, self.totals.backup_samples) / self.levels
 
     @property
     def avg_right_state_size(self) -> float:
-        return self.right_size_sum / self.right_size_samples if self.right_size_samples else 0.0
+        return _ratio(self.totals.right_size_sum, self.totals.right_size_samples)
 
-    def _per_topology_values(self, metric: str) -> tuple[list[float], list[float]]:
-        values, weights = [], []
-        for t in self.per_topology:
-            if metric == "success" and t.searches:
-                values.append(t.successes / t.searches)
-                weights.append(t.searches)
-            elif metric == "latency" and t.searches:
-                values.append(t.latency_sum_ms / t.searches)
-                weights.append(t.searches)
-            elif metric == "error" and t.prediction_samples:
-                values.append(t.prediction_error_sum / t.prediction_samples)
-                weights.append(t.prediction_samples)
-        return values, weights
-
-    def _weighted_std(self, metric: str) -> float:
-        values, weights = self._per_topology_values(metric)
-        if not values:
+    def _weighted_std(self, num: str, den: str) -> float:
+        """Across-topology std of num/den, each topology weighted by its den."""
+        runs = [t for t in self.per_topology if getattr(t, den)]
+        if not runs:
             return 0.0
-        v = np.asarray(values)
-        w = np.asarray(weights, dtype=float)
+        v = np.asarray([getattr(t, num) / getattr(t, den) for t in runs])
+        w = np.asarray([getattr(t, den) for t in runs], dtype=float)
         mean = float(np.average(v, weights=w))
         return float(math.sqrt(np.average((v - mean) ** 2, weights=w)))
 
     @property
     def std_success_ratio(self) -> float:
-        return self._weighted_std("success")
+        return self._weighted_std("searches_succeeded", "searches_initiated")
 
     @property
     def std_search_latency_ms(self) -> float:
-        return self._weighted_std("latency")
+        return self._weighted_std("sum_latency_ms", "searches_initiated")
 
     @property
     def std_prediction_error(self) -> float:
-        return self._weighted_std("error")
+        return self._weighted_std("sum_prediction_error", "prediction_samples")
 
 
 class NodeRuntime:
@@ -353,7 +327,6 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
         target_num_id=target,
         level=state.levels - 1,
         direction=direction,
-        initiator=current.identity.address,
     )
     latency = 0.0
     hops = 0
@@ -378,7 +351,6 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
         if nb_node.online:
             latency += hop_rtt
             msg.add_piggyback(_piggyback_entry(current))
-            msg.hops += 1
             hops += 1
             nb_node.predictor.record_incoming()
             nb_node.stabilizer.update(nb_node.lookup, list(msg.piggyback.values()))
@@ -416,7 +388,6 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
             )
         if candidate is not None:
             msg.add_piggyback(_piggyback_entry(current))
-            msg.hops += 1
             hops += 1
             cand_node = nodes[candidate.num_id]
             cand_node.stabilizer.update(cand_node.lookup, list(msg.piggyback.values()))
@@ -571,29 +542,13 @@ def run_topology(
     state.trace_sink = trace_sink
     slot_series = [run_slot(state) for _ in range(config.slots)]
 
-    run = RunMetrics(runs=1, slots=config.slots, levels=state.levels, slot_series=slot_series)
+    totals = Counters()
     for sm in slot_series:
-        run.searches_initiated += sm.searches_initiated
-        run.searches_succeeded += sm.searches_succeeded
-        run.latency_sum_ms += sm.sum_latency_ms
-        run.prediction_error_sum += sm.sum_prediction_error
-        run.prediction_samples += sm.prediction_samples
-        run.resolve_invocations += sm.resolve_invocations
-        run.resolve_messages += sm.resolve_messages
-        run.backup_entries_sum += sm.backup_entries_sum
-        run.backup_samples += sm.backup_samples
-        run.right_size_sum += sm.right_size_sum
-        run.right_size_samples += sm.right_size_samples
-    run.per_topology = [
-        TopologySummary(
-            searches=run.searches_initiated,
-            successes=run.searches_succeeded,
-            latency_sum_ms=run.latency_sum_ms,
-            prediction_error_sum=run.prediction_error_sum,
-            prediction_samples=run.prediction_samples,
-        )
-    ]
-    return run
+        totals.add(sm)
+    return RunMetrics(
+        slots=config.slots, levels=state.levels, totals=totals,
+        slot_series=slot_series, per_topology=[totals],
+    )
 
 
 def aggregate(runs: list[RunMetrics]) -> RunMetrics:
@@ -604,37 +559,11 @@ def aggregate(runs: list[RunMetrics]) -> RunMetrics:
     levels = runs[0].levels
     if any(r.slots != slots or r.levels != levels for r in runs):
         raise ValueError("runs must share slot count and level count")
-    merged = RunMetrics(runs=sum(r.runs for r in runs), slots=slots, levels=levels)
+    merged = RunMetrics(slots=slots, levels=levels)
     merged.slot_series = [SlotMetrics(slot_index=i) for i in range(slots)]
     for r in runs:
-        merged.searches_initiated += r.searches_initiated
-        merged.searches_succeeded += r.searches_succeeded
-        merged.latency_sum_ms += r.latency_sum_ms
-        merged.prediction_error_sum += r.prediction_error_sum
-        merged.prediction_samples += r.prediction_samples
-        merged.resolve_invocations += r.resolve_invocations
-        merged.resolve_messages += r.resolve_messages
-        merged.backup_entries_sum += r.backup_entries_sum
-        merged.backup_samples += r.backup_samples
-        merged.right_size_sum += r.right_size_sum
-        merged.right_size_samples += r.right_size_samples
+        merged.totals.add(r.totals)
         merged.per_topology.extend(r.per_topology)
-        for i, sm in enumerate(r.slot_series):
-            tgt = merged.slot_series[i]
-            tgt.online_count += sm.online_count
-            tgt.searches_initiated += sm.searches_initiated
-            tgt.searches_succeeded += sm.searches_succeeded
-            tgt.sum_latency_ms += sm.sum_latency_ms
-            tgt.sum_prediction_error += sm.sum_prediction_error
-            tgt.prediction_samples += sm.prediction_samples
-            tgt.resolve_invocations += sm.resolve_invocations
-            tgt.resolve_messages += sm.resolve_messages
-            tgt.backup_entries_sum += sm.backup_entries_sum
-            tgt.backup_samples += sm.backup_samples
-            tgt.right_size_sum += sm.right_size_sum
-            tgt.right_size_samples += sm.right_size_samples
+        for tgt, sm in zip(merged.slot_series, r.slot_series):
+            tgt.add(sm)
     return merged
-
-
-def slot_metrics_dict(sm: SlotMetrics) -> dict:
-    return asdict(sm)

@@ -101,10 +101,7 @@ class SearchMessage:
     target_num_id: int
     level: int
     direction: Direction
-    initiator: str
     piggyback: dict[int, PiggybackEntry] = field(default_factory=dict)
-    accumulated_latency_ms: float = 0.0
-    hops: int = 0
 
     def add_piggyback(self, entry: PiggybackEntry) -> None:
         self.piggyback[entry.num_id] = entry
@@ -314,10 +311,8 @@ def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Rou
     target = msg.target_num_id
     if node_num_id == target:
         return RouteDecision("terminate")
-    if msg.direction is Direction.RIGHT:
-        assert target > node_num_id, "direction inconsistent with target"
-    else:
-        assert target < node_num_id, "direction inconsistent with target"
+    if (target > node_num_id) != (msg.direction is Direction.RIGHT):
+        raise ValueError("direction inconsistent with target")
     nb = lookup.neighbor(msg.level, msg.direction)
     if nb is not None:
         if msg.direction is Direction.RIGHT:

@@ -190,10 +190,6 @@ class Dbg:
     def visit_count(self, state: int) -> int:
         return self._visits.get(state, 0)
 
-    def transition_counts(self, state: int) -> tuple[float, float]:
-        row = self._counts.get(state)
-        return (row[0], row[1]) if row else (0.0, 0.0)
-
     def transition_probability(self, state: int, bit: int) -> Optional[float]:
         row = self._counts.get(state)
         if not row:

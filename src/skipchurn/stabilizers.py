@@ -77,7 +77,8 @@ def _entry_level(owner: NodeIdentity, name_id: str, height: int) -> int:
 
 
 def _score(sop: float, cpl: int, distance: int) -> float:
-    assert distance != 0, "scoring distance must be nonzero"
+    if distance == 0:
+        raise ValueError("scoring distance must be nonzero")
     return (sop * cpl) / distance
 
 
@@ -160,7 +161,8 @@ class BackupTable:
                     if worst_key is None or key < worst_key:
                         worst_key = key
                         worst = e
-        assert worst is not None, "eviction requested on an empty table"
+        if worst is None:
+            raise RuntimeError("eviction requested on an empty table")
         self._remove(worst.num_id)
         return worst
 

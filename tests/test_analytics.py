@@ -1,0 +1,40 @@
+import json
+
+import pytest
+
+from skipchurn import cli
+from skipchurn.analytics import (
+    candidate_probability,
+    candidate_probability_quadratic,
+    effective_probability,
+    estimate_backup_size,
+    expected_failure_path,
+    failure_probability,
+)
+
+
+def test_reduced_candidate_probability_matches_double_sum():
+    for n in range(1, 301):
+        assert candidate_probability(n) == pytest.approx(candidate_probability_quadratic(n), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, q, target", [(64, 0.2, 5.0), (1024, 0.5, 12.0), (1024, 0.82, 40.0), (16, 0.0, 1.0)])
+def test_estimated_backup_size_is_smallest_reaching_target(n, q, target):
+    p_eff = effective_probability(candidate_probability(n), q)
+
+    def reach(b):
+        return expected_failure_path(failure_probability(p_eff, b))
+
+    b = estimate_backup_size(n, q, target)
+    assert reach(b) >= target
+    assert b == 0 or reach(b - 1) < target
+
+
+def test_analyze_prints_the_chain(capsys):
+    assert cli.main(["analyze", "--n", "1024", "--q", "0.5", "--b", "10", "--target-e-f", "12"]) == 0
+    chain = json.loads(capsys.readouterr().out)
+    assert chain["candidate_probability"] == candidate_probability(1024)
+    assert chain["expected_online"] == 512.0
+    assert chain["search_path_bound"] == 9
+    assert chain["failure_probability"] == failure_probability(chain["effective_probability"], 10)
+    assert chain["estimated_backup_size"] == estimate_backup_size(1024, 0.5, 12.0)

@@ -1,0 +1,106 @@
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from skipchurn import cli
+from skipchurn.churn import ChurnModel
+from skipchurn.engine import SimConfig
+from skipchurn.overlay import ConfigError
+from skipchurn.predictors import PREDICTOR_KINDS
+
+# field name -> (config key, value text, parsed value); every value differs from its default
+FIELD_SETTINGS = {
+    "capacity": ("capacity", "128", 128),
+    "slots": ("slots", "5", 5),
+    "topologies": ("topologies", "2", 2),
+    "backup_size": ("backup-size", "7", 7),
+    "stabilizer": ("stabilizer", "dks", "dks"),
+    "predictor": ("predictor", "lifetime", "lifetime"),
+    "timeout_multiplier": ("timeout-multiplier", "3.5", 3.5),
+    "rtt_base_ms": ("rtt-base-ms", "1.5", 1.5),
+    "rtt_per_unit_ms": ("rtt-per-unit-ms", "50", 50.0),
+    "search_cap": ("search-cap", "17", 17),
+    "seed": ("seed", "9", 9),
+    "rejoin": ("rejoin", "stale", "stale"),
+    "pred_error_mode": ("pred-error", "instant", "instant"),
+    "max_state_size": ("max-state-size", "5", 5),
+    "kind": ("churn-kind", "uniform", "uniform"),
+    "session_shape": ("session-shape", "0.7", 0.7),
+    "session_mean_hours": ("session-mean-hours", "3", 3.0),
+    "interarrival_mean_seconds": ("interarrival-mean-seconds", "20", 20.0),
+    "uniform_q": ("uniform-q", "0.5", 0.5),
+    "arrival_process": ("arrival-process", "fixed", "fixed"),
+}
+
+
+def _from_file(tmp_path: Path, text: str, command: str = "run") -> cli.RunSpec:
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    return _from_flags(["--config", str(path)], command)
+
+
+def _from_flags(flags: list[str], command: str = "run") -> cli.RunSpec:
+    args = cli.build_parser().parse_args([command, *flags])
+    return cli.parse_config(args.config, cli._overrides_from_args(args))
+
+
+def test_every_config_field_is_settable():
+    names = {f.name for f in fields(SimConfig) if f.name != "churn"} | {f.name for f in fields(ChurnModel)}
+    assert set(FIELD_SETTINGS) == names
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_SETTINGS))
+def test_field_from_file_and_flag_agree(tmp_path, name):
+    key, text, value = FIELD_SETTINGS[name]
+    by_file = _from_file(tmp_path, f"{key} = {text}\n")
+    by_flag = _from_flags([f"--{key}", text])
+    assert by_file == by_flag
+    owner = by_flag.base if name in {f.name for f in fields(SimConfig)} else by_flag.base.churn
+    assert getattr(owner, name) == value
+    assert value != getattr(SimConfig() if owner is by_flag.base else ChurnModel(), name)
+
+
+def test_search_cap_none_from_file_and_flag(tmp_path):
+    assert _from_file(tmp_path, "search-cap = none\n").base.search_cap is None
+    assert _from_flags(["--search-cap", "none"]).base.search_cap is None
+
+
+def test_flags_win_over_file(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("slots = 4\nbackup-size = 8, 40  # two sizes\n", encoding="utf-8")
+    spec = _from_flags(["--config", str(path), "--slots", "6"])
+    assert spec.base.slots == 6
+    assert spec.backup_sizes == [8, 40]
+
+
+def test_every_sweep_value_is_checked():
+    with pytest.raises(ConfigError, match="unknown stabilizer"):
+        _from_flags(["--stabilizer", "interlaced,chord"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("colour = red\n", "unknown config key"),
+    ("capacity = many\n", "invalid value for capacity"),
+    ("format = xml\n", "format must be csv or json"),
+])
+def test_bad_config_file_rejected(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        _from_file(tmp_path, text)
+
+
+def _bench_rows(capsys, argv: list[str]) -> list[str]:
+    assert cli.main(["predict-bench", "--capacity", "16", "--slots", "3", "--topologies", "1",
+                     "--workers", "1", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return sorted(line.split()[0] for line in lines[1:] if not line.startswith("mean wide-end"))
+
+
+def test_predict_bench_honours_config_file_predictor(tmp_path, capsys):
+    path = tmp_path / "bench.conf"
+    path.write_text("predictor = lifetime,dbg2\n", encoding="utf-8")
+    assert _bench_rows(capsys, ["--config", str(path)]) == ["dbg2", "lifetime"]
+
+
+def test_predict_bench_runs_every_kind_by_default(capsys):
+    assert _bench_rows(capsys, []) == sorted(PREDICTOR_KINDS)

@@ -208,7 +208,7 @@ class TestJoin:
 
 
 def _msg(target, level, direction):
-    return SearchMessage(target_num_id=target, level=level, direction=direction, initiator="x")
+    return SearchMessage(target_num_id=target, level=level, direction=direction)
 
 
 class TestRouteStep:
@@ -233,6 +233,11 @@ class TestRouteStep:
         table = LookupTable.empty(2)
         decision = route_step(43, table, _msg(45, 0, Direction.RIGHT))
         assert decision.action == "terminate"
+
+    @pytest.mark.parametrize("target, direction", [(40, Direction.RIGHT), (45, Direction.LEFT)])
+    def test_direction_against_target_raises(self, target, direction):
+        with pytest.raises(ValueError, match="direction inconsistent"):
+            route_step(43, LookupTable.empty(2), _msg(target, 1, direction))
 
     def test_never_forwards_across_target(self):
         rng = np.random.default_rng(21)

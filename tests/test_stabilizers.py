@@ -19,6 +19,7 @@ from skipchurn.stabilizers import (
     DksPointers,
     KademliaBuckets,
     NoStabilizer,
+    _score,
     build_prefix_groups,
     cand_check,
     kademlia_capacity,
@@ -35,7 +36,7 @@ def entry(num_id, name_id, sop=0.5):
 
 
 def msg(target, level=0, direction=Direction.RIGHT, visited=()):
-    m = SearchMessage(target_num_id=target, level=level, direction=direction, initiator="i")
+    m = SearchMessage(target_num_id=target, level=level, direction=direction)
     for v in visited:
         m.add_piggyback(entry(v, "0000"))
     return m
@@ -74,6 +75,14 @@ class TestBackupUpdate:
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         e = BackupEntry("n106", 106, "1001", 0.8)
         assert table._owner_score(e) == pytest.approx(0.8 * 3 / 6)
+
+    def test_score_at_zero_distance_raises(self):
+        with pytest.raises(ValueError, match="distance must be nonzero"):
+            _score(0.8, 3, 0)
+
+    def test_evicting_from_empty_table_raises(self):
+        with pytest.raises(RuntimeError, match="empty table"):
+            BackupTable(OWNER, HEIGHT, max_size=8)._evict_minimum()
 
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
