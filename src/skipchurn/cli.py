@@ -74,7 +74,7 @@ class RunSpec:
     backup_sizes: list[int]
     stabilizers: list[str]
     predictors: list[str]
-    out_dir: Path
+    out_dir: Optional[Path]
     formats: list[str]
     workers: int = DEFAULT_WORKERS
 
@@ -199,7 +199,7 @@ def parse_config(
         backup_sizes=list(values["backup-size"]),
         stabilizers=list(values["stabilizer"]),
         predictors=list(values["predictor"]),
-        out_dir=Path(values["out"]),
+        out_dir=None if values["out"] is None else Path(values["out"]),
         formats=list(values["format"]),
         workers=values["workers"],
     )
@@ -314,7 +314,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
         else:
             shown = f"default {default}"
         parser.add_argument(f"--{key}", dest=key, default=None, help=shown)
-    parser.add_argument("--trace", action="store_true", help="write per-search trace log")
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
@@ -343,9 +342,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict_bench(args: argparse.Namespace) -> int:
-    # With no predictor key in the config file or flags, every kind runs.
+    # With no predictor key in the config file or flags, every kind runs; with
+    # no out key, no table file is written.
     spec = parse_config(
-        args.config, _overrides_from_args(args), defaults={"predictor": list(PREDICTOR_KINDS)}
+        args.config,
+        _overrides_from_args(args),
+        defaults={"predictor": list(PREDICTOR_KINDS), "out": None},
     )
     base = spec.base
     kinds = tuple(spec.predictors)
@@ -365,7 +367,7 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
         print(f"{kind:<{width}}  {mean:10.4f}  {std:.4f}")
     if "swdbg" in kinds:
         print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
-    if args.out:
+    if spec.out_dir is not None:
         preflight_out_dir(spec.out_dir)
         path = spec.out_dir / "predictor_errors.csv"
         buf = io.StringIO()
@@ -387,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the experiment sweep")
     _add_override_flags(p_run)
+    p_run.add_argument("--trace", action="store_true", help="write per-search trace log")
     p_run.set_defaults(func=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="print the closed-form analysis chain")

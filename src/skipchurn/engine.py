@@ -296,7 +296,7 @@ class SimulationState:
 def _piggyback_entry(node: NodeRuntime) -> PiggybackEntry:
     ident = node.identity
     sop = min(1.0, max(0.0, node.predictor.prediction))
-    return PiggybackEntry(ident.address, ident.num_id, ident.name_id, sop)
+    return PiggybackEntry(ident.num_id, ident.name_bits, sop)
 
 
 def run_search(state: SimulationState, initiator: int, target: int) -> SearchOutcome:

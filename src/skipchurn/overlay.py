@@ -2,10 +2,11 @@
 
 A topology is a fixed registry of nodes (the system capacity), each carrying a
 numerical ID (the sort key of the bottom list), a name ID (a bit string whose
-prefixes govern membership in the higher-level lists), an address, and a pair
-of synthetic coordinates used by the latency model.  Name IDs are assigned by
-recursive median bisection of the coordinates so that spatial proximity shows
-up as longer common prefixes.
+prefixes govern membership in the higher-level lists) and a pair of synthetic
+coordinates used by the latency model.  Name IDs are assigned by recursive
+median bisection of the coordinates so that spatial proximity shows up as
+longer common prefixes.  Past the registry, name IDs travel as integers
+(``name_bits``) and are compared with :func:`cpl_ints`.
 """
 
 from __future__ import annotations
@@ -37,22 +38,23 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NodeIdentity:
-    """A registered peer: unique numerical ID, name ID, address, coordinates."""
+    """A registered peer: unique numerical ID, name ID, coordinates.
+
+    ``name_bits`` is the name ID as an integer, parsed once at construction.
+    """
 
     num_id: int
     name_id: str
-    address: str
     coords: tuple[float, float]
+    name_bits: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def name_bits(self) -> int:
-        return int(self.name_id, 2) if self.name_id else 0
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name_bits", int(self.name_id, 2) if self.name_id else 0)
 
 
 class NeighborRef(NamedTuple):
-    address: str
     num_id: int
-    name_id: str
+    name_bits: int
 
 
 @dataclass
@@ -81,11 +83,10 @@ class LookupTable:
         return {ref.num_id for pair in self.levels for ref in pair if ref is not None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiggybackEntry:
-    address: str
     num_id: int
-    name_id: str
+    name_bits: int
     sop: float
 
 
@@ -161,16 +162,11 @@ class TopologySnapshot:
             NodeIdentity(
                 num_id=item["numId"],
                 name_id=item["nameId"],
-                address=_address_for(item["numId"]),
                 coords=(item["coords"][0], item["coords"][1]),
             )
             for item in doc["nodes"]
         ]
         return cls(capacity=doc["capacity"], nodes=nodes, rng_seed=doc["rngSeed"])
-
-
-def _address_for(num_id: int) -> str:
-    return f"n{num_id}"
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -249,7 +245,7 @@ def generate_topology(capacity: int, seed: int) -> TopologySnapshot:
     coords = [(float(x), float(y)) for x, y in xy]
     names = assign_name_ids(coords)
     nodes = [
-        NodeIdentity(num_id=n, name_id=name, address=_address_for(n), coords=c)
+        NodeIdentity(num_id=n, name_id=name, coords=c)
         for n, name, c in zip(num_ids, names, coords)
     ]
     return TopologySnapshot(capacity=capacity, nodes=nodes, rng_seed=seed)
@@ -293,10 +289,10 @@ def join_node(
     for lvl in range(length):
         if best_left[lvl] is not None:
             n = best_left[lvl]
-            table.set_neighbor(lvl, Direction.LEFT, NeighborRef(n.address, n.num_id, n.name_id))
+            table.set_neighbor(lvl, Direction.LEFT, NeighborRef(n.num_id, n.name_bits))
         if best_right[lvl] is not None:
             n = best_right[lvl]
-            table.set_neighbor(lvl, Direction.RIGHT, NeighborRef(n.address, n.num_id, n.name_id))
+            table.set_neighbor(lvl, Direction.RIGHT, NeighborRef(n.num_id, n.name_bits))
     return table
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .overlay import (
@@ -34,7 +35,7 @@ from .overlay import (
     PiggybackEntry,
     SearchMessage,
     TopologySnapshot,
-    common_prefix_length,
+    cpl_ints,
 )
 
 STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
@@ -42,11 +43,10 @@ STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
 PingFn = Callable[[int], bool]
 
 
-@dataclass
+@dataclass(slots=True)
 class BackupEntry:
-    address: str
     num_id: int
-    name_id: str
+    name_bits: int
     sop: float
     score: float = 0.0
 
@@ -72,8 +72,8 @@ def cand_check(entry_num_id: int, target: int, direction: Direction, msg: Search
     return True
 
 
-def _entry_level(owner: NodeIdentity, name_id: str, height: int) -> int:
-    return min(common_prefix_length(owner.name_id, name_id), height - 1)
+def _entry_level(owner: NodeIdentity, name_bits: int, height: int) -> int:
+    return min(cpl_ints(owner.name_bits, name_bits, len(owner.name_id)), height - 1)
 
 
 def _score(sop: float, cpl: int, distance: int) -> float:
@@ -85,10 +85,15 @@ def _score(sop: float, cpl: int, distance: int) -> float:
 class BackupTable:
     """Score-managed backup neighbors, bounded by ``max_size`` across all sets.
 
-    Entries live in the set addressed by the common-prefix level with the
+    Entries live in the set picked by the common-prefix level with the
     owner and the numerical-ID direction.  A full table drops the entry whose
     owner-relative score is globally minimal before accepting a new one; ties
-    evict the farther entry, then the lexicographically larger name ID.
+    evict the farther entry, then the larger name ID.
+
+    An entry's ``score`` is always its owner-relative score.  It is computed
+    when the entry is inserted and recomputed only when a piggybacked update
+    changes the entry's ``sop``; resolution ranks candidates by their
+    target-relative score without storing it.
     """
 
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
@@ -100,10 +105,10 @@ class BackupTable:
         self.sets: list[list[dict[int, BackupEntry]]] = [
             [{}, {}] for _ in range(height)
         ]
-        self._locations: dict[int, tuple[int, int]] = {}
+        self._entries: dict[int, BackupEntry] = {}
 
     def __len__(self) -> int:
-        return len(self._locations)
+        return len(self._entries)
 
     def entries(self) -> Iterable[BackupEntry]:
         for pair in self.sets:
@@ -117,12 +122,13 @@ class BackupTable:
         return 1 if entry_num_id > self.owner.num_id else 0
 
     def _remove(self, num_id: int) -> None:
-        loc = self._locations.pop(num_id, None)
-        if loc is not None:
-            self.sets[loc[0]][loc[1]].pop(num_id, None)
+        e = self._entries.pop(num_id, None)
+        if e is not None:
+            level = _entry_level(self.owner, e.name_bits, self.height)
+            del self.sets[level][self._slot_for(num_id)][num_id]
 
     def _owner_score(self, e: BackupEntry) -> float:
-        cpl = common_prefix_length(self.owner.name_id, e.name_id)
+        cpl = cpl_ints(self.owner.name_bits, e.name_bits, len(self.owner.name_id))
         return _score(e.sop, cpl, abs(e.num_id - self.owner.num_id))
 
     def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
@@ -130,39 +136,37 @@ class BackupTable:
         if self.max_size == 0:
             return
         owner_id = self.owner.num_id
+        entries = self._entries
         lookup_ids = lookup.neighbor_num_ids()
         for item in piggyback:
-            if item.num_id == owner_id or item.num_id in lookup_ids:
+            num_id = item.num_id
+            if num_id == owner_id or num_id in lookup_ids:
                 continue
-            existing = self._locations.get(item.num_id)
-            if existing is not None:
-                bucket = self.sets[existing[0]][existing[1]]
-                old = bucket[item.num_id]
-                old.sop = item.sop
-                old.address = item.address
+            old = entries.get(num_id)
+            if old is not None:
+                if old.sop != item.sop:
+                    old.sop = item.sop
+                    old.score = self._owner_score(old)
                 continue
-            if len(self._locations) >= self.max_size:
+            if len(entries) >= self.max_size:
                 self._evict_minimum()
-            entry = BackupEntry(item.address, item.num_id, item.name_id, item.sop)
-            level = _entry_level(self.owner, item.name_id, self.height)
-            slot = self._slot_for(item.num_id)
-            self.sets[level][slot][item.num_id] = entry
-            self._locations[item.num_id] = (level, slot)
+            entry = BackupEntry(num_id, item.name_bits, item.sop)
+            entry.score = self._owner_score(entry)
+            level = _entry_level(self.owner, item.name_bits, self.height)
+            self.sets[level][self._slot_for(num_id)][num_id] = entry
+            entries[num_id] = entry
 
     def _evict_minimum(self) -> BackupEntry:
-        worst = None
-        worst_key = None
-        owner_id = self.owner.num_id
-        for pair in self.sets:
-            for bucket in pair:
-                for e in bucket.values():
-                    e.score = self._owner_score(e)
-                    key = (e.score, -abs(e.num_id - owner_id), _inverted_name(e.name_id))
-                    if worst_key is None or key < worst_key:
-                        worst_key = key
-                        worst = e
-        if worst is None:
+        entries = self._entries
+        if not entries:
             raise RuntimeError("eviction requested on an empty table")
+        low = min(map(attrgetter("score"), entries.values()))
+        owner_id = self.owner.num_id
+        # Equal distances sit on both sides of the owner; the left one goes.
+        worst = max(
+            (e for e in entries.values() if e.score == low),
+            key=lambda e: (abs(e.num_id - owner_id), e.name_bits, -e.num_id),
+        )
         self._remove(worst.num_id)
         return worst
 
@@ -171,7 +175,7 @@ class BackupTable:
         for pair in self.sets:
             pair[0].clear()
             pair[1].clear()
-        self._locations.clear()
+        self._entries.clear()
 
     def resolve(
         self,
@@ -187,7 +191,8 @@ class BackupTable:
         up to its stored common-prefix level, so resolution at ``level`` draws
         on the direction's sets from ``level`` upward.  An entry holding the
         exact target is contacted first.  Remaining eligible entries are
-        contacted best-score first; offline contacts are purged from the
+        contacted best target-relative score first, then nearer to the
+        target, then smaller name ID; offline contacts are purged from the
         table.  Returns (candidate, trace); the candidate is None when no
         online eligible entry exists.
         """
@@ -204,19 +209,18 @@ class BackupTable:
                 return exact, trace
             self._remove(exact.num_id)
             break
-        owner_name = self.owner.name_id
-        candidates = []
+        owner_bits = self.owner.name_bits
+        length = len(self.owner.name_id)
+        ranked = []
         for bucket in buckets:
             for e in bucket.values():
                 if not cand_check(e.num_id, target, direction, msg):
                     continue
-                cpl = common_prefix_length(owner_name, e.name_id)
-                e.score = _score(e.sop, cpl, abs(e.num_id - target))
-                candidates.append(e)
-        candidates.sort(
-            key=lambda e: (-e.score, abs(e.num_id - target), e.name_id)
-        )
-        for e in candidates:
+                distance = abs(e.num_id - target)
+                cpl = cpl_ints(owner_bits, e.name_bits, length)
+                ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
+        ranked.sort(key=itemgetter(0, 1, 2))
+        for *_, e in ranked:
             online = ping(e.num_id)
             trace.append(ContactAttempt(e.num_id, online))
             if online:
@@ -225,12 +229,7 @@ class BackupTable:
         return None, trace
 
     def total_entries(self) -> int:
-        return len(self._locations)
-
-
-def _inverted_name(name_id: str) -> str:
-    # Lexicographically smaller names win ties, so invert for min-selection.
-    return "".join("1" if c == "0" else "0" for c in name_id)
+        return len(self._entries)
 
 
 def kademlia_capacity(b: int, levels: int) -> list[list[int]]:
@@ -282,7 +281,7 @@ class KademliaBuckets:
         for item in piggyback:
             if item.num_id == owner_id or item.num_id in lookup_ids:
                 continue
-            level = _entry_level(self.owner, item.name_id, self.height)
+            level = _entry_level(self.owner, item.name_bits, self.height)
             slot = 1 if item.num_id > owner_id else 0
             cap = self.capacities[level][slot]
             if cap == 0:
@@ -292,7 +291,7 @@ class KademliaBuckets:
                 if e.num_id == item.num_id:
                     del bucket[i]
                     break
-            bucket.appendleft(BackupEntry(item.address, item.num_id, item.name_id, item.sop))
+            bucket.appendleft(BackupEntry(item.num_id, item.name_bits, item.sop))
             while len(bucket) > cap:
                 bucket.pop()
 
@@ -408,7 +407,7 @@ class DksPointers:
             online = ping(head.num_id)
             trace.append(ContactAttempt(head.num_id, online))
             if online:
-                entry = BackupEntry(head.address, head.num_id, head.name_id, 0.0)
+                entry = BackupEntry(head.num_id, head.name_bits, 0.0)
                 return entry, trace
             tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
             pointers.popleft()

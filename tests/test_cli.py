@@ -104,3 +104,29 @@ def test_predict_bench_honours_config_file_predictor(tmp_path, capsys):
 
 def test_predict_bench_runs_every_kind_by_default(capsys):
     assert _bench_rows(capsys, []) == sorted(PREDICTOR_KINDS)
+
+
+def test_predict_bench_writes_table_for_out_from_file_or_flag(tmp_path, capsys):
+    path = tmp_path / "bench.conf"
+    path.write_text(f"predictor = lifetime\nout = {tmp_path / 'by_file'}\n", encoding="utf-8")
+    _bench_rows(capsys, ["--config", str(path)])
+    _bench_rows(capsys, ["--predictor", "lifetime", "--out", str(tmp_path / "by_flag")])
+    by_file = (tmp_path / "by_file" / "predictor_errors.csv").read_text(encoding="utf-8")
+    by_flag = (tmp_path / "by_flag" / "predictor_errors.csv").read_text(encoding="utf-8")
+    assert by_file == by_flag
+    assert by_file.splitlines()[0] == "predictor,mean_error,std_across_topologies"
+    assert by_file.splitlines()[1].startswith("lifetime,")
+
+
+def test_predict_bench_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _bench_rows(capsys, ["--predictor", "lifetime"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_bench_rejects_trace(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict-bench", "--trace", "--capacity", "16", "--slots", "1",
+                  "--topologies", "1", "--workers", "1", "--predictor", "lifetime"])
+    assert exc.value.code != 0
+    assert "--trace" in capsys.readouterr().err

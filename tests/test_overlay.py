@@ -26,7 +26,7 @@ def make_topology(pairs):
     """Build a snapshot from (num_id, name_id) pairs; coords are synthetic."""
     n = len(pairs)
     nodes = [
-        NodeIdentity(num_id=nid, name_id=name, address=f"n{nid}", coords=(i / n, i / n))
+        NodeIdentity(num_id=nid, name_id=name, coords=(i / n, i / n))
         for i, (nid, name) in enumerate(pairs)
     ]
     capacity = 1
@@ -177,11 +177,15 @@ class TestJoin:
                 left = table.neighbor(lvl, Direction.LEFT)
                 right = table.neighbor(lvl, Direction.RIGHT)
                 if left is not None:
+                    left_node = topo.node_by_num_id(left.num_id)
+                    assert left.name_bits == left_node.name_bits
                     assert left.num_id < ident.num_id
-                    assert common_prefix_length(left.name_id, ident.name_id) >= lvl
+                    assert common_prefix_length(left_node.name_id, ident.name_id) >= lvl
                 if right is not None:
+                    right_node = topo.node_by_num_id(right.num_id)
+                    assert right.name_bits == right_node.name_bits
                     assert right.num_id > ident.num_id
-                    assert common_prefix_length(right.name_id, ident.name_id) >= lvl
+                    assert common_prefix_length(right_node.name_id, ident.name_id) >= lvl
 
     def test_neighbors_are_nearest_online(self):
         topo = generate_topology(32, seed=4)
@@ -219,13 +223,13 @@ class TestRouteStep:
 
     def test_forward_within_interval(self):
         table = LookupTable.empty(2)
-        table.set_neighbor(1, Direction.RIGHT, NeighborRef("n50", 50, "10"))
+        table.set_neighbor(1, Direction.RIGHT, NeighborRef(50, 0b10))
         decision = route_step(43, table, _msg(59, 1, Direction.RIGHT))
         assert decision.action == "forward" and decision.neighbor.num_id == 50
 
     def test_overshoot_descends(self):
         table = LookupTable.empty(2)
-        table.set_neighbor(1, Direction.RIGHT, NeighborRef("n50", 50, "10"))
+        table.set_neighbor(1, Direction.RIGHT, NeighborRef(50, 0b10))
         decision = route_step(43, table, _msg(45, 1, Direction.RIGHT))
         assert decision.action == "descend" and decision.level == 0
 

@@ -27,12 +27,17 @@ from skipchurn.stabilizers import (
     make_stabilizer,
 )
 
-OWNER = NodeIdentity(num_id=100, name_id="1000", address="n100", coords=(0.5, 0.5))
+OWNER = NodeIdentity(num_id=100, name_id="1000", coords=(0.5, 0.5))
 HEIGHT = 4
 
 
 def entry(num_id, name_id, sop=0.5):
-    return PiggybackEntry(address=f"n{num_id}", num_id=num_id, name_id=name_id, sop=sop)
+    return PiggybackEntry(num_id=num_id, name_bits=int(name_id, 2), sop=sop)
+
+
+def name_of(e):
+    """The 4-bit name ID string of an entry, for the string-based oracles."""
+    return format(e.name_bits, f"0{HEIGHT}b")
 
 
 def msg(target, level=0, direction=Direction.RIGHT, visited=()):
@@ -73,7 +78,7 @@ class TestBackupUpdate:
     def test_scoring_substitution(self):
         # sop 0.8, shared prefix 3, numerical distance 6
         table = BackupTable(OWNER, HEIGHT, max_size=8)
-        e = BackupEntry("n106", 106, "1001", 0.8)
+        e = BackupEntry(106, 0b1001, 0.8)
         assert table._owner_score(e) == pytest.approx(0.8 * 3 / 6)
 
     def test_score_at_zero_distance_raises(self):
@@ -87,7 +92,7 @@ class TestBackupUpdate:
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         lookup = empty_lookup()
-        lookup.set_neighbor(0, Direction.RIGHT, NeighborRef("n106", 106, "0001"))
+        lookup.set_neighbor(0, Direction.RIGHT, NeighborRef(106, 0b0001))
         table.update(lookup, [entry(106, "0001")])
         assert len(table) == 0
 
@@ -121,8 +126,8 @@ class TestBackupUpdate:
         # prefix-0 entry scores zero and is dropped first
         table.update(lookup, [entry(110, "1001", sop=0.9)])
         assert len(table) == 2
-        assert 90 not in table._locations
-        assert {106, 110} <= set(table._locations)
+        assert 90 not in table._entries
+        assert {106, 110} <= set(table._entries)
 
     def test_zero_capacity_accepts_nothing(self):
         table = BackupTable(OWNER, HEIGHT, max_size=0)
@@ -148,16 +153,16 @@ class TestBackupUpdate:
             assert len(table) == size
             # oracle: worst = min score, ties to the farther then larger name
             def rank(e):
-                cpl = common_prefix_length(OWNER.name_id, e.name_id)
+                cpl = common_prefix_length(OWNER.name_id, name_of(e))
                 score = e.sop * cpl / abs(e.num_id - OWNER.num_id)
-                inv = "".join("1" if c == "0" else "0" for c in e.name_id)
+                inv = "".join("1" if c == "0" else "0" for c in name_of(e))
                 return (score, -abs(e.num_id - OWNER.num_id), inv)
             expected_evict = min(table.entries(), key=rank).num_id
             newcomer = entry(1001, "1100", sop=0.5)
             table.update(lookup, [newcomer])
             assert len(table) == size
-            assert expected_evict not in table._locations
-            assert 1001 in table._locations
+            assert expected_evict not in table._entries
+            assert 1001 in table._entries
 
     @given(st_.lists(st_.tuples(st_.integers(0, 5000), st_.floats(0, 1)), min_size=1, max_size=400))
     @settings(max_examples=40, deadline=None)
@@ -174,6 +179,101 @@ class TestBackupUpdate:
         for i in range(0, len(batch), 7):
             table.update(lookup, batch[i : i + 7])
             assert len(table) <= 13
+
+
+def oracle_rank(num_id, name, sop):
+    """Eviction order from scratch: string prefix score, then farther, then
+    larger name; a full tie (equal names either side of the owner) evicts the
+    left entry."""
+    distance = abs(num_id - OWNER.num_id)
+    score = sop * common_prefix_length(OWNER.name_id, name) / distance
+    inv = "".join("1" if c == "0" else "0" for c in name)
+    return (score, -distance, inv, num_id)
+
+
+class RecordingTable(BackupTable):
+    """A BackupTable that logs the id of every entry it evicts."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.evicted = []
+
+    def _evict_minimum(self):
+        worst = super()._evict_minimum()
+        self.evicted.append(worst.num_id)
+        return worst
+
+
+_NAMES = st_.sampled_from([format(i, "04b") for i in range(16)])
+_SOPS = st_.sampled_from([0.0, 0.25, 0.5, 1.0])
+_IDS = st_.integers(80, 120).filter(lambda n: n != OWNER.num_id)
+_UPDATE = st_.tuples(st_.just("update"), st_.lists(st_.tuples(_IDS, _SOPS), max_size=8))
+_RESOLVE = st_.tuples(
+    st_.just("resolve"),
+    st_.tuples(
+        st_.integers(60, 140),
+        st_.integers(0, HEIGHT - 1),
+        st_.sampled_from([Direction.LEFT, Direction.RIGHT]),
+        st_.frozensets(_IDS),
+    ),
+)
+
+
+class TestCachedScores:
+    def test_score_zero_ties_evict_farther_then_larger_name(self):
+        # owner 100 named 1000: every 0-prefixed entry scores zero, and so
+        # does the 1-prefixed entry 101 with sop 0
+        table = RecordingTable(OWNER, HEIGHT, 6)
+        table.update(empty_lookup(), [
+            entry(90, "0111"), entry(110, "0001"), entry(80, "0000"),
+            entry(120, "0011"), entry(101, "1001", sop=0.0), entry(105, "1001", sop=0.5),
+        ])
+        for nid in range(111, 116):
+            table.update(empty_lookup(), [entry(nid, "1010", sop=1.0)])
+        assert table.evicted == [120, 80, 90, 110, 101]
+        assert set(table._entries) == {105, 111, 112, 113, 114, 115}
+
+    def test_full_tie_evicts_left_entry(self):
+        # equal scores, distances and names either side of the owner
+        table = RecordingTable(OWNER, HEIGHT, 2)
+        table.update(empty_lookup(), [entry(105, "0101"), entry(95, "0101")])
+        table.update(empty_lookup(), [entry(111, "1010"), entry(112, "1010")])
+        assert table.evicted == [95, 105]
+
+    @given(st_.lists(st_.one_of(_UPDATE, _RESOLVE), max_size=40), st_.integers(1, 12),
+           st_.lists(_NAMES, min_size=41, max_size=41))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_scores_never_go_stale(self, steps, size, name_list):
+        names = dict(zip(range(80, 121), name_list))
+        table = RecordingTable(OWNER, HEIGHT, size)
+        model = {}  # num_id -> latest sop the table was given
+        for kind, arg in steps:
+            table.evicted.clear()
+            if kind == "update":
+                expected = []
+                for nid, sop in arg:
+                    if nid not in model and len(model) >= size:
+                        worst = min(model, key=lambda n: oracle_rank(n, names[n], model[n]))
+                        expected.append(worst)
+                        del model[worst]
+                    model[nid] = sop
+                table.update(empty_lookup(), [entry(nid, names[nid], sop) for nid, sop in arg])
+                assert table.evicted == expected
+            else:
+                target, level, direction, online = arg
+                m = SearchMessage(target_num_id=target, level=level, direction=direction)
+                got, trace = table.resolve(target, level, direction, m, online.__contains__)
+                for t in trace:
+                    if not t.online:
+                        del model[t.num_id]
+                assert got is None or got.num_id in online
+            assert {nid: e.sop for nid, e in table._entries.items()} == model
+            for e in table.entries():
+                assert table._entries[e.num_id] is e
+                assert e.name_bits == int(names[e.num_id], 2)
+                cpl = common_prefix_length(OWNER.name_id, names[e.num_id])
+                assert e.score == e.sop * cpl / abs(e.num_id - OWNER.num_id)
+            assert sum(1 for _ in table.entries()) == len(table) == len(model)
 
 
 class TestBackupResolve:
@@ -193,7 +293,7 @@ class TestBackupResolve:
         got, trace = table.resolve(140, 1, Direction.RIGHT, msg(140, 1), online_set({120}))
         assert got.num_id == 120
         assert [t.num_id for t in trace] == [140, 120]
-        assert 140 not in table._locations
+        assert 140 not in table._entries
 
     def test_empty_set_returns_none(self):
         table = self.make_table([])
@@ -213,7 +313,7 @@ class TestBackupResolve:
         assert [t.num_id for t in trace][0] == 149
         assert trace[0].online is False
         assert got.num_id == 120
-        assert 149 not in table._locations
+        assert 149 not in table._entries
 
     def test_contact_order_non_increasing_in_score(self):
         rng = np.random.default_rng(4)
@@ -232,7 +332,7 @@ class TestBackupResolve:
         assert got is None
         def rscore(nid):
             e = next(x for x in items if x.num_id == nid)
-            cpl = common_prefix_length(OWNER.name_id, e.name_id)
+            cpl = common_prefix_length(OWNER.name_id, name_of(e))
             return e.sop * cpl / abs(e.num_id - target)
         scores = [rscore(t.num_id) for t in trace]
         assert scores == sorted(scores, reverse=True)
@@ -271,7 +371,7 @@ class TestKademlia:
         assert sum(sum(p) for p in caps) == 7
 
     def test_insert_at_head_evict_tail(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", address="n100", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011")])
@@ -280,7 +380,7 @@ class TestKademlia:
         assert [e.num_id for e in bucket] == [108]
 
     def test_reinsert_moves_to_head(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", address="n100", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
@@ -290,7 +390,7 @@ class TestKademlia:
         assert len(bucket) == 2
 
     def test_resolve_scans_recency_order(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", address="n100", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
