@@ -16,7 +16,7 @@ import numpy as np
 
 from .churn import ChurnModel, draw_arrival_count, draw_session_length
 from .engine import topology_seed
-from .predictors import PREDICTOR_KINDS, SlidingWindowDbg, make_predictor
+from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, make_predictor
 
 
 @dataclass
@@ -51,11 +51,14 @@ class PredictorBenchResult:
 
 
 def _bench_one_topology(args) -> tuple[int, dict[str, float], int, float, int]:
-    kinds, capacity, slots, seed, model_fields, topo_index = args
+    kinds, capacity, slots, seed, model_fields, max_state_size, error_mode, topo_index = args
     model = ChurnModel(**model_fields)
     rng = np.random.default_rng([seed, topo_index, 2])
     # churn only needs node count, not identities; ids are 0..capacity-1
-    predictors = {k: [make_predictor(k, capacity) for _ in range(capacity)] for k in kinds}
+    predictors = {
+        k: [make_predictor(k, capacity, max_state_size, error_mode) for _ in range(capacity)]
+        for k in kinds
+    }
     online = np.zeros(capacity, dtype=bool)
     session_left = np.zeros(capacity, dtype=np.int64)
     last_slot = np.full(capacity, -1, dtype=np.int64)
@@ -126,11 +129,14 @@ def run_predictor_bench(
     churn: ChurnModel | None = None,
     kinds: tuple[str, ...] = PREDICTOR_KINDS,
     workers: int = 1,
+    max_state_size: int = DEFAULT_MAX_STATE_SIZE,
+    error_mode: str = "window",
 ) -> PredictorBenchResult:
     """Benchmark predictor kinds on shared churn traces.
 
-    Deterministic for a fixed (capacity, slots, topologies, seed, churn);
-    the worker count does not affect the result.
+    Deterministic for a fixed (capacity, slots, topologies, seed, churn,
+    max_state_size, error_mode); the worker count does not affect the result.
+    ``max_state_size`` and ``error_mode`` reach every predictor as in a run.
     """
     model = churn or ChurnModel()
     result = PredictorBenchResult(
@@ -139,7 +145,8 @@ def run_predictor_bench(
     result.error_sums = {k: 0.0 for k in kinds}
     result.per_topology_errors = {k: [] for k in kinds}
     jobs = [
-        (tuple(kinds), capacity, slots, seed, model.__dict__, t) for t in range(topologies)
+        (tuple(kinds), capacity, slots, seed, model.__dict__, max_state_size, error_mode, t)
+        for t in range(topologies)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:

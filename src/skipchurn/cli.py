@@ -359,6 +359,8 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
         churn=base.churn,
         kinds=kinds,
         workers=spec.workers,
+        max_state_size=base.max_state_size,
+        error_mode=base.pred_error_mode,
     )
     rows = result.table()
     width = max(len(k) for k, _, _ in rows)

@@ -13,6 +13,15 @@ terminal classes are reachable (possible after a state-size change) their
 stationary values are mixed by absorption probability.  A class consisting
 solely of online-ending or offline-ending states degenerates to 1 or 0.
 
+Each chain caches the plan of the terminal class its current state lies in
+(the class's Tarjan order and state positions) and drops it when a transition
+count goes from 0 to positive.  While the plan holds, an estimate skips the
+reach search and the SCC pass; the probabilities, the matrix and the solve are
+computed as on a fresh build, so cached and uncached estimates are the same
+floats.  A current state in a transient part takes the full path every time.
+A fixed-size chain behind the predictor interface solves lazily, when its
+``prediction`` is read, not on every ``update``.
+
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
@@ -21,7 +30,6 @@ uptime fraction best.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -146,12 +154,73 @@ def _tarjan_sccs(nodes: list[int], succ: dict[int, tuple[int, ...]]) -> list[lis
     return sccs
 
 
+class _ClassPlan:
+    """A terminal class of a chain.
+
+    ``index`` maps each member to its place in the class's Tarjan order and
+    iterates in that order; ``online`` lists the places of online-ending
+    members.
+    """
+
+    __slots__ = ("index", "online")
+
+    def __init__(self, comp: list[int]):
+        self.index = {s: j for j, s in enumerate(comp)}
+        self.online = [j for j, s in enumerate(comp) if s & 1]
+
+
+def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> float:
+    """Stationary online mass of a terminal class under the current counts.
+
+    Probabilities are ``count / (count0 + count1)`` and the online mass is
+    summed as numpy scalars in Tarjan order, so a plan built once and reused
+    gives the same float as one built afresh.
+    """
+    idx = plan.index
+    m = len(idx)
+    ones = len(plan.online)
+    if ones == 0:
+        return 0.0
+    if ones == m:
+        return 1.0
+    if m == 2:
+        a, b = idx
+        if a & 1:
+            a, b = b, a
+        ra = counts[a]
+        rb = counts[b]
+        p_up = ra[1] / (ra[0] + ra[1])
+        p_down = rb[0] / (rb[0] + rb[1])
+        return p_up / (p_up + p_down)
+    P = np.zeros((m, m))
+    for s, j in idx.items():
+        row = counts[s]
+        total = row[0] + row[1]
+        base = (s << 1) & mask
+        if row[0] > 0.0:
+            P[j, idx[base]] = row[0] / total
+        if row[1] > 0.0:
+            P[j, idx[base | 1]] = row[1] / total
+    pi = _stationary_core(P)
+    return float(sum(pi[j] for j in plan.online))
+
+
 class Dbg:
     """Empirical De Bruijn graph over k-bit uptime histories.
 
     Transition counts are kept as floats: merging two states during a shrink
     averages their probabilities while preserving total transition mass, which
     is generally not representable with integers.
+
+    When the current state lies in a terminal class, the chain keeps that
+    class's plan (Tarjan order and state positions).  The plan stays valid
+    until a transition count goes from 0 to positive: without a new edge the
+    walk cannot leave a terminal class and the class's graph is unchanged, so
+    later estimates only recompute probabilities and the solve.  A chain made
+    by ``enlarge`` or ``shrink`` starts without a plan.
+
+    ``_recent`` holds the newest ``max_state_size + 1`` status bits, newest
+    lowest; ``bits_seen`` is its length until it is full.
     """
 
     __slots__ = (
@@ -161,10 +230,9 @@ class Dbg:
         "ones_seen",
         "_mask",
         "_counts",
-        "_visits",
         "_current",
-        "_warm",
         "_recent",
+        "_plan",
     )
 
     def __init__(self, state_size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
@@ -178,17 +246,13 @@ class Dbg:
         self.ones_seen = 0
         self._mask = (1 << state_size) - 1
         self._counts: dict[int, list[float]] = {}
-        self._visits: dict[int, int] = {}
         self._current: Optional[int] = None
-        self._warm: deque[int] = deque(maxlen=state_size)
-        self._recent: deque[int] = deque(maxlen=max_state_size + 1)
+        self._recent = 0
+        self._plan: Optional[_ClassPlan] = None
 
     @property
     def current_state(self) -> Optional[int]:
         return self._current
-
-    def visit_count(self, state: int) -> int:
-        return self._visits.get(state, 0)
 
     def transition_probability(self, state: int, bit: int) -> Optional[float]:
         row = self._counts.get(state)
@@ -200,35 +264,41 @@ class Dbg:
     def _warm_fraction(self) -> float:
         return self.ones_seen / self.bits_seen if self.bits_seen else 0.0
 
+    def observe(self, status: int) -> Optional[float]:
+        """Record one status bit.
+
+        Returns the warm-up estimate, the plain fraction of online bits seen
+        so far, when fewer than ``state_size`` bits preceded this one (the
+        step that fills the warm-up window included); otherwise ``None``, and
+        the estimate is ``stationary_online_probability()``.
+        """
+        status = 1 if status else 0
+        self.bits_seen += 1
+        self.ones_seen += status
+        self._recent = ((self._recent << 1) | status) & ((2 << self.max_state_size) - 1)
+        prev = self._current
+        if prev is None:
+            if self.bits_seen == self.state_size:
+                self._current = self._recent & self._mask
+            return self._warm_fraction()
+        row = self._counts.get(prev)
+        if row is None:
+            row = [0.0, 0.0]
+            self._counts[prev] = row
+        if row[status] == 0.0:
+            self._plan = None
+        row[status] += 1.0
+        self._current = ((prev << 1) & self._mask) | status
+        return None
+
     def update(self, status: int) -> float:
         """Feed one status bit; returns the updated availability estimate.
 
         Until ``state_size`` prior bits exist the estimate is the plain
         fraction of online bits seen so far.
         """
-        status = 1 if status else 0
-        self.bits_seen += 1
-        self.ones_seen += status
-        self._recent.append(status)
-        if self._current is None:
-            self._warm.append(status)
-            if len(self._warm) == self.state_size:
-                st = 0
-                for b in self._warm:
-                    st = (st << 1) | b
-                self._current = st
-                self._visits[st] = self._visits.get(st, 0) + 1
-            return self._warm_fraction()
-        prev = self._current
-        row = self._counts.get(prev)
-        if row is None:
-            row = [0.0, 0.0]
-            self._counts[prev] = row
-        row[status] += 1.0
-        nxt = ((prev << 1) & self._mask) | status
-        self._current = nxt
-        self._visits[nxt] = self._visits.get(nxt, 0) + 1
-        return self.stationary_online_probability()
+        warm = self.observe(status)
+        return self.stationary_online_probability() if warm is None else warm
 
     def stationary_online_probability(self) -> float:
         """Long-run probability of an online slot under the observed chain."""
@@ -241,6 +311,9 @@ class Dbg:
         mask = self._mask
         counts = self._counts
         cur = self._current
+        plan = self._plan
+        if plan is not None and cur in plan.index:
+            return _class_sop(plan, counts, mask)
         reach = {cur}
         stack = [cur]
         while stack:
@@ -259,22 +332,14 @@ class Dbg:
         if len(reach) == 1:
             return float(cur & 1)
 
-        prob_edges: dict[int, list[tuple[int, float]]] = {}
         succ: dict[int, tuple[int, ...]] = {}
         for s in reach:
             row = counts.get(s)
             if row is None:
                 succ[s] = ()
                 continue
-            total = row[0] + row[1]
             base = (s << 1) & mask
-            edges = []
-            if row[0] > 0.0:
-                edges.append((base, row[0] / total))
-            if row[1] > 0.0:
-                edges.append((base | 1, row[1] / total))
-            prob_edges[s] = edges
-            succ[s] = tuple(t for t, _ in edges)
+            succ[s] = tuple(t for t, c in ((base, row[0]), (base | 1, row[1])) if c > 0.0)
 
         sccs = _tarjan_sccs(sorted(reach), succ)
         comp_id = {}
@@ -285,31 +350,10 @@ class Dbg:
             all(comp_id[w] == i for s in comp for w in succ[s]) for i, comp in enumerate(sccs)
         ]
 
-        def class_sop(i: int) -> float:
-            comp = sccs[i]
-            ones = sum(1 for s in comp if s & 1)
-            if ones == 0:
-                return 0.0
-            if ones == len(comp):
-                return 1.0
-            if len(comp) == 2:
-                a, b = comp
-                if a & 1:
-                    a, b = b, a
-                p_up = next(p for t, p in prob_edges[a] if t == b)
-                p_down = next(p for t, p in prob_edges[b] if t == a)
-                return p_up / (p_up + p_down)
-            idx = {s: j for j, s in enumerate(comp)}
-            P = np.zeros((len(comp), len(comp)))
-            for s in comp:
-                for t, p in prob_edges[s]:
-                    P[idx[s], idx[t]] = p
-            pi = _stationary_core(P)
-            return float(sum(pi[idx[s]] for s in comp if s & 1))
-
         cur_comp = comp_id[cur]
         if terminal[cur_comp]:
-            return class_sop(cur_comp)
+            self._plan = plan = _ClassPlan(sccs[cur_comp])
+            return _class_sop(plan, counts, mask)
 
         transient = [s for s in reach if not terminal[comp_id[s]]]
         t_idx = {s: j for j, s in enumerate(transient)}
@@ -319,33 +363,33 @@ class Dbg:
         sop_cache: dict[int, float] = {}
         for s in transient:
             j = t_idx[s]
-            for t, p in prob_edges[s]:
+            row = counts[s]
+            total = row[0] + row[1]
+            base = (s << 1) & mask
+            for t, c in ((base, row[0]), (base | 1, row[1])):
+                if c <= 0.0:
+                    continue
+                p = c / total
                 if t in t_idx:
                     Q[j, t_idx[t]] += p
                 else:
                     ci = comp_id[t]
                     if ci not in sop_cache:
-                        sop_cache[ci] = class_sop(ci)
+                        sop_cache[ci] = _class_sop(_ClassPlan(sccs[ci]), counts, mask)
                     r[j] += p * sop_cache[ci]
         values = np.linalg.solve(np.eye(m) - Q, r)
         return float(min(1.0, max(0.0, values[t_idx[cur]])))
 
-    def _seed_from_recent(self, recent: list[int]) -> None:
-        self._recent = deque(recent, maxlen=self.max_state_size + 1)
-        if len(recent) >= self.state_size:
-            st = 0
-            for b in recent[-self.state_size :]:
-                st = (st << 1) | b
-            self._current = st
-        else:
-            self._warm = deque(recent, maxlen=self.state_size)
+    def _seed_from_recent(self, recent: int) -> None:
+        self._recent = recent
+        if self.bits_seen >= self.state_size:
+            self._current = recent & self._mask
 
     def enlarge(self) -> "Dbg":
         """Copy into a chain one bit wider.
 
         Every state maps to its two one-bit extensions; both inherit the
-        parent's transition counts, visit counts split evenly with the
-        remainder going to the 0-extension.
+        parent's transition counts.
         """
         k2 = self.state_size + 1
         if k2 > self.max_state_size:
@@ -354,15 +398,9 @@ class Dbg:
         for s, row in self._counts.items():
             child._counts[s << 1] = [row[0], row[1]]
             child._counts[(s << 1) | 1] = [row[0], row[1]]
-        for s, v in self._visits.items():
-            lo = v // 2
-            if v - lo:
-                child._visits[s << 1] = v - lo
-            if lo:
-                child._visits[(s << 1) | 1] = lo
         child.bits_seen = self.bits_seen
         child.ones_seen = self.ones_seen
-        child._seed_from_recent(list(self._recent))
+        child._seed_from_recent(self._recent)
         return child
 
     def shrink(self) -> "Dbg":
@@ -392,12 +430,9 @@ class Dbg:
             p0 = (r0[0] / t0 + r1[0] / t1) / 2.0
             p1 = (r0[1] / t0 + r1[1] / t1) / 2.0
             child._counts[m] = [p0 * mass, p1 * mass]
-        for s, v in self._visits.items():
-            if v:
-                child._visits[s >> 1] = child._visits.get(s >> 1, 0) + v
         child.bits_seen = self.bits_seen
         child.ones_seen = self.ones_seen
-        child._seed_from_recent(list(self._recent))
+        child._seed_from_recent(self._recent)
         return child
 
 
@@ -427,7 +462,10 @@ class SlidingWindowDbg:
         self.left = Dbg(1, max_state_size)
         self.center = Dbg(2, max_state_size)
         self.right = Dbg(3, max_state_size)
-        self.recent_status: deque[int] = deque(maxlen=max_state_size + 1)
+        # newest max_state_size + 1 status bits, newest lowest, and how many
+        # bits have been fed (the history's length until it is full)
+        self.recent_status = 0
+        self.recent_len = 0
         self.last_sop = 0.0
 
     @property
@@ -440,13 +478,16 @@ class SlidingWindowDbg:
     def _error(self, sop: float, state_size: int, status: int) -> float:
         if self.error_mode == "instant":
             return abs(status - sop)
-        bits = list(self.recent_status)[-state_size:]
-        frac = sum(bits) / len(bits)
+        n = min(state_size, self.recent_len)
+        frac = (self.recent_status & ((1 << n) - 1)).bit_count() / n
         return abs(sop - frac)
 
     def update(self, status: int) -> float:
         status = 1 if status else 0
-        self.recent_status.append(status)
+        self.recent_status = ((self.recent_status << 1) | status) & (
+            (2 << self.max_state_size) - 1
+        )
+        self.recent_len += 1
         dbgs = [self.left, self.center, self.right]
         sops = [d.update(status) for d in dbgs]
         errs = [self._error(sops[i], dbgs[i].state_size, status) for i in range(3)]
@@ -480,15 +521,29 @@ class SlidingWindowDbg:
 
 
 class FixedDbgPredictor:
-    """A single fixed-size De Bruijn chain behind the predictor interface."""
+    """A single fixed-size De Bruijn chain behind the predictor interface.
+
+    ``update`` only records the bit and returns nothing; the stationary
+    estimate is computed when ``prediction`` is read, once per run of updates,
+    so replayed offline slots nobody reads cost no solve.  The value read
+    equals what ``Dbg.update`` would have returned for the last bit,
+    including the warm-up fraction on the step that fills the window.
+    """
+
+    __slots__ = ("dbg", "_prediction")
 
     def __init__(self, state_size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
         self.dbg = Dbg(state_size, max_state_size=max(state_size, max_state_size))
-        self.prediction = 0.0
+        self._prediction: Optional[float] = 0.0
 
-    def update(self, status: int) -> float:
-        self.prediction = self.dbg.update(status)
-        return self.prediction
+    @property
+    def prediction(self) -> float:
+        if self._prediction is None:
+            self._prediction = self.dbg.stationary_online_probability()
+        return self._prediction
+
+    def update(self, status: int) -> None:
+        self._prediction = self.dbg.observe(status)
 
     def record_incoming(self) -> None:
         pass

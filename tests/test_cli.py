@@ -130,3 +130,22 @@ def test_predict_bench_rejects_trace(capsys):
                   "--topologies", "1", "--workers", "1", "--predictor", "lifetime"])
     assert exc.value.code != 0
     assert "--trace" in capsys.readouterr().err
+
+
+def test_predict_bench_honours_max_state_size_and_pred_error(capsys):
+    argv = ["predict-bench", "--capacity", "32", "--slots", "24", "--topologies", "1",
+            "--workers", "1", "--seed", "2", "--predictor", "swdbg,dbg4",
+            "--churn-kind", "uniform", "--uniform-q", "0.4"]
+
+    def table(*extra: str) -> list[str]:
+        assert cli.main([*argv, *extra]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    default = table()
+    assert default[-1] != "mean wide-end state size: 3.00"
+    # a cap of 3 pins the window at (1, 2, 3); dbg4 keeps its own size
+    capped = table("--max-state-size", "3")
+    assert capped[-1] == "mean wide-end state size: 3.00"
+    assert [r for r in capped if r.startswith("dbg4")] == [r for r in default if r.startswith("dbg4")]
+    instant = table("--pred-error", "instant")
+    assert [r for r in instant if r.startswith("swdbg")] != [r for r in default if r.startswith("swdbg")]
