@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from skipchurn import cli
 
 RESULTS = ("results.csv", "results.json")
@@ -43,6 +45,13 @@ PREDICTOR_TABLE = [
     "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
 ]
 
+# The same table under the other two churn laws: uniform redraws and a fixed
+# arrival count per slot.
+PREDICTOR_TABLE_CHURN = {
+    "uniform": ["--churn-kind", "uniform", "--uniform-q", "0.3"],
+    "fixed": ["--arrival-process", "fixed"],
+}
+
 GOLDEN = {
     "stabilizer_sweep": {
         "results.csv": "4c676ddc32038e2c34ecf16d71c86dabfb02be3aaaf4d96fa3d136a52047354a",
@@ -57,6 +66,12 @@ GOLDEN = {
     },
     "predictor_table": {
         "predictor_errors.csv": "6ad2f689f3efed69f3b98a78efcd4e396385aa231e777972ccad4889583fa4b2",
+    },
+    "predictor_table_uniform": {
+        "predictor_errors.csv": "6eb359d43a596ab96f6c6da3053717fb2680d7938005574ec978c7771263a688",
+    },
+    "predictor_table_fixed": {
+        "predictor_errors.csv": "e40bb863963687046d410895ac68246fc5ab468971ba89da53f0f68cfcc88f4d",
     },
 }
 
@@ -93,3 +108,9 @@ def test_traced_run_with_two_workers_gives_same_results(tmp_path):
 def test_predictor_table(tmp_path):
     assert cli.main(PREDICTOR_TABLE + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN["predictor_table"]
+
+
+@pytest.mark.parametrize("churn", sorted(PREDICTOR_TABLE_CHURN))
+def test_predictor_table_under_other_churn(tmp_path, churn):
+    assert cli.main(PREDICTOR_TABLE + PREDICTOR_TABLE_CHURN[churn] + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN[f"predictor_table_{churn}"]
