@@ -1,22 +1,28 @@
 """Predictor comparison without the overlay.
 
-Replays the same churn realization through every requested predictor kind and
-accumulates per-slot prediction error for every registered node, so the kinds
-are compared on identical status traces.  No searches run, hence no messages:
-predictors that feed on incoming traffic receive none here.
+Runs the engine's ``ChurnProcess`` and feeds every requested predictor kind
+through its own ``PredictorLayer``, accumulating per-slot prediction error for
+every registered node, so the kinds are compared on identical status traces.
+Churn is drawn from the stream ``[seed, topology, 2]``, not the run's
+``[seed, topology, 1]``, so the table scores a different churn realization
+than ``run`` does.  No searches run, hence no messages: predictors that feed
+on incoming traffic receive none here.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .churn import ChurnModel, draw_arrival_count, draw_session_length
-from .engine import topology_seed
-from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, make_predictor
+from .churn import ChurnModel
+# Not called here: perfbench/tracing.py patches these names in this module and
+# reports a missing trace target if they are gone.  The draws run in
+# engine.ChurnProcess.
+from .churn import draw_arrival_count, draw_session_length  # noqa: F401
+from .engine import ChurnProcess
+from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, PredictorLayer
 
 
 @dataclass
@@ -52,73 +58,24 @@ class PredictorBenchResult:
 
 def _bench_one_topology(args) -> tuple[int, dict[str, float], int, float, int]:
     kinds, capacity, slots, seed, model_fields, max_state_size, error_mode, topo_index = args
-    model = ChurnModel(**model_fields)
     rng = np.random.default_rng([seed, topo_index, 2])
-    # churn only needs node count, not identities; ids are 0..capacity-1
-    predictors = {
-        k: [make_predictor(k, capacity, max_state_size, error_mode) for _ in range(capacity)]
-        for k in kinds
-    }
-    online = np.zeros(capacity, dtype=bool)
-    session_left = np.zeros(capacity, dtype=np.int64)
-    last_slot = np.full(capacity, -1, dtype=np.int64)
-
+    # churn only needs node count, not identities: registry indices 0..capacity-1
+    churn = ChurnProcess(ChurnModel(**model_fields), capacity)
+    layers = {k: PredictorLayer(k, capacity, max_state_size, error_mode) for k in kinds}
     err = {k: 0.0 for k in kinds}
-    samples = 0
     right_sum = 0.0
-    right_samples = 0
-    track_window = "swdbg" in kinds
-
     for slot in range(slots):
-        if model.kind == "debian":
-            offline_idx = np.flatnonzero(~online)
-            count = min(draw_arrival_count(model, rng), offline_idx.size)
-            if count > 0:
-                picks = rng.choice(offline_idx.size, size=count, replace=False)
-                arrivals = np.sort(offline_idx[picks])
-                for i in arrivals.tolist():
-                    online[i] = True
-                    session_left[i] = draw_session_length(model, rng)
-                    for k in kinds:
-                        p = predictors[k][i]
-                        for _ in range(last_slot[i] + 1, slot):
-                            p.update(0)
-                    last_slot[i] = slot - 1
-        else:
-            draws = rng.random(capacity)
-            new_online = draws >= model.uniform_q
-            arrivals = np.flatnonzero(new_online & ~online)
-            online = new_online
-            for i in arrivals.tolist():
-                for k in kinds:
-                    p = predictors[k][i]
-                    for _ in range(last_slot[i] + 1, slot):
-                        p.update(0)
-                last_slot[i] = slot - 1
-
-        on_list = np.flatnonzero(online).tolist()
-        for i in on_list:
-            for k in kinds:
-                predictors[k][i].update(1)
-            last_slot[i] = slot
-
-        for i in range(capacity):
-            status = 1 if online[i] else 0
-            for k in kinds:
-                err[k] += abs(predictors[k][i].prediction - status)
-            samples += 1
-        if track_window:
-            wins = predictors["swdbg"]
-            right_sum += sum(w.right.state_size for w in wins)
-            right_samples += capacity
-
-        if model.kind == "debian":
-            for i in on_list:
-                session_left[i] -= 1
-                if session_left[i] <= 0:
-                    online[i] = False
-
-    return topo_index, err, samples, right_sum, right_samples
+        arrivals = churn.arrive(rng)
+        for k, layer in layers.items():
+            for i in arrivals:
+                layer.catch_up(i, slot)
+            layer.feed_online(churn.online, slot)
+            err[k] = layer.error_sum(churn.online, err[k])
+        if "swdbg" in layers:
+            right_sum += layers["swdbg"].right_size_sum()
+        churn.depart()
+    right_samples = slots * capacity if "swdbg" in layers else 0
+    return topo_index, err, slots * capacity, right_sum, right_samples
 
 
 def run_predictor_bench(

@@ -1,10 +1,16 @@
 """Discrete time-slot simulation loop.
 
-Each slot: arrivals come online, rebuild their lookup tables and replay the
-status bits they missed while away; a workload of searches routes through the
-overlay with latency, timeout and piggyback accounting; nodes online during
-the slot feed their predictors; prediction error is sampled for every
-registered node; finally expired sessions depart silently.
+Each slot: ``ChurnProcess.arrive`` draws the slot's churn; arrivals replay the
+status bits they missed while away and rebuild their lookup tables; a workload
+of searches routes through the overlay with latency, timeout and piggyback
+accounting; nodes online during the slot feed their predictors; prediction
+error is sampled for every registered node, an offline one scored on its last
+prediction; finally ``ChurnProcess.depart`` ends expired sessions silently.
+
+``ChurnProcess`` is the package's one churn law; ``predict-bench`` runs it
+without the overlay.  A run draws churn and searches from the stream
+``[seed, topology, 1]``, ``predict-bench`` from ``[seed, topology, 2]``, so
+the two score different churn realizations.
 
 Topology runs are pure functions of (config, topology index) and may execute
 in parallel.
@@ -13,7 +19,6 @@ in parallel.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -33,11 +38,7 @@ from .overlay import (
     join_node,
     route_step,
 )
-from .predictors import (
-    DEFAULT_MAX_STATE_SIZE,
-    PREDICTOR_KINDS,
-    make_predictor,
-)
+from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, PredictorLayer
 from .stabilizers import (
     STABILIZER_KINDS,
     DksPointers,
@@ -199,73 +200,113 @@ class RunMetrics:
         return self._weighted_std("sum_prediction_error", "prediction_samples")
 
 
-class NodeRuntime:
-    __slots__ = (
-        "identity",
-        "lookup",
-        "stabilizer",
-        "predictor",
-        "online",
-        "session_left",
-        "last_pred_slot",
-        "joined_once",
-    )
+class ChurnProcess:
+    """Online status and Debian session counts, by registry index.
 
-    def __init__(self, identity: NodeIdentity, stabilizer, predictor):
+    ``arrive`` draws one slot: under ``debian`` an arrival count, that many
+    offline nodes without replacement, then one Weibull session per arrival
+    in ascending order; under ``uniform`` one draw per node, online when it
+    is at least ``uniform_q``.  ``depart`` ends Debian sessions after their
+    last slot, so a session of s slots is online exactly s slots.
+    """
+
+    __slots__ = ("model", "online", "session_left")
+
+    def __init__(self, model: ChurnModel, size: int):
+        self.model = model
+        self.online = [False] * size
+        self.session_left = [0] * size
+
+    def arrive(self, rng: np.random.Generator) -> list[int]:
+        """Draw one slot's churn; returns the arrivals in ascending index order."""
+        model = self.model
+        online = self.online
+        if model.kind == "uniform":
+            q = model.uniform_q
+            arrivals = []
+            for i, u in enumerate(rng.random(len(online)).tolist()):
+                up = u >= q
+                if up and not online[i]:
+                    arrivals.append(i)
+                online[i] = up
+            return arrivals
+        offline = [i for i, up in enumerate(online) if not up]
+        count = min(draw_arrival_count(model, rng), len(offline))
+        if count <= 0:
+            return []
+        picks = rng.choice(len(offline), size=count, replace=False)
+        arrivals = sorted(offline[j] for j in picks.tolist())
+        for i in arrivals:
+            online[i] = True
+            self.session_left[i] = draw_session_length(model, rng)
+        return arrivals
+
+    def depart(self) -> None:
+        """End the Debian sessions that expire with this slot."""
+        if self.model.kind != "debian":
+            return
+        left = self.session_left
+        for i, up in enumerate(self.online):
+            if up:
+                left[i] -= 1
+                if left[i] <= 0:
+                    self.online[i] = False
+
+
+class NodeRuntime:
+    __slots__ = ("identity", "index", "lookup", "stabilizer", "predictor", "joined_once")
+
+    def __init__(self, identity: NodeIdentity, index: int, stabilizer, predictor):
         self.identity = identity
+        self.index = index
         self.lookup: Optional[LookupTable] = None
         self.stabilizer = stabilizer
         self.predictor = predictor
-        self.online = False
-        self.session_left = 0
-        self.last_pred_slot = -1
         self.joined_once = False
 
 
 class SimulationState:
-    """Mutable state of one topology run."""
+    """Mutable state of one topology run.
+
+    ``churn`` and ``predictors`` are indexed by position in ``all_ids``;
+    ``online_ids`` is derived from ``churn`` once per slot, after arrivals.
+    """
 
     def __init__(self, config: SimConfig, topology: TopologySnapshot, rng: np.random.Generator):
         self.config = config
         self.topology = topology
         self.rng = rng
         self.levels = topology.name_length
-        self.nodes: dict[int, NodeRuntime] = {}
-        for ident in topology.nodes:
-            stab = make_stabilizer(config.stabilizer, ident, self.levels, config.backup_size)
-            pred = make_predictor(
-                config.predictor,
-                config.capacity,
-                max_state_size=config.max_state_size,
-                error_mode=config.pred_error_mode,
+        idents = sorted(topology.nodes, key=lambda ident: ident.num_id)
+        self.all_ids = [ident.num_id for ident in idents]
+        self.churn = ChurnProcess(config.churn, len(idents))
+        self.predictors = PredictorLayer(
+            config.predictor, len(idents), config.max_state_size, config.pred_error_mode
+        )
+        self.nodes = {
+            ident.num_id: NodeRuntime(
+                ident, i,
+                make_stabilizer(config.stabilizer, ident, self.levels, config.backup_size),
+                self.predictors.predictors[i],
             )
-            self.nodes[ident.num_id] = NodeRuntime(ident, stab, pred)
-        self.all_ids = sorted(self.nodes)
+            for i, ident in enumerate(idents)
+        }
         self.online_ids: list[int] = []
-        self.offline_ids: list[int] = list(self.all_ids)
         self.slot_index = 0
         self._prefix_groups = None
         self.trace_sink: Optional[Callable[[dict], None]] = None
 
     def is_online(self, num_id: int) -> bool:
-        return self.nodes[num_id].online
+        return self.churn.online[self.nodes[num_id].index]
 
     def _groups_for(self, ident: NodeIdentity):
         if self._prefix_groups is None:
             self._prefix_groups = build_prefix_groups(self.topology)
         return level_groups_for(self._prefix_groups, ident)
 
-    def bring_online(self, num_id: int, session_slots: int, slot: int) -> None:
-        node = self.nodes[num_id]
-        node.online = True
-        node.session_left = session_slots
-        for _ in range(node.last_pred_slot + 1, slot):
-            node.predictor.update(0)
-        node.last_pred_slot = slot - 1
-        pos = bisect_left(self.offline_ids, num_id)
-        if pos < len(self.offline_ids) and self.offline_ids[pos] == num_id:
-            del self.offline_ids[pos]
-        insort(self.online_ids, num_id)
+    def bring_online(self, index: int, slot: int) -> None:
+        """Replay the slots an arriving node missed as offline bits."""
+        self.predictors.catch_up(index, slot)
 
     def join(self, num_id: int) -> None:
         # Departing is a crash: a returning node rebuilds its lookup table and
@@ -282,15 +323,6 @@ class SimulationState:
         elif fresh and node.joined_once:
             node.stabilizer.reset()
         node.joined_once = True
-
-    def take_offline(self, num_id: int) -> None:
-        node = self.nodes[num_id]
-        node.online = False
-        node.session_left = 0
-        pos = bisect_left(self.online_ids, num_id)
-        if pos < len(self.online_ids) and self.online_ids[pos] == num_id:
-            del self.online_ids[pos]
-        insort(self.offline_ids, num_id)
 
 
 def _piggyback_entry(node: NodeRuntime) -> PiggybackEntry:
@@ -314,6 +346,7 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
     base_ms = cfg.rtt_base_ms
     per_unit = cfg.rtt_per_unit_ms
     timeout_mult = cfg.timeout_multiplier
+    online = state.churn.online
     current = nodes[initiator]
     trace_hops: Optional[list] = [] if state.trace_sink else None
 
@@ -348,7 +381,7 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
         nb = decision.neighbor
         nb_node = nodes[nb.num_id]
         hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
-        if nb_node.online:
+        if online[nb_node.index]:
             latency += hop_rtt
             msg.add_piggyback(_piggyback_entry(current))
             hops += 1
@@ -431,45 +464,21 @@ def _emit_trace(state, initiator, target, trace_hops, outcome: SearchOutcome) ->
     )
 
 
-def _process_arrivals(state: SimulationState, slot: int) -> None:
-    cfg = state.config
-    rng = state.rng
-    churn = cfg.churn
-    if churn.kind == "debian":
-        count = min(draw_arrival_count(churn, rng), len(state.offline_ids))
-        if count <= 0:
-            return
-        picks = rng.choice(len(state.offline_ids), size=count, replace=False)
-        chosen = sorted(state.offline_ids[i] for i in picks.tolist())
-        for num_id in chosen:
-            state.bring_online(num_id, draw_session_length(churn, rng), slot)
-        for num_id in chosen:
-            state.join(num_id)
-    else:
-        q = churn.uniform_q
-        draws = rng.random(len(state.all_ids))
-        target_online = {
-            nid for nid, u in zip(state.all_ids, draws.tolist()) if u >= q
-        }
-        leavers = [nid for nid in state.online_ids if nid not in target_online]
-        for nid in leavers:
-            state.take_offline(nid)
-        arrivals = sorted(nid for nid in target_online if not state.nodes[nid].online)
-        for nid in arrivals:
-            state.bring_online(nid, 0, slot)
-        for nid in arrivals:
-            state.join(nid)
-
-
 def run_slot(state: SimulationState) -> SlotMetrics:
     """Advance the simulation by one slot and collect its metrics."""
     slot = state.slot_index
     cfg = state.config
     rng = state.rng
+    churn = state.churn
+    all_ids = state.all_ids
     metrics = SlotMetrics(slot_index=slot)
 
-    _process_arrivals(state, slot)
-    online = state.online_ids
+    arrivals = churn.arrive(rng)
+    state.online_ids = online = [nid for nid, up in zip(all_ids, churn.online) if up]
+    for i in arrivals:
+        state.bring_online(i, slot)
+    for i in arrivals:
+        state.join(all_ids[i])
     n_o = len(online)
     metrics.online_count = n_o
 
@@ -488,39 +497,22 @@ def run_slot(state: SimulationState) -> SlotMetrics:
             metrics.resolve_invocations += outcome.resolve_invocations
             metrics.resolve_messages += outcome.resolve_messages
 
-    # end-of-slot status updates for every node online during this slot
-    nodes = state.nodes
-    for nid in online:
-        node = nodes[nid]
-        node.predictor.update(1)
-        node.last_pred_slot = slot
-
+    # end-of-slot status updates for every node online during this slot, then
     # prediction error sampled for every registered node
-    err_sum = 0.0
-    sample_swdbg = cfg.predictor == "swdbg"
-    for nid in state.all_ids:
-        node = nodes[nid]
-        status = 1 if node.online else 0
-        err_sum += abs(node.predictor.prediction - status)
-        if sample_swdbg:
-            metrics.right_size_sum += node.predictor.right.state_size
-            metrics.right_size_samples += 1
-    metrics.sum_prediction_error = err_sum
-    metrics.prediction_samples = len(state.all_ids)
+    predictors = state.predictors
+    predictors.feed_online(churn.online, slot)
+    metrics.sum_prediction_error = predictors.error_sum(churn.online, 0.0)
+    metrics.prediction_samples = len(all_ids)
+    if cfg.predictor == "swdbg":
+        metrics.right_size_sum = predictors.right_size_sum()
+        metrics.right_size_samples = len(all_ids)
 
     if cfg.stabilizer != "none":
         for nid in online:
-            metrics.backup_entries_sum += nodes[nid].stabilizer.total_entries()
+            metrics.backup_entries_sum += state.nodes[nid].stabilizer.total_entries()
             metrics.backup_samples += 1
 
-    # expired sessions depart at the very end of the slot
-    if cfg.churn.kind == "debian":
-        for nid in list(online):
-            node = nodes[nid]
-            node.session_left -= 1
-            if node.session_left <= 0:
-                state.take_offline(nid)
-
+    churn.depart()
     state.slot_index += 1
     return metrics
 

@@ -25,6 +25,12 @@ A fixed-size chain behind the predictor interface solves lazily, when its
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
+
+``PredictorLayer`` holds one predictor of one kind per registered node and
+the last slot fed to each; a run and ``predict-bench`` both feed predictors
+through it.  A node is fed a 1 for each slot it is online.  The slots it
+missed are replayed as 0s only when it returns, so an offline node keeps its
+last prediction until that catch-up.
 """
 
 from __future__ import annotations
@@ -462,10 +468,6 @@ class SlidingWindowDbg:
         self.left = Dbg(1, max_state_size)
         self.center = Dbg(2, max_state_size)
         self.right = Dbg(3, max_state_size)
-        # newest max_state_size + 1 status bits, newest lowest, and how many
-        # bits have been fed (the history's length until it is full)
-        self.recent_status = 0
-        self.recent_len = 0
         self.last_sop = 0.0
 
     @property
@@ -475,22 +477,19 @@ class SlidingWindowDbg:
     def sizes(self) -> tuple[int, int, int]:
         return (self.left.state_size, self.center.state_size, self.right.state_size)
 
-    def _error(self, sop: float, state_size: int, status: int) -> float:
+    def _error(self, sop: float, dbg: Dbg, status: int) -> float:
+        # every chain of the window holds the same newest bits and bit count
         if self.error_mode == "instant":
             return abs(status - sop)
-        n = min(state_size, self.recent_len)
-        frac = (self.recent_status & ((1 << n) - 1)).bit_count() / n
+        n = min(dbg.state_size, dbg.bits_seen)
+        frac = (dbg._recent & ((1 << n) - 1)).bit_count() / n
         return abs(sop - frac)
 
     def update(self, status: int) -> float:
         status = 1 if status else 0
-        self.recent_status = ((self.recent_status << 1) | status) & (
-            (2 << self.max_state_size) - 1
-        )
-        self.recent_len += 1
         dbgs = [self.left, self.center, self.right]
         sops = [d.update(status) for d in dbgs]
-        errs = [self._error(sops[i], dbgs[i].state_size, status) for i in range(3)]
+        errs = [self._error(sops[i], dbgs[i], status) for i in range(3)]
 
         while errs[0] > errs[1] > errs[2]:
             if dbgs[2].state_size + 1 > self.max_state_size:
@@ -500,7 +499,7 @@ class SlidingWindowDbg:
             dbgs = [dbgs[1], dbgs[2], grown]
             sop = grown.stationary_online_probability()
             sops = [sops[1], sops[2], sop]
-            errs = [errs[1], errs[2], self._error(sop, grown.state_size, status)]
+            errs = [errs[1], errs[2], self._error(sop, grown, status)]
 
         while errs[0] < errs[1] < errs[2]:
             if dbgs[0].state_size == 1:
@@ -509,7 +508,7 @@ class SlidingWindowDbg:
             dbgs = [shrunk, dbgs[0], dbgs[1]]
             sop = shrunk.stationary_online_probability()
             sops = [sop, sops[0], sops[1]]
-            errs = [self._error(sop, shrunk.state_size, status), errs[0], errs[1]]
+            errs = [self._error(sop, shrunk, status), errs[0], errs[1]]
 
         self.left, self.center, self.right = dbgs
         best = min(range(3), key=lambda i: errs[i])
@@ -633,3 +632,45 @@ def make_predictor(
     if kind == "ludp":
         return LudpPredictor(capacity)
     raise ValueError(f"unknown predictor kind: {kind}")
+
+
+class PredictorLayer:
+    """One predictor of one kind per registry index, and the last slot fed to each.
+
+    ``feed_online`` gives every online node its 1 for the slot;
+    ``catch_up`` replays the slots a returning node missed as 0s.  Until its
+    catch-up an offline node keeps the prediction of its last online slot,
+    and ``error_sum`` scores that prediction.
+    """
+
+    __slots__ = ("predictors", "last_fed")
+
+    def __init__(self, kind: str, size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE,
+                 error_mode: str = "window"):
+        self.predictors = [make_predictor(kind, size, max_state_size, error_mode) for _ in range(size)]
+        self.last_fed = [-1] * size
+
+    def catch_up(self, index: int, slot: int) -> None:
+        """Feed node ``index`` a 0 for each slot it missed before ``slot``."""
+        pred = self.predictors[index]
+        for _ in range(self.last_fed[index] + 1, slot):
+            pred.update(0)
+        self.last_fed[index] = slot - 1
+
+    def feed_online(self, online: list[bool], slot: int) -> None:
+        """Feed every node online in ``slot`` its 1."""
+        last_fed = self.last_fed
+        for i, (pred, up) in enumerate(zip(self.predictors, online)):
+            if up:
+                pred.update(1)
+                last_fed[i] = slot
+
+    def error_sum(self, online: list[bool], total: float) -> float:
+        """``total`` plus every node's |prediction - status|, in index order."""
+        for pred, up in zip(self.predictors, online):
+            total += abs(pred.prediction - (1 if up else 0))
+        return total
+
+    def right_size_sum(self) -> int:
+        """Sum of the SW-DBG window's wide-end state sizes."""
+        return sum(pred.right.state_size for pred in self.predictors)

@@ -2,8 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from skipchurn import cli
+from skipchurn.churn import ChurnModel
+from skipchurn.engine import ChurnProcess
 from skipchurn.stabilizers import STABILIZER_KINDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,3 +37,92 @@ def test_churn_free_run_succeeds_without_resolves(tmp_path):
         assert row["avg_success_ratio"] == 1.0
         assert sum(s["resolve_invocations"] for s in series) == 0
         assert all(s["online_count"] == 64 for s in series)
+
+
+# Per-slot counters that depend only on churn, the search workload draws and
+# status-fed predictors, never on routing or the stabilizer.
+CHURN_COUNTERS = ("online_count", "searches_initiated", "sum_prediction_error", "right_size_sum")
+
+
+def test_common_random_numbers_across_stabilizers_and_backup_sizes(tmp_path):
+    # ludp is left out: it feeds on traffic, which the stabilizer shapes.
+    argv = [
+        "run", "--capacity", "64", "--slots", "12", "--topologies", "2", "--search-cap", "40",
+        "--interarrival-mean-seconds", "300", "--seed", "4", "--workers", "1",
+        "--stabilizer", ",".join(STABILIZER_KINDS), "--backup-size", "8,40",
+        "--predictor", "swdbg,dbg3", "--format", "json", "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 0
+    rows = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))["rows"]
+    series = defaultdict(list)
+    for row in rows:
+        series[row["predictor"]].append(
+            [[s[c] for c in CHURN_COUNTERS] for s in row["slot_series"]]
+        )
+    assert sorted(series) == ["dbg3", "swdbg"]
+    for cells in series.values():
+        assert len(cells) == 2 * len(STABILIZER_KINDS)
+        assert all(cell == cells[0] for cell in cells)
+    # the sweep did churn: online counts (summed over both topologies) vary
+    # and stay below the 128 registered nodes, and some error was made
+    online = [slot[0] for slot in series["swdbg"][0]]
+    assert len(set(online)) > 1 and 0 < min(online) and max(online) < 2 * 64
+    assert any(slot[2] > 0 for slot in series["swdbg"][0])
+
+
+def _run_slots(process, rng, slots):
+    """(online before, arrivals, online after arrive, online after depart) per slot."""
+    out = []
+    for _ in range(slots):
+        before = list(process.online)
+        arrivals = process.arrive(rng)
+        during = list(process.online)
+        process.depart()
+        out.append((before, arrivals, during, list(process.online)))
+    return out
+
+
+@pytest.mark.parametrize("arrival_process", ["poisson", "fixed"])
+def test_debian_session_stays_online_exactly_its_length(arrival_process):
+    process = ChurnProcess(
+        ChurnModel(arrival_process=arrival_process, interarrival_mean_seconds=600.0), 40
+    )
+    rng = np.random.default_rng(11)
+    slots = 60
+    during, after, sessions = [], [], []  # sessions: (index, first slot, length)
+    for slot in range(slots):
+        sessions += [(i, slot, process.session_left[i]) for i in process.arrive(rng)]
+        during.append(list(process.online))
+        process.depart()
+        after.append(list(process.online))
+    ended = [(i, start, length) for i, start, length in sessions if start + length <= slots]
+    assert len(ended) > 40 and len({length for _, _, length in ended}) > 2
+    for i, start, length in sessions:
+        last = min(start + length, slots) - 1
+        assert all(during[t][i] for t in range(start, last + 1))
+        assert all(after[t][i] for t in range(start, last))
+    for i, start, length in ended:
+        assert not after[start + length - 1][i]
+
+
+@pytest.mark.parametrize("kind", ["debian", "uniform"])
+def test_arrivals_are_ascending_and_were_offline(kind):
+    process = ChurnProcess(ChurnModel(kind=kind, uniform_q=0.5, interarrival_mean_seconds=300.0), 64)
+    for before, arrivals, during, _ in _run_slots(process, np.random.default_rng(12), 30):
+        assert arrivals == sorted(set(arrivals))
+        assert all(not before[i] and during[i] for i in arrivals)
+        assert [i for i in range(64) if during[i] and not before[i]] == arrivals
+
+
+def test_uniform_q_zero_keeps_everyone_online():
+    process = ChurnProcess(ChurnModel(kind="uniform", uniform_q=0.0), 16)
+    slots = _run_slots(process, np.random.default_rng(13), 5)
+    assert slots[0][1] == list(range(16))
+    for _, arrivals, during, after in slots[1:]:
+        assert arrivals == [] and all(during) and all(after)
+
+
+def test_uniform_q_one_keeps_everyone_offline():
+    process = ChurnProcess(ChurnModel(kind="uniform", uniform_q=1.0), 16)
+    for _, arrivals, during, after in _run_slots(process, np.random.default_rng(14), 5):
+        assert arrivals == [] and not any(during) and not any(after)

@@ -12,6 +12,7 @@ from skipchurn.predictors import (
     FixedDbgPredictor,
     LifetimePredictor,
     LudpPredictor,
+    PredictorLayer,
     SlidingWindowDbg,
     lifetime_availability,
     ludp_online_probability,
@@ -362,11 +363,31 @@ class TestSlidingWindow:
         assert w.sizes() == (1, 2, 3)
 
     def test_worked_error_example(self):
+        # each chain has seen the bits 1, 0, 1 (newest last)
         w = SlidingWindowDbg()
-        w.recent_status, w.recent_len = 0b101, 3
-        err = w._error(0.2, 3, 1)
+        chains = {3: Dbg(3), 2: Dbg(2)}
+        for d in chains.values():
+            for b in (1, 0, 1):
+                d.observe(b)
+        err = w._error(0.2, chains[3], 1)
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
-        assert w._error(0.2, 2, 1) == pytest.approx(0.3, abs=1e-12)
+        assert w._error(0.2, chains[2], 1) == pytest.approx(0.3, abs=1e-12)
+
+    def test_chains_share_the_recent_bits(self):
+        # the window's error reads each chain's own history, which must
+        # match the bits fed across every enlarge and shrink
+        rng = np.random.default_rng(5)
+        w = SlidingWindowDbg(max_state_size=5)
+        fed = []
+        windows = set()
+        for b in rng.integers(0, 2, 300).tolist():
+            w.update(b)
+            fed.append(b)
+            windows.add(w.sizes())
+            want = int("".join(map(str, fed[-6:])), 2)
+            for d in (w.left, w.center, w.right):
+                assert (d._recent, d.bits_seen) == (want, len(fed))
+        assert len(windows) > 1
 
     def test_periodic_trace_settles_near_duty_cycle(self):
         w = SlidingWindowDbg()
@@ -450,6 +471,30 @@ class TestOfflineReplay:
         got = gap.update(1)
         assert got == pytest.approx(direct.last_sop)
         assert gap.sizes() == direct.sizes()
+
+    @pytest.mark.parametrize("kind", ["swdbg", "dbg3", "lifetime"])
+    def test_layer_catches_up_on_return_only(self, kind):
+        # node 0 is online in slots 0, 1 and 5 and away in 2-4; node 1 never
+        # comes online
+        direct = make_predictor(kind, 2)
+        for b in [1, 1, 0, 0, 0, 1]:
+            direct.update(b)
+        layer = PredictorLayer(kind, 2)
+        for slot in (0, 1):
+            layer.feed_online([True, False], slot)
+        kept = layer.predictors[0].prediction
+        for slot in (2, 3, 4):
+            layer.feed_online([False, False], slot)
+            # away, node 0 keeps the prediction of its last online slot
+            assert layer.predictors[0].prediction == kept
+            assert layer.error_sum([False, False], 0.25) == 0.25 + kept + 0.0
+        layer.catch_up(0, 5)
+        layer.feed_online([True, False], 5)
+        assert layer.predictors[0].prediction == direct.prediction
+        assert layer.last_fed == [5, -1]
+        layer.catch_up(0, 6)  # nothing missed
+        assert layer.predictors[0].prediction == direct.prediction
+        assert layer.error_sum([True, False], 0.0) == abs(direct.prediction - 1)
 
 
 class TestFactory:
