@@ -188,6 +188,8 @@ def parse_config(
     for f in values["format"]:
         if f not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {f!r}")
+    if values["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {values['workers']}")
     churn = ChurnModel(**{name: values[key] for key, name in _CHURN_KEYS.items()})
     base = SimConfig(
         churn=churn,

@@ -91,6 +91,14 @@ class SimConfig:
             raise ConfigError(f"unknown rejoin mode: {self.rejoin}")
         if self.pred_error_mode not in ("window", "instant"):
             raise ConfigError(f"unknown pred-error mode: {self.pred_error_mode}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # SW-DBG starts from the (1, 2, 3) window.
+        least = 3 if self.predictor == "swdbg" else 1
+        if self.max_state_size < least:
+            raise ConfigError(
+                f"max-state-size must be >= {least} for {self.predictor}, got {self.max_state_size}"
+            )
 
 
 def rtt_ms(a: NodeIdentity, b: NodeIdentity, base_ms: float, per_unit_ms: float) -> float:
@@ -334,12 +342,15 @@ def _piggyback_entry(node: NodeRuntime) -> PiggybackEntry:
 def run_search(state: SimulationState, initiator: int, target: int) -> SearchOutcome:
     """Route one search for ``target`` starting at ``initiator``.
 
-    Forwards to an online neighbor cost one round trip and extend the
-    piggyback; forwards that hit an offline neighbor cost a timeout and then
-    consult the stabilizer, whose contact trace is charged per attempt (a
-    timeout per offline candidate, one round trip for the online one, which
-    also carries the redirect).  A failed resolution descends, or ends the
-    search at level 0 with the executor as result.
+    Until the message reaches the target, each step forwards to the eligible
+    level neighbor (see :func:`route_step`).  A forward to an online neighbor
+    costs one round trip and extends the piggyback; one to an offline neighbor
+    costs a timeout and then consults the stabilizer, whose contact trace is
+    charged per attempt (a timeout per offline candidate, one round trip for
+    the online one, which also carries the redirect).  With no eligible
+    neighbor, or no candidate, the search descends a level, or ends at level
+    0 with the executor as result.  A search for its own initiator succeeds
+    at once with no hop and no latency.
     """
     nodes = state.nodes
     cfg = state.config
@@ -348,18 +359,13 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
     timeout_mult = cfg.timeout_multiplier
     online = state.churn.online
     current = nodes[initiator]
+    current_id = initiator
     trace_hops: Optional[list] = [] if state.trace_sink else None
 
-    if initiator == target:
-        outcome = SearchOutcome(True, 0.0, 0, 0, 0, initiator)
-        _emit_trace(state, initiator, target, trace_hops, outcome)
-        return outcome
-
-    direction = Direction.RIGHT if target > initiator else Direction.LEFT
     msg = SearchMessage(
         target_num_id=target,
         level=state.levels - 1,
-        direction=direction,
+        direction=Direction.RIGHT if target > initiator else Direction.LEFT,
     )
     latency = 0.0
     hops = 0
@@ -367,82 +373,75 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
     resolve_msgs = 0
     step_guard = 40 * cfg.capacity + 100
 
-    while True:
+    while current_id != target:
         step_guard -= 1
         if step_guard <= 0:
             raise RuntimeError("search did not terminate; routing invariant broken")
-        decision = route_step(current.identity.num_id, current.lookup, msg)
-        if decision.action == "terminate":
-            result = current
-            break
-        if decision.action == "descend":
-            msg.level = decision.level
-            continue
-        nb = decision.neighbor
-        nb_node = nodes[nb.num_id]
-        hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
-        if online[nb_node.index]:
-            latency += hop_rtt
-            msg.add_piggyback(_piggyback_entry(current))
-            hops += 1
-            nb_node.predictor.record_incoming()
-            nb_node.stabilizer.update(nb_node.lookup, list(msg.piggyback.values()))
-            if trace_hops is not None:
-                trace_hops.append(
-                    {"from": current.identity.num_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
-                )
-            current = nb_node
-            continue
+        nb = route_step(current_id, current.lookup, msg)
+        if nb is not None:
+            nb_node = nodes[nb.num_id]
+            hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
+            if online[nb_node.index]:
+                latency += hop_rtt
+                msg.add_piggyback(_piggyback_entry(current))
+                hops += 1
+                nb_node.predictor.record_incoming()
+                nb_node.stabilizer.update(nb_node.lookup, list(msg.piggyback.values()))
+                if trace_hops is not None:
+                    trace_hops.append(
+                        {"from": current_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
+                    )
+                current, current_id = nb_node, nb.num_id
+                continue
 
-        # timeout failure on the lookup neighbor
-        latency += timeout_mult * hop_rtt
-        candidate, contact_trace = current.stabilizer.resolve(
-            target, msg.level, msg.direction, msg, state.is_online
-        )
-        resolve_inv += 1
-        resolve_msgs += len(contact_trace)
-        for attempt in contact_trace:
-            other = nodes[attempt.num_id]
-            ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
-            if attempt.online:
-                latency += ping_rtt
-                other.predictor.record_incoming()
-            else:
-                latency += timeout_mult * ping_rtt
-        if trace_hops is not None:
-            trace_hops.append(
-                {
-                    "from": current.identity.num_id,
-                    "level": msg.level,
-                    "kind": "resolve",
-                    "failed_neighbor": nb.num_id,
-                    "contacts": [[a.num_id, a.online] for a in contact_trace],
-                }
+            # timeout failure on the lookup neighbor
+            latency += timeout_mult * hop_rtt
+            candidate, contact_trace = current.stabilizer.resolve(
+                target, msg.level, msg.direction, msg, state.is_online
             )
-        if candidate is not None:
-            msg.add_piggyback(_piggyback_entry(current))
-            hops += 1
-            cand_node = nodes[candidate.num_id]
-            cand_node.stabilizer.update(cand_node.lookup, list(msg.piggyback.values()))
+            resolve_inv += 1
+            resolve_msgs += len(contact_trace)
+            for attempt in contact_trace:
+                other = nodes[attempt.num_id]
+                ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
+                if attempt.online:
+                    latency += ping_rtt
+                    other.predictor.record_incoming()
+                else:
+                    latency += timeout_mult * ping_rtt
             if trace_hops is not None:
                 trace_hops.append(
-                    {"from": current.identity.num_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}
+                    {
+                        "from": current_id,
+                        "level": msg.level,
+                        "kind": "resolve",
+                        "failed_neighbor": nb.num_id,
+                        "contacts": [[a.num_id, a.online] for a in contact_trace],
+                    }
                 )
-            current = cand_node
-            continue
-        if msg.level > 0:
-            msg.level -= 1
-            continue
-        result = current
-        break
+            if candidate is not None:
+                msg.add_piggyback(_piggyback_entry(current))
+                hops += 1
+                cand_node = nodes[candidate.num_id]
+                cand_node.stabilizer.update(cand_node.lookup, list(msg.piggyback.values()))
+                if trace_hops is not None:
+                    trace_hops.append(
+                        {"from": current_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}
+                    )
+                current, current_id = cand_node, candidate.num_id
+                continue
+        # no eligible neighbor, or no candidate: descend, or end at level 0
+        if msg.level == 0:
+            break
+        msg.level -= 1
 
     outcome = SearchOutcome(
-        success=result.identity.num_id == target,
+        success=current_id == target,
         latency_ms=latency,
         hops=hops,
         resolve_invocations=resolve_inv,
         resolve_messages=resolve_msgs,
-        result_num_id=result.identity.num_id,
+        result_num_id=current_id,
     )
     _emit_trace(state, initiator, target, trace_hops, outcome)
     return outcome

@@ -5,16 +5,18 @@ numerical ID (the sort key of the bottom list), a name ID (a bit string whose
 prefixes govern membership in the higher-level lists) and a pair of synthetic
 coordinates used by the latency model.  Name IDs are assigned by recursive
 median bisection of the coordinates so that spatial proximity shows up as
-longer common prefixes.  Past the registry, name IDs travel as integers
-(``name_bits``) and are compared with :func:`cpl_ints`.
+longer common prefixes.  From assignment on, a name ID is an integer
+(``name_bits``) of ``name_length`` bits, compared with :func:`cpl_ints`.
+
+A search side is a :class:`Direction`, whose value (0 left, 1 right) indexes
+every (left, right) pair directly.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,9 +26,9 @@ class ConfigError(ValueError):
     """Raised for invalid configuration values."""
 
 
-class Direction(Enum):
-    LEFT = "left"
-    RIGHT = "right"
+class Direction(IntEnum):
+    LEFT = 0
+    RIGHT = 1
 
 
 NUM_ID_SPACE = 1 << 32
@@ -38,18 +40,11 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NodeIdentity:
-    """A registered peer: unique numerical ID, name ID, coordinates.
-
-    ``name_bits`` is the name ID as an integer, parsed once at construction.
-    """
+    """A registered peer: unique numerical ID, integer name ID, coordinates."""
 
     num_id: int
-    name_id: str
+    name_bits: int
     coords: tuple[float, float]
-    name_bits: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name_bits", int(self.name_id, 2) if self.name_id else 0)
 
 
 class NeighborRef(NamedTuple):
@@ -72,12 +67,10 @@ class LookupTable:
         return len(self.levels)
 
     def neighbor(self, level: int, direction: Direction) -> Optional[NeighborRef]:
-        slot = 0 if direction is Direction.LEFT else 1
-        return self.levels[level][slot]
+        return self.levels[level][direction]
 
     def set_neighbor(self, level: int, direction: Direction, ref: Optional[NeighborRef]) -> None:
-        slot = 0 if direction is Direction.LEFT else 1
-        self.levels[level][slot] = ref
+        self.levels[level][direction] = ref
 
     def neighbor_num_ids(self) -> set[int]:
         return {ref.num_id for pair in self.levels for ref in pair if ref is not None}
@@ -111,15 +104,6 @@ class SearchMessage:
         return num_id in self.piggyback
 
 
-@dataclass(frozen=True)
-class RouteDecision:
-    """Outcome of one routing step: ``forward``, ``descend`` or ``terminate``."""
-
-    action: str
-    neighbor: Optional[NeighborRef] = None
-    level: int = 0
-
-
 @dataclass
 class TopologySnapshot:
     """An immutable node registry, reproducible from (capacity, seed)."""
@@ -144,30 +128,6 @@ class TopologySnapshot:
             self._by_num_id = {n.num_id: n for n in self.nodes}
         return self._by_num_id
 
-    def to_json(self) -> str:
-        doc = {
-            "capacity": self.capacity,
-            "rngSeed": self.rng_seed,
-            "nodes": [
-                {"numId": n.num_id, "nameId": n.name_id, "coords": list(n.coords)}
-                for n in self.nodes
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopologySnapshot":
-        doc = json.loads(text)
-        nodes = [
-            NodeIdentity(
-                num_id=item["numId"],
-                name_id=item["nameId"],
-                coords=(item["coords"][0], item["coords"][1]),
-            )
-            for item in doc["nodes"]
-        ]
-        return cls(capacity=doc["capacity"], nodes=nodes, rng_seed=doc["rngSeed"])
-
 
 def common_prefix_length(a: str, b: str) -> int:
     """Number of leading bits shared by two equal-length name IDs."""
@@ -189,11 +149,12 @@ def cpl_ints(a_bits: int, b_bits: int, length: int) -> int:
     return length - x.bit_length()
 
 
-def assign_name_ids(coords: Sequence[tuple[float, float]]) -> list[str]:
-    """Assign name IDs by alternating-axis median bisection of the unit square.
+def assign_name_ids(coords: Sequence[tuple[float, float]]) -> list[int]:
+    """Assign integer name IDs by alternating-axis median bisection of the unit square.
 
-    Each split appends one bit (0 for the lower half, 1 for the upper half), so
-    points that stay together through many splits share long prefixes.  Ties on
+    Each split appends one low bit (0 for the lower half, 1 for the upper
+    half), so points that stay together through many splits share long
+    prefixes; every ID has ``log2(len(coords))`` bits (at least one).  Ties on
     a coordinate are broken by input index, which keeps the result
     deterministic for duplicate points.
     """
@@ -204,22 +165,21 @@ def assign_name_ids(coords: Sequence[tuple[float, float]]) -> list[str]:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ConfigError("coordinates must lie in the unit square")
 
-    bits = max(1, count.bit_length() - 1)
-    names = [""] * count
+    names = [0] * count
     if count == 1:
-        return ["0" * bits]
+        return names
 
-    def split(indices: list[int], depth: int, prefix: str) -> None:
+    def split(indices: list[int], depth: int, prefix: int) -> None:
         if len(indices) == 1:
             names[indices[0]] = prefix
             return
         axis = depth % 2
         ordered = sorted(indices, key=lambda i: (coords[i][axis], i))
         half = len(ordered) // 2
-        split(ordered[:half], depth + 1, prefix + "0")
-        split(ordered[half:], depth + 1, prefix + "1")
+        split(ordered[:half], depth + 1, prefix << 1)
+        split(ordered[half:], depth + 1, prefix << 1 | 1)
 
-    split(list(range(count)), 0, "")
+    split(list(range(count)), 0, 0)
     return names
 
 
@@ -245,7 +205,7 @@ def generate_topology(capacity: int, seed: int) -> TopologySnapshot:
     coords = [(float(x), float(y)) for x, y in xy]
     names = assign_name_ids(coords)
     nodes = [
-        NodeIdentity(num_id=n, name_id=name, coords=c)
+        NodeIdentity(num_id=n, name_bits=name, coords=c)
         for n, name, c in zip(num_ids, names, coords)
     ]
     return TopologySnapshot(capacity=capacity, nodes=nodes, rng_seed=seed)
@@ -296,30 +256,23 @@ def join_node(
     return table
 
 
-def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> RouteDecision:
-    """Decide the next move for a search message held by ``node_num_id``.
+def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Optional[NeighborRef]:
+    """The level neighbor a node other than the target forwards ``msg`` to.
 
-    Forwards to the level neighbor in the search direction when it lies in
-    (node, target] (right) or [target, node) (left); otherwise descends one
-    level, and terminates at the current node once level 0 offers no eligible
-    neighbor.  Holding the exact target terminates immediately.
+    That is the neighbor at ``msg.level`` in the search direction when it lies
+    in (node, target] (right) or [target, node) (left); ``None`` when there is
+    no such neighbor, and the caller descends or ends the search.
     """
     target = msg.target_num_id
-    if node_num_id == target:
-        return RouteDecision("terminate")
-    if (target > node_num_id) != (msg.direction is Direction.RIGHT):
+    right = msg.direction is Direction.RIGHT
+    if (target > node_num_id) != right:
         raise ValueError("direction inconsistent with target")
-    nb = lookup.neighbor(msg.level, msg.direction)
-    if nb is not None:
-        if msg.direction is Direction.RIGHT:
-            eligible = node_num_id < nb.num_id <= target
-        else:
-            eligible = target <= nb.num_id < node_num_id
-        if eligible:
-            return RouteDecision("forward", neighbor=nb, level=msg.level)
-    if msg.level > 0:
-        return RouteDecision("descend", level=msg.level - 1)
-    return RouteDecision("terminate")
+    nb = lookup.levels[msg.level][msg.direction]
+    if nb is None:
+        return None
+    if right:
+        return nb if node_num_id < nb.num_id <= target else None
+    return nb if target <= nb.num_id < node_num_id else None
 
 
 def ideal_search_oracle(online_num_ids: Sequence[int], target: int) -> int:

@@ -1,6 +1,6 @@
 """Timeout-failure recovery strategies.
 
-Every stabilizer exposes the same two event handlers.  ``on_message`` runs on
+Every stabilizer exposes the same two event handlers.  ``update`` runs on
 each search message a node handles and feeds the piggybacked availability
 entries into the node's local store.  ``resolve`` runs after a timeout failure
 on the lookup neighbor at a given level and direction; it pings candidates
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .overlay import (
     Direction,
@@ -73,7 +73,8 @@ def cand_check(entry_num_id: int, target: int, direction: Direction, msg: Search
 
 
 def _entry_level(owner: NodeIdentity, name_bits: int, height: int) -> int:
-    return min(cpl_ints(owner.name_bits, name_bits, len(owner.name_id)), height - 1)
+    """The highest level an entry shares with ``owner``: its capped common prefix."""
+    return min(cpl_ints(owner.name_bits, name_bits, height), height - 1)
 
 
 def _score(sop: float, cpl: int, distance: int) -> float:
@@ -83,12 +84,14 @@ def _score(sop: float, cpl: int, distance: int) -> float:
 
 
 class BackupTable:
-    """Score-managed backup neighbors, bounded by ``max_size`` across all sets.
+    """Score-managed backup neighbors, at most ``max_size`` of them.
 
-    Entries live in the set picked by the common-prefix level with the
-    owner and the numerical-ID direction.  A full table drops the entry whose
-    owner-relative score is globally minimal before accepting a new one; ties
-    evict the farther entry, then the larger name ID.
+    One dict keyed by numerical ID holds every entry.  An entry's side is
+    whether its numerical ID exceeds the owner's, and its level is its capped
+    common prefix with the owner (:func:`_entry_level`); both are derived
+    when needed, never stored.  A full table drops the entry whose
+    owner-relative score is minimal before accepting a new one; ties evict
+    the farther entry, then the larger name ID.
 
     An entry's ``score`` is always its owner-relative score.  It is computed
     when the entry is inserted and recomputed only when a piggybacked update
@@ -102,33 +105,13 @@ class BackupTable:
         self.owner = owner
         self.height = height
         self.max_size = max_size
-        self.sets: list[list[dict[int, BackupEntry]]] = [
-            [{}, {}] for _ in range(height)
-        ]
         self._entries: dict[int, BackupEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> Iterable[BackupEntry]:
-        for pair in self.sets:
-            for bucket in pair:
-                yield from bucket.values()
-
-    def entry_set(self, level: int, direction: Direction) -> dict[int, BackupEntry]:
-        return self.sets[level][0 if direction is Direction.LEFT else 1]
-
-    def _slot_for(self, entry_num_id: int) -> int:
-        return 1 if entry_num_id > self.owner.num_id else 0
-
-    def _remove(self, num_id: int) -> None:
-        e = self._entries.pop(num_id, None)
-        if e is not None:
-            level = _entry_level(self.owner, e.name_bits, self.height)
-            del self.sets[level][self._slot_for(num_id)][num_id]
-
     def _owner_score(self, e: BackupEntry) -> float:
-        cpl = cpl_ints(self.owner.name_bits, e.name_bits, len(self.owner.name_id))
+        cpl = cpl_ints(self.owner.name_bits, e.name_bits, self.height)
         return _score(e.sop, cpl, abs(e.num_id - self.owner.num_id))
 
     def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
@@ -152,8 +135,6 @@ class BackupTable:
                 self._evict_minimum()
             entry = BackupEntry(num_id, item.name_bits, item.sop)
             entry.score = self._owner_score(entry)
-            level = _entry_level(self.owner, item.name_bits, self.height)
-            self.sets[level][self._slot_for(num_id)][num_id] = entry
             entries[num_id] = entry
 
     def _evict_minimum(self) -> BackupEntry:
@@ -167,14 +148,11 @@ class BackupTable:
             (e for e in entries.values() if e.score == low),
             key=lambda e: (abs(e.num_id - owner_id), e.name_bits, -e.num_id),
         )
-        self._remove(worst.num_id)
+        del entries[worst.num_id]
         return worst
 
     def reset(self) -> None:
         """Drop all entries; a re-arriving node starts with an empty table."""
-        for pair in self.sets:
-            pair[0].clear()
-            pair[1].clear()
         self._entries.clear()
 
     def resolve(
@@ -188,44 +166,47 @@ class BackupTable:
         """Pick an online routing candidate eligible at (level, direction).
 
         Mirroring lookup-table structure, an entry is a member of every level
-        up to its stored common-prefix level, so resolution at ``level`` draws
-        on the direction's sets from ``level`` upward.  An entry holding the
-        exact target is contacted first.  Remaining eligible entries are
-        contacted best target-relative score first, then nearer to the
-        target, then smaller name ID; offline contacts are purged from the
-        table.  Returns (candidate, trace); the candidate is None when no
-        online eligible entry exists.
+        up to its own (capped common-prefix) level, so resolution at
+        ``level`` draws on the entries of the search side whose level is at
+        least ``level``.  An entry holding the exact target is contacted
+        first.  Remaining eligible entries are contacted best target-relative
+        score first, then nearer to the target, then smaller name ID; offline
+        contacts are purged from the table.  Returns (candidate, trace); the
+        candidate is None when no online eligible entry exists.
         """
-        slot = 0 if direction is Direction.LEFT else 1
-        buckets = [self.sets[lvl][slot] for lvl in range(level, self.height)]
+        entries = self._entries
+        owner_id = self.owner.num_id
+        owner_bits = self.owner.name_bits
+        height = self.height
+        right = direction is Direction.RIGHT
         trace: list[ContactAttempt] = []
-        for bucket in buckets:
-            exact = bucket.get(target)
-            if exact is None:
-                continue
-            online = ping(exact.num_id)
-            trace.append(ContactAttempt(exact.num_id, online))
+        exact = entries.get(target)
+        if (
+            exact is not None
+            and (target > owner_id) == right
+            and _entry_level(self.owner, exact.name_bits, height) >= level
+        ):
+            online = ping(target)
+            trace.append(ContactAttempt(target, online))
             if online:
                 return exact, trace
-            self._remove(exact.num_id)
-            break
-        owner_bits = self.owner.name_bits
-        length = len(self.owner.name_id)
+            del entries[target]
         ranked = []
-        for bucket in buckets:
-            for e in bucket.values():
-                if not cand_check(e.num_id, target, direction, msg):
-                    continue
-                distance = abs(e.num_id - target)
-                cpl = cpl_ints(owner_bits, e.name_bits, length)
-                ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
+        for e in entries.values():
+            if (e.num_id > owner_id) != right or not cand_check(e.num_id, target, direction, msg):
+                continue
+            cpl = cpl_ints(owner_bits, e.name_bits, height)
+            if min(cpl, height - 1) < level:
+                continue
+            distance = abs(e.num_id - target)
+            ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
         ranked.sort(key=itemgetter(0, 1, 2))
         for *_, e in ranked:
             online = ping(e.num_id)
             trace.append(ContactAttempt(e.num_id, online))
             if online:
                 return e, trace
-            self._remove(e.num_id)
+            del entries[e.num_id]
         return None, trace
 
     def total_entries(self) -> int:
@@ -273,7 +254,7 @@ class KademliaBuckets:
         ]
 
     def bucket(self, level: int, direction: Direction) -> deque:
-        return self.buckets[level][0 if direction is Direction.LEFT else 1]
+        return self.buckets[level][direction]
 
     def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
@@ -309,7 +290,7 @@ class KademliaBuckets:
         ping: PingFn,
     ) -> ResolveResult:
         """Head-to-tail scan of the bucket; first online candidate wins."""
-        bucket = self.buckets[level][0 if direction is Direction.LEFT else 1]
+        bucket = self.buckets[level][direction]
         trace: list[ContactAttempt] = []
         exact = next((e for e in bucket if e.num_id == target), None)
         if exact is not None:
@@ -394,8 +375,7 @@ class DksPointers:
         msg: SearchMessage,
         ping: PingFn,
     ) -> ResolveResult:
-        slot = 0 if direction is Direction.LEFT else 1
-        pointers = self.lists[level][slot]
+        pointers = self.lists[level][direction]
         group = self._groups[level] if self._groups else []
         trace: list[ContactAttempt] = []
         while pointers:
@@ -412,10 +392,10 @@ class DksPointers:
             tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
             pointers.popleft()
             if tail_online:
-                idx = self._frontier[level][slot]
+                idx = self._frontier[level][direction]
                 if 0 <= idx < len(group):
                     pointers.append(group[idx])
-                    self._frontier[level][slot] = idx + (1 if slot == 1 else -1)
+                    self._frontier[level][direction] = idx + (1 if direction is Direction.RIGHT else -1)
         return None, trace
 
     def total_entries(self) -> int:
@@ -455,24 +435,26 @@ def make_stabilizer(kind: str, owner: NodeIdentity, height: int, max_size: int):
     raise ValueError(f"unknown stabilizer kind: {kind}")
 
 
-def build_prefix_groups(topology: TopologySnapshot) -> list[dict[str, list[NodeIdentity]]]:
+def build_prefix_groups(topology: TopologySnapshot) -> list[dict[int, list[NodeIdentity]]]:
     """Per-level prefix buckets of the whole registry, numerically sorted.
 
     ``groups[level][prefix]`` lists every node whose name ID starts with the
-    ``level``-bit ``prefix``; shared by all nodes of one topology.
+    ``level``-bit ``prefix`` (``name_bits >> (length - level)``); shared by all
+    nodes of one topology.
     """
     length = topology.name_length
     ordered = sorted(topology.nodes, key=lambda n: n.num_id)
-    groups: list[dict[str, list[NodeIdentity]]] = []
+    groups: list[dict[int, list[NodeIdentity]]] = []
     for level in range(length):
-        buckets: dict[str, list[NodeIdentity]] = {}
+        buckets: dict[int, list[NodeIdentity]] = {}
         for n in ordered:
-            buckets.setdefault(n.name_id[:level], []).append(n)
+            buckets.setdefault(n.name_bits >> (length - level), []).append(n)
         groups.append(buckets)
     return groups
 
 
 def level_groups_for(
-    prefix_groups: Sequence[dict[str, list[NodeIdentity]]], owner: NodeIdentity
+    prefix_groups: Sequence[dict[int, list[NodeIdentity]]], owner: NodeIdentity
 ) -> list[list[NodeIdentity]]:
-    return [prefix_groups[lvl][owner.name_id[:lvl]] for lvl in range(len(prefix_groups))]
+    length = len(prefix_groups)
+    return [prefix_groups[lvl][owner.name_bits >> (length - lvl)] for lvl in range(length)]

@@ -149,3 +149,25 @@ def test_predict_bench_honours_max_state_size_and_pred_error(capsys):
     assert [r for r in capped if r.startswith("dbg4")] == [r for r in default if r.startswith("dbg4")]
     instant = table("--pred-error", "instant")
     assert [r for r in instant if r.startswith("swdbg")] != [r for r in default if r.startswith("swdbg")]
+
+
+@pytest.mark.parametrize("command", ["run", "predict-bench"])
+@pytest.mark.parametrize("flags, message", [
+    (["--max-state-size", "2"], "max-state-size must be >= 3 for swdbg"),
+    (["--predictor", "lifetime", "--max-state-size", "0"], "max-state-size must be >= 1 for lifetime"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--workers", "-2"], "workers must be >= 1"),
+], ids=["swdbg-cap-2", "lifetime-cap-0", "seed-negative", "workers-0", "workers-negative"])
+def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "out"
+    argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]
+    assert cli.main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "running" not in err
+    assert not out.exists()
+
+
+def test_fixed_chain_accepts_a_cap_below_the_window():
+    assert _from_flags(["--predictor", "dbg3", "--max-state-size", "2"]).base.max_state_size == 2

@@ -10,7 +10,8 @@ import pytest
 
 from skipchurn import cli
 from skipchurn.churn import ChurnModel
-from skipchurn.engine import ChurnProcess
+from skipchurn.engine import ChurnProcess, SearchOutcome, SimConfig, SimulationState, run_search
+from skipchurn.overlay import generate_topology
 from skipchurn.stabilizers import STABILIZER_KINDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +38,17 @@ def test_churn_free_run_succeeds_without_resolves(tmp_path):
         assert row["avg_success_ratio"] == 1.0
         assert sum(s["resolve_invocations"] for s in series) == 0
         assert all(s["online_count"] == 64 for s in series)
+
+
+def test_search_for_its_initiator_succeeds_at_once():
+    topo = generate_topology(16, seed=3)
+    state = SimulationState(SimConfig(capacity=16), topo, np.random.default_rng(0))
+    records = []
+    state.trace_sink = records.append
+    nid = topo.nodes[5].num_id
+    assert run_search(state, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
+    assert len(records) == 1
+    assert records[0]["hops"] == [] and records[0]["success"] and records[0]["result"] == nid
 
 
 # Per-slot counters that depend only on churn, the search workload draws and

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from skipchurn.stabilizers import (
     DksPointers,
     KademliaBuckets,
     NoStabilizer,
+    _entry_level,
     _score,
     build_prefix_groups,
     cand_check,
@@ -27,7 +30,7 @@ from skipchurn.stabilizers import (
     make_stabilizer,
 )
 
-OWNER = NodeIdentity(num_id=100, name_id="1000", coords=(0.5, 0.5))
+OWNER = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0.5, 0.5))
 HEIGHT = 4
 
 
@@ -36,8 +39,11 @@ def entry(num_id, name_id, sop=0.5):
 
 
 def name_of(e):
-    """The 4-bit name ID string of an entry, for the string-based oracles."""
+    """The 4-bit name ID string of an entry or node, for the string-based oracles."""
     return format(e.name_bits, f"0{HEIGHT}b")
+
+
+OWNER_NAME = name_of(OWNER)
 
 
 def msg(target, level=0, direction=Direction.RIGHT, visited=()):
@@ -58,6 +64,15 @@ def always_online(_):
 def online_set(ids):
     ids = set(ids)
     return lambda nid: nid in ids
+
+
+def members(table, level, direction):
+    """Ids a resolve at (level, direction) contacts when nobody answers, on a copy."""
+    target = 10**6 if direction is Direction.RIGHT else 0
+    _, trace = copy.deepcopy(table).resolve(
+        target, level, direction, msg(target, level, direction), lambda _: False
+    )
+    return {t.num_id for t in trace}
 
 
 class TestCandCheck:
@@ -104,20 +119,28 @@ class TestBackupUpdate:
     def test_placement_by_prefix_level_and_direction(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        assert 106 in table.entry_set(2, Direction.RIGHT)
-        assert 90 in table.entry_set(0, Direction.LEFT)
+        assert _entry_level(OWNER, table._entries[106].name_bits, HEIGHT) == 2
+        assert _entry_level(OWNER, table._entries[90].name_bits, HEIGHT) == 0
+        # an entry serves its own side at its level and below, nowhere else
+        assert members(table, 2, Direction.RIGHT) == {106}
+        assert members(table, 3, Direction.RIGHT) == set()
+        assert members(table, 0, Direction.LEFT) == {90}
+        assert members(table, 1, Direction.LEFT) == set()
 
     def test_prefix_level_capped_at_top(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1000")])
-        assert 106 in table.entry_set(HEIGHT - 1, Direction.RIGHT)
+        assert _entry_level(OWNER, table._entries[106].name_bits, HEIGHT) == HEIGHT - 1
+        assert members(table, HEIGHT - 1, Direction.RIGHT) == {106}
+        assert members(table, HEIGHT - 1, Direction.LEFT) == set()
 
     def test_newest_version_overwrites(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011", sop=0.2)])
         table.update(empty_lookup(), [entry(106, "1011", sop=0.9)])
         assert len(table) == 1
-        assert table.entry_set(2, Direction.RIGHT)[106].sop == 0.9
+        assert table._entries[106].sop == 0.9
+        assert members(table, 2, Direction.RIGHT) == {106}
 
     def test_full_table_evicts_minimum_score(self):
         table = BackupTable(OWNER, HEIGHT, max_size=2)
@@ -153,11 +176,11 @@ class TestBackupUpdate:
             assert len(table) == size
             # oracle: worst = min score, ties to the farther then larger name
             def rank(e):
-                cpl = common_prefix_length(OWNER.name_id, name_of(e))
+                cpl = common_prefix_length(OWNER_NAME, name_of(e))
                 score = e.sop * cpl / abs(e.num_id - OWNER.num_id)
                 inv = "".join("1" if c == "0" else "0" for c in name_of(e))
                 return (score, -abs(e.num_id - OWNER.num_id), inv)
-            expected_evict = min(table.entries(), key=rank).num_id
+            expected_evict = min(table._entries.values(), key=rank).num_id
             newcomer = entry(1001, "1100", sop=0.5)
             table.update(lookup, [newcomer])
             assert len(table) == size
@@ -186,7 +209,7 @@ def oracle_rank(num_id, name, sop):
     larger name; a full tie (equal names either side of the owner) evicts the
     left entry."""
     distance = abs(num_id - OWNER.num_id)
-    score = sop * common_prefix_length(OWNER.name_id, name) / distance
+    score = sop * common_prefix_length(OWNER_NAME, name) / distance
     inv = "".join("1" if c == "0" else "0" for c in name)
     return (score, -distance, inv, num_id)
 
@@ -211,12 +234,46 @@ _UPDATE = st_.tuples(st_.just("update"), st_.lists(st_.tuples(_IDS, _SOPS), max_
 _RESOLVE = st_.tuples(
     st_.just("resolve"),
     st_.tuples(
-        st_.integers(60, 140),
+        st_.one_of(_IDS, st_.integers(60, 140)),  # often the id of an entry
         st_.integers(0, HEIGHT - 1),
         st_.sampled_from([Direction.LEFT, Direction.RIGHT]),
         st_.frozensets(_IDS),
     ),
 )
+
+
+def resolve_oracle(model, names, target, level, direction, online):
+    """The (num_id, online) contacts of a resolve, computed from scratch.
+
+    Eligible: on the search side of the owner, capped string prefix with the
+    owner at least ``level``, and on the owner's side of the target.  The
+    exact target goes first; the rest by best target-relative score, then
+    nearer, then smaller name; contacts stop at the first online one.
+    """
+    right = direction is Direction.RIGHT
+
+    def eligible(nid):
+        cpl = common_prefix_length(OWNER_NAME, names[nid])
+        return (
+            (nid > OWNER.num_id) == right
+            and min(cpl, HEIGHT - 1) >= level
+            and (nid <= target if right else nid >= target)
+        )
+
+    def rank(nid):
+        distance = abs(nid - target)
+        score = model[nid] * common_prefix_length(OWNER_NAME, names[nid]) / distance
+        return (-score, distance, names[nid])
+
+    order = sorted((n for n in model if n != target and eligible(n)), key=rank)
+    if target in model and eligible(target):
+        order.insert(0, target)
+    contacts = []
+    for nid in order:
+        contacts.append((nid, nid in online))
+        if nid in online:
+            break
+    return contacts
 
 
 class TestCachedScores:
@@ -263,17 +320,20 @@ class TestCachedScores:
                 target, level, direction, online = arg
                 m = SearchMessage(target_num_id=target, level=level, direction=direction)
                 got, trace = table.resolve(target, level, direction, m, online.__contains__)
+                expected = resolve_oracle(model, names, target, level, direction, online)
+                assert [(t.num_id, t.online) for t in trace] == expected
+                assert (got.num_id if got else None) == (
+                    expected[-1][0] if expected and expected[-1][1] else None
+                )
                 for t in trace:
                     if not t.online:
                         del model[t.num_id]
-                assert got is None or got.num_id in online
             assert {nid: e.sop for nid, e in table._entries.items()} == model
-            for e in table.entries():
-                assert table._entries[e.num_id] is e
+            for e in table._entries.values():
                 assert e.name_bits == int(names[e.num_id], 2)
-                cpl = common_prefix_length(OWNER.name_id, names[e.num_id])
+                cpl = common_prefix_length(OWNER_NAME, names[e.num_id])
                 assert e.score == e.sop * cpl / abs(e.num_id - OWNER.num_id)
-            assert sum(1 for _ in table.entries()) == len(table) == len(model)
+            assert len(table) == len(model)
 
 
 class TestBackupResolve:
@@ -294,6 +354,13 @@ class TestBackupResolve:
         assert got.num_id == 120
         assert [t.num_id for t in trace] == [140, 120]
         assert 140 not in table._entries
+
+    def test_exact_target_is_contacted_only_from_its_side(self):
+        table = self.make_table([entry(90, "1001")])
+        got, trace = table.resolve(90, 0, Direction.RIGHT, msg(90), always_online)
+        assert got is None and trace == []
+        got, trace = table.resolve(90, 0, Direction.LEFT, msg(90, 0, Direction.LEFT), always_online)
+        assert got.num_id == 90 and [t.num_id for t in trace] == [90]
 
     def test_empty_set_returns_none(self):
         table = self.make_table([])
@@ -332,7 +399,7 @@ class TestBackupResolve:
         assert got is None
         def rscore(nid):
             e = next(x for x in items if x.num_id == nid)
-            cpl = common_prefix_length(OWNER.name_id, name_of(e))
+            cpl = common_prefix_length(OWNER_NAME, name_of(e))
             return e.sop * cpl / abs(e.num_id - target)
         scores = [rscore(t.num_id) for t in trace]
         assert scores == sorted(scores, reverse=True)
@@ -371,7 +438,7 @@ class TestKademlia:
         assert sum(sum(p) for p in caps) == 7
 
     def test_insert_at_head_evict_tail(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011")])
@@ -380,7 +447,7 @@ class TestKademlia:
         assert [e.num_id for e in bucket] == [108]
 
     def test_reinsert_moves_to_head(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
@@ -390,7 +457,7 @@ class TestKademlia:
         assert len(bucket) == 2
 
     def test_resolve_scans_recency_order(self):
-        owner = NodeIdentity(num_id=100, name_id="1000", coords=(0, 0))
+        owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
@@ -411,6 +478,22 @@ def dks_fixture(max_size=8):
 
 
 class TestDks:
+    def test_level_groups_match_string_prefixes(self):
+        topo = generate_topology(32, seed=13)
+        length = topo.name_length
+        groups = build_prefix_groups(topo)
+        for owner in topo.nodes:
+            name = format(owner.name_bits, f"0{length}b")
+            expected = [
+                sorted(
+                    (n for n in topo.nodes
+                     if common_prefix_length(format(n.name_bits, f"0{length}b"), name) >= lvl),
+                    key=lambda n: n.num_id,
+                )
+                for lvl in range(length)
+            ]
+            assert level_groups_for(groups, owner) == expected
+
     def test_init_lists_are_consecutive(self):
         topo, ids, owner, dks = dks_fixture()
         pos = ids.index(owner.num_id)
