@@ -12,6 +12,11 @@ removes the per-slot search cap.
 The ``run`` subcommand executes the (stabilizer x predictor x backup size)
 sweep, ``analyze`` prints the closed-form chain as JSON, and
 ``predict-bench`` reproduces the predictor error table without the overlay.
+
+A sweep is one task per topology, each running every cell of the sweep in
+lockstep (see ``engine``); ``--workers`` processes share the tasks.  Each
+cell's topology runs reduce in topology order, so the worker count changes
+no output, and ``trace.ndjson`` lists each cell's searches in turn.
 """
 
 from __future__ import annotations
@@ -20,16 +25,21 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, TextIO
+from typing import Optional, TextIO
 
 from .analytics import analysis_chain
 from .churn import ChurnModel
-from .engine import RunMetrics, SimConfig, aggregate, run_topology
+from .engine import CellFailure, RunMetrics, SimConfig, aggregate, run_topology
 from .bench import run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
@@ -209,52 +219,70 @@ def parse_config(
     return spec
 
 
-def _topology_task(args: tuple[SimConfig, int, bool]) -> tuple[RunMetrics, list[str]]:
-    """One topology run, plus its per-search trace lines when ``trace`` is set."""
-    cfg, index, trace = args
-    lines: list[str] = []
-    sink = (lambda rec: lines.append(json.dumps(rec, sort_keys=True) + "\n")) if trace else None
-    return run_topology(cfg, index, trace_sink=sink), lines
+def _topology_task(
+    args: tuple[list[SimConfig], int, bool],
+) -> tuple[list[RunMetrics], list[list[str]], float]:
+    """One topology run of every cell, each cell's trace lines, and its wall seconds."""
+    cells, index, trace = args
+    started = time.perf_counter()
+    lines: list[list[str]] = [[] for _ in cells]
+    sinks = None
+    if trace:
+        sinks = [lambda rec, out=out: out.append(json.dumps(rec, sort_keys=True) + "\n") for out in lines]
+    runs = run_topology(cells, index, sinks)
+    return runs, lines, time.perf_counter() - started
 
 
-def _reduce(results: Iterable[tuple[RunMetrics, list[str]]], trace: Optional[TextIO]) -> RunMetrics:
-    runs = []
-    for metrics, lines in results:
-        if trace is not None:
-            trace.writelines(lines)
-        runs.append(metrics)
-    return aggregate(runs)
+def run_combination(
+    cells: list[SimConfig], workers: int = 1, trace: Optional[TextIO] = None
+) -> list[RunMetrics]:
+    """Every topology run of the sweep, each cell reduced in topology order.
 
-
-def run_combination(cfg: SimConfig, workers: int = 1, trace: Optional[TextIO] = None) -> RunMetrics:
-    """All topology runs of one configuration, reduced in index order.
-
-    With ``trace``, each topology's per-search records are written to it in
-    topology order as the topologies finish.
+    One task per topology runs all cells in lockstep; with ``workers > 1``
+    one process pool runs the tasks.  A line on stderr reports each finished
+    topology.  With ``trace``, each cell's per-search records are spooled as
+    the topologies finish and written cell by cell, each in topology order.
     """
-    jobs = [(cfg, i, trace is not None) for i in range(cfg.topologies)]
-    if workers > 1 and cfg.topologies > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return _reduce(ex.map(_topology_task, jobs), trace)
-    return _reduce(map(_topology_task, jobs), trace)
+    topologies = cells[0].topologies
+    jobs = [(cells, t, trace is not None) for t in range(topologies)]
+    merged: list[Optional[RunMetrics]] = [None] * len(cells)
+    with ExitStack() as stack:
+        spools = [
+            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            for _ in (cells if trace is not None else ())
+        ]
+        if workers > 1 and topologies > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, topologies), mp_context=multiprocessing.get_context("spawn")))
+            results = pool.map(_topology_task, jobs)
+        else:
+            results = map(_topology_task, jobs)
+        for t, (runs, lines, seconds) in enumerate(results):
+            print(f"[{t + 1}/{topologies}] topology {t}: {len(cells)} cells, {seconds:.2f} s",
+                  file=sys.stderr)
+            # Reduce as topologies finish: one merged run per cell is held.
+            for c, run in enumerate(runs):
+                merged[c] = aggregate([run] if merged[c] is None else [merged[c], run])
+            for spool, cell_lines in zip(spools, lines):
+                spool.writelines(cell_lines)
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, trace)
+    return merged
 
 
 def run_experiments(
     spec: RunSpec, trace: Optional[TextIO] = None
 ) -> list[tuple[SimConfig, RunMetrics]]:
-    """Execute every sweep combination; abort naming the offender on failure."""
-    out = []
-    combos = spec.combinations()
-    for i, cfg in enumerate(combos, start=1):
-        label = f"{cfg.stabilizer}/{cfg.predictor}/b={cfg.backup_size}"
-        print(f"[{i}/{len(combos)}] running {label} "
-              f"({cfg.topologies} topologies x {cfg.slots} slots)", file=sys.stderr)
-        try:
-            metrics = run_combination(cfg, workers=spec.workers, trace=trace)
-        except Exception as exc:
-            raise RuntimeError(f"combination {label} failed: {exc}") from exc
-        out.append((cfg, metrics))
-    return out
+    """Execute the whole sweep; a failing cell's error names the cell and topology."""
+    cells = spec.combinations()
+    try:
+        runs = run_combination(cells, workers=spec.workers, trace=trace)
+    except CellFailure:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"sweep failed: {exc}") from exc
+    return list(zip(cells, runs))
 
 
 def _float_repr(v) -> str:

@@ -1,18 +1,30 @@
 """Discrete time-slot simulation loop.
 
-Each slot: ``ChurnProcess.arrive`` draws the slot's churn; arrivals replay the
-status bits they missed while away and rebuild their lookup tables; a workload
-of searches routes through the overlay with latency, timeout and piggyback
+A topology run advances every sweep cell (stabilizer x predictor x backup
+size) of one topology together, slot by slot.  Each slot:
+``ChurnProcess.arrive`` draws the slot's churn; arrivals replay the status
+bits they missed while away and rebuild their lookup tables; a workload of
+searches routes through the overlay with latency, timeout and piggyback
 accounting; nodes online during the slot feed their predictors; prediction
 error is sampled for every registered node, an offline one scored on its last
 prediction; finally ``ChurnProcess.depart`` ends expired sessions silently.
 
+What cannot differ between cells runs once per slot, in ``SimulationState``:
+the churn, the search count and every (initiator, target) pair, each joiner's
+lookup table, and one ``PredictorLayer`` per predictor kind.  Each ``Cell``
+holds only what its config shapes: one stabilizer store per node, and for a
+kind fed by traffic (``ludp``) its own predictor layer.  The searches run
+once per cell, in cell order, between the joins and the predictor feed, so
+every cell routes against the same overlay and the same predictions as it
+would alone.
+
 ``ChurnProcess`` is the package's one churn law; ``predict-bench`` runs it
 without the overlay.  A run draws churn and searches from the stream
 ``[seed, topology, 1]``, ``predict-bench`` from ``[seed, topology, 2]``, so
-the two score different churn realizations.
+the two score different churn realizations.  No stabilizer or predictor
+draws from the stream, so every cell sees the same draws.
 
-Topology runs are pure functions of (config, topology index) and may execute
+Topology runs are pure functions of (cells, topology index) and may execute
 in parallel.
 """
 
@@ -20,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +50,7 @@ from .overlay import (
     join_node,
     route_step,
 )
-from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, PredictorLayer
+from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
 from .stabilizers import (
     STABILIZER_KINDS,
     DksPointers,
@@ -262,25 +274,59 @@ class ChurnProcess:
 
 
 class NodeRuntime:
-    __slots__ = ("identity", "index", "lookup", "stabilizer", "predictor", "joined_once")
+    """The part of a registered node every cell shares: identity, index, lookup table."""
 
-    def __init__(self, identity: NodeIdentity, index: int, stabilizer, predictor):
+    __slots__ = ("identity", "index", "lookup", "joined_once")
+
+    def __init__(self, identity: NodeIdentity, index: int):
         self.identity = identity
         self.index = index
         self.lookup: Optional[LookupTable] = None
-        self.stabilizer = stabilizer
-        self.predictor = predictor
         self.joined_once = False
 
 
-class SimulationState:
-    """Mutable state of one topology run.
+@dataclass(slots=True)
+class Cell:
+    """One sweep cell of a topology run: its config, stores and predictions.
 
-    ``churn`` and ``predictors`` are indexed by position in ``all_ids``;
-    ``online_ids`` is derived from ``churn`` once per slot, after arrivals.
+    ``stabilizers`` and ``layer.predictors`` are indexed by registry position.
+    Cells of one predictor kind share one ``PredictorLayer``, except kinds
+    fed by traffic, whose layer is the cell's own.
     """
 
-    def __init__(self, config: SimConfig, topology: TopologySnapshot, rng: np.random.Generator):
+    config: SimConfig
+    stabilizers: list
+    layer: PredictorLayer
+    trace_sink: Optional[Callable[[dict], None]] = None
+
+
+class CellFailure(RuntimeError):
+    """A fault in one cell's own work; the message names the cell."""
+
+
+# The sweep axes: the only fields in which the cells of one topology run differ.
+SWEEP_FIELDS = ("stabilizer", "predictor", "backup_size")
+
+
+def _shared_settings(cfg: SimConfig) -> tuple:
+    return tuple(getattr(cfg, f.name) for f in fields(SimConfig) if f.name not in SWEEP_FIELDS)
+
+
+class SimulationState:
+    """Mutable state of one topology run, shared by all its cells.
+
+    ``churn``, the predictor layers and each cell's stabilizers are indexed by
+    position in ``all_ids``; ``online_ids`` is derived from ``churn`` once per
+    slot, after arrivals.  ``config`` is the first cell's, and holds every
+    setting the cells share.
+    """
+
+    def __init__(self, cells: Sequence[SimConfig], topology: TopologySnapshot, rng: np.random.Generator):
+        if not cells:
+            raise ValueError("a topology run needs at least one cell")
+        config = cells[0]
+        if any(_shared_settings(c) != _shared_settings(config) for c in cells):
+            raise ValueError("cells of one topology run may differ only in " + ", ".join(SWEEP_FIELDS))
         self.config = config
         self.topology = topology
         self.rng = rng
@@ -288,21 +334,24 @@ class SimulationState:
         idents = sorted(topology.nodes, key=lambda ident: ident.num_id)
         self.all_ids = [ident.num_id for ident in idents]
         self.churn = ChurnProcess(config.churn, len(idents))
-        self.predictors = PredictorLayer(
-            config.predictor, len(idents), config.max_state_size, config.pred_error_mode
-        )
-        self.nodes = {
-            ident.num_id: NodeRuntime(
-                ident, i,
-                make_stabilizer(config.stabilizer, ident, self.levels, config.backup_size),
-                self.predictors.predictors[i],
-            )
-            for i, ident in enumerate(idents)
-        }
+        self.nodes = {ident.num_id: NodeRuntime(ident, i) for i, ident in enumerate(idents)}
+        self.layers: list[PredictorLayer] = []
+        shared: dict[str, PredictorLayer] = {}
+        self.cells: list[Cell] = []
+        for cfg in cells:
+            layer = shared.get(cfg.predictor)
+            if layer is None:
+                layer = PredictorLayer(cfg.predictor, len(idents), cfg.max_state_size, cfg.pred_error_mode)
+                self.layers.append(layer)
+                if cfg.predictor not in TRAFFIC_FED_KINDS:
+                    shared[cfg.predictor] = layer
+            stabilizers = [
+                make_stabilizer(cfg.stabilizer, ident, self.levels, cfg.backup_size) for ident in idents
+            ]
+            self.cells.append(Cell(cfg, stabilizers, layer))
         self.online_ids: list[int] = []
         self.slot_index = 0
         self._prefix_groups = None
-        self.trace_sink: Optional[Callable[[dict], None]] = None
 
     def is_online(self, num_id: int) -> bool:
         return self.churn.online[self.nodes[num_id].index]
@@ -313,54 +362,59 @@ class SimulationState:
         return level_groups_for(self._prefix_groups, ident)
 
     def bring_online(self, index: int, slot: int) -> None:
-        """Replay the slots an arriving node missed as offline bits."""
-        self.predictors.catch_up(index, slot)
+        """Replay the slots an arriving node missed as offline bits, in every layer."""
+        for layer in self.layers:
+            layer.catch_up(index, slot)
 
     def join(self, num_id: int) -> None:
         # Departing is a crash: a returning node rebuilds its lookup table and
-        # starts with an empty stabilizer store (kept under rejoin = stale).
+        # starts with empty stabilizer stores (kept under rejoin = stale).
         node = self.nodes[num_id]
         fresh = node.lookup is None or self.config.rejoin == "fresh"
         if fresh:
             node.lookup = join_node(self.topology, num_id, self.online_ids)
-        if isinstance(node.stabilizer, DksPointers):
-            if node.joined_once:
-                node.stabilizer.initialize()
-            else:
-                node.stabilizer.initialize(self._groups_for(node.identity))
-        elif fresh and node.joined_once:
-            node.stabilizer.reset()
+        for cell in self.cells:
+            stabilizer = cell.stabilizers[node.index]
+            if isinstance(stabilizer, DksPointers):
+                if node.joined_once:
+                    stabilizer.initialize()
+                else:
+                    stabilizer.initialize(self._groups_for(node.identity))
+            elif fresh and node.joined_once:
+                stabilizer.reset()
         node.joined_once = True
 
 
-def _piggyback_entry(node: NodeRuntime) -> PiggybackEntry:
+def _piggyback_entry(node: NodeRuntime, predictors: list) -> PiggybackEntry:
     ident = node.identity
-    sop = min(1.0, max(0.0, node.predictor.prediction))
+    sop = min(1.0, max(0.0, predictors[node.index].prediction))
     return PiggybackEntry(ident.num_id, ident.name_bits, sop)
 
 
-def run_search(state: SimulationState, initiator: int, target: int) -> SearchOutcome:
-    """Route one search for ``target`` starting at ``initiator``.
+def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) -> SearchOutcome:
+    """Route one search of ``cell`` for ``target`` starting at ``initiator``.
 
     Until the message reaches the target, each step forwards to the eligible
     level neighbor (see :func:`route_step`).  A forward to an online neighbor
     costs one round trip and extends the piggyback; one to an offline neighbor
-    costs a timeout and then consults the stabilizer, whose contact trace is
-    charged per attempt (a timeout per offline candidate, one round trip for
-    the online one, which also carries the redirect).  With no eligible
-    neighbor, or no candidate, the search descends a level, or ends at level
-    0 with the executor as result.  A search for its own initiator succeeds
-    at once with no hop and no latency.
+    costs a timeout and then consults the cell's stabilizer, whose contact
+    trace is charged per attempt (a timeout per offline candidate, one round
+    trip for the online one, which also carries the redirect).  With no
+    eligible neighbor, or no candidate, the search descends a level, or ends
+    at level 0 with the executor as result.  A search for its own initiator
+    succeeds at once with no hop and no latency.
     """
     nodes = state.nodes
-    cfg = state.config
+    stabilizers = cell.stabilizers
+    predictors = cell.layer.predictors
+    cfg = cell.config
     base_ms = cfg.rtt_base_ms
     per_unit = cfg.rtt_per_unit_ms
     timeout_mult = cfg.timeout_multiplier
     online = state.churn.online
     current = nodes[initiator]
     current_id = initiator
-    trace_hops: Optional[list] = [] if state.trace_sink else None
+    trace_hops: Optional[list] = [] if cell.trace_sink else None
 
     msg = SearchMessage(
         target_num_id=target,
@@ -383,10 +437,10 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
             hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
             if online[nb_node.index]:
                 latency += hop_rtt
-                msg.add_piggyback(_piggyback_entry(current))
+                msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
-                nb_node.predictor.record_incoming()
-                nb_node.stabilizer.update(nb_node.lookup, list(msg.piggyback.values()))
+                predictors[nb_node.index].record_incoming()
+                stabilizers[nb_node.index].update(nb_node.lookup, list(msg.piggyback.values()))
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
@@ -396,7 +450,7 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
 
             # timeout failure on the lookup neighbor
             latency += timeout_mult * hop_rtt
-            candidate, contact_trace = current.stabilizer.resolve(
+            candidate, contact_trace = stabilizers[current.index].resolve(
                 target, msg.level, msg.direction, msg, state.is_online
             )
             resolve_inv += 1
@@ -406,7 +460,7 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
                 ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
                 if attempt.online:
                     latency += ping_rtt
-                    other.predictor.record_incoming()
+                    predictors[other.index].record_incoming()
                 else:
                     latency += timeout_mult * ping_rtt
             if trace_hops is not None:
@@ -420,10 +474,10 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
                     }
                 )
             if candidate is not None:
-                msg.add_piggyback(_piggyback_entry(current))
+                msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
                 cand_node = nodes[candidate.num_id]
-                cand_node.stabilizer.update(cand_node.lookup, list(msg.piggyback.values()))
+                stabilizers[cand_node.index].update(cand_node.lookup, list(msg.piggyback.values()))
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}
@@ -443,34 +497,32 @@ def run_search(state: SimulationState, initiator: int, target: int) -> SearchOut
         resolve_messages=resolve_msgs,
         result_num_id=current_id,
     )
-    _emit_trace(state, initiator, target, trace_hops, outcome)
+    if cell.trace_sink is not None:
+        cell.trace_sink(
+            {
+                "slot": state.slot_index,
+                "initiator": initiator,
+                "target": target,
+                "success": outcome.success,
+                "latency_ms": outcome.latency_ms,
+                "hops": trace_hops,
+                "result": outcome.result_num_id,
+            }
+        )
     return outcome
 
 
-def _emit_trace(state, initiator, target, trace_hops, outcome: SearchOutcome) -> None:
-    if state.trace_sink is None:
-        return
-    state.trace_sink(
-        {
-            "slot": state.slot_index,
-            "initiator": initiator,
-            "target": target,
-            "success": outcome.success,
-            "latency_ms": outcome.latency_ms,
-            "hops": trace_hops,
-            "result": outcome.result_num_id,
-        }
-    )
+def run_slot(state: SimulationState) -> list[SlotMetrics]:
+    """Advance every cell by one slot; returns each cell's metrics, in cell order.
 
-
-def run_slot(state: SimulationState) -> SlotMetrics:
-    """Advance the simulation by one slot and collect its metrics."""
+    Churn, joins, the search pairs and each shared predictor layer run once;
+    only the searches and the backup sampling run per cell.
+    """
     slot = state.slot_index
     cfg = state.config
     rng = state.rng
     churn = state.churn
     all_ids = state.all_ids
-    metrics = SlotMetrics(slot_index=slot)
 
     arrivals = churn.arrive(rng)
     state.online_ids = online = [nid for nid, up in zip(all_ids, churn.online) if up]
@@ -479,41 +531,56 @@ def run_slot(state: SimulationState) -> SlotMetrics:
     for i in arrivals:
         state.join(all_ids[i])
     n_o = len(online)
-    metrics.online_count = n_o
 
+    pairs: list[tuple[int, int]] = []
     if n_o >= 1:
         max_pairs = n_o * (n_o - 1) // 2
         count = int(rng.integers(0, max_pairs + 1)) if max_pairs > 0 else 0
         if cfg.search_cap is not None:
             count = min(count, cfg.search_cap)
-        for _ in range(count):
-            initiator = online[int(rng.integers(n_o))]
-            target = online[int(rng.integers(n_o))]
-            outcome = run_search(state, initiator, target)
-            metrics.searches_initiated += 1
-            metrics.searches_succeeded += 1 if outcome.success else 0
-            metrics.sum_latency_ms += outcome.latency_ms
-            metrics.resolve_invocations += outcome.resolve_invocations
-            metrics.resolve_messages += outcome.resolve_messages
+        draw = rng.integers
+        pairs = [(online[int(draw(n_o))], online[int(draw(n_o))]) for _ in range(count)]
+
+    series = []
+    for cell in state.cells:
+        metrics = SlotMetrics(slot_index=slot, online_count=n_o)
+        try:
+            for initiator, target in pairs:
+                outcome = run_search(state, cell, initiator, target)
+                metrics.searches_initiated += 1
+                metrics.searches_succeeded += 1 if outcome.success else 0
+                metrics.sum_latency_ms += outcome.latency_ms
+                metrics.resolve_invocations += outcome.resolve_invocations
+                metrics.resolve_messages += outcome.resolve_messages
+        except Exception as exc:
+            c = cell.config
+            raise CellFailure(f"combination {c.stabilizer}/{c.predictor}/b={c.backup_size} failed: {exc}") from exc
+        series.append(metrics)
 
     # end-of-slot status updates for every node online during this slot, then
     # prediction error sampled for every registered node
-    predictors = state.predictors
-    predictors.feed_online(churn.online, slot)
-    metrics.sum_prediction_error = predictors.error_sum(churn.online, 0.0)
-    metrics.prediction_samples = len(all_ids)
-    if cfg.predictor == "swdbg":
-        metrics.right_size_sum = predictors.right_size_sum()
-        metrics.right_size_samples = len(all_ids)
-
-    if cfg.stabilizer != "none":
-        for nid in online:
-            metrics.backup_entries_sum += state.nodes[nid].stabilizer.total_entries()
-            metrics.backup_samples += 1
+    up = churn.online
+    n = len(all_ids)
+    scores = {}
+    for layer in state.layers:
+        layer.feed_online(up, slot)
+        right = layer.right_size_sum() if layer.kind == "swdbg" else 0
+        scores[layer] = (layer.error_sum(up, 0.0), right)
+    online_index = [state.nodes[nid].index for nid in online]
+    for cell, metrics in zip(state.cells, series):
+        metrics.sum_prediction_error, right = scores[cell.layer]
+        metrics.prediction_samples = n
+        if cell.layer.kind == "swdbg":
+            metrics.right_size_sum = right
+            metrics.right_size_samples = n
+        if cell.config.stabilizer != "none":
+            stabilizers = cell.stabilizers
+            metrics.backup_entries_sum = sum(stabilizers[i].total_entries() for i in online_index)
+            metrics.backup_samples = n_o
 
     churn.depart()
     state.slot_index += 1
-    return metrics
+    return series
 
 
 def topology_seed(seed: int, topology_index: int) -> int:
@@ -522,24 +589,35 @@ def topology_seed(seed: int, topology_index: int) -> int:
 
 
 def run_topology(
-    config: SimConfig,
+    cells: Sequence[SimConfig],
     topology_index: int,
-    trace_sink: Optional[Callable[[dict], None]] = None,
-) -> RunMetrics:
-    """Simulate one topology for ``config.slots`` slots."""
-    topo = generate_topology(config.capacity, topology_seed(config.seed, topology_index))
-    rng = np.random.default_rng([config.seed, topology_index, 1])
-    state = SimulationState(config, topo, rng)
-    state.trace_sink = trace_sink
-    slot_series = [run_slot(state) for _ in range(config.slots)]
+    sinks: Optional[Sequence[Callable[[dict], None]]] = None,
+) -> list[RunMetrics]:
+    """Simulate one topology for every cell in lockstep; one ``RunMetrics`` per cell.
 
-    totals = Counters()
-    for sm in slot_series:
-        totals.add(sm)
-    return RunMetrics(
-        slots=config.slots, levels=state.levels, totals=totals,
-        slot_series=slot_series, per_topology=[totals],
-    )
+    ``sinks``, when given, holds one per-search trace sink per cell.
+    """
+    cfg = cells[0]
+    topo = generate_topology(cfg.capacity, topology_seed(cfg.seed, topology_index))
+    rng = np.random.default_rng([cfg.seed, topology_index, 1])
+    state = SimulationState(cells, topo, rng)
+    for cell, sink in zip(state.cells, sinks or ()):
+        cell.trace_sink = sink
+    try:
+        per_slot = [run_slot(state) for _ in range(cfg.slots)]
+    except CellFailure as exc:
+        raise CellFailure(f"{exc} (topology {topology_index})") from exc
+
+    runs = []
+    for slot_series in zip(*per_slot):
+        totals = Counters()
+        for sm in slot_series:
+            totals.add(sm)
+        runs.append(RunMetrics(
+            slots=cfg.slots, levels=state.levels, totals=totals,
+            slot_series=list(slot_series), per_topology=[totals],
+        ))
+    return runs
 
 
 def aggregate(runs: list[RunMetrics]) -> RunMetrics:

@@ -43,6 +43,9 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 PREDICTOR_KINDS = ("swdbg", "dbg1", "dbg2", "dbg3", "dbg4", "lifetime", "ludp")
+# Kinds whose estimate counts the messages a node answers, so it depends on
+# the overlay's traffic and not on churn alone.
+TRAFFIC_FED_KINDS = ("ludp",)
 
 DEFAULT_MAX_STATE_SIZE = 8
 
@@ -643,10 +646,11 @@ class PredictorLayer:
     and ``error_sum`` scores that prediction.
     """
 
-    __slots__ = ("predictors", "last_fed")
+    __slots__ = ("kind", "predictors", "last_fed")
 
     def __init__(self, kind: str, size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE,
                  error_mode: str = "window"):
+        self.kind = kind
         self.predictors = [make_predictor(kind, size, max_state_size, error_mode) for _ in range(size)]
         self.last_fed = [-1] * size
 

@@ -23,7 +23,6 @@ Strategies:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Callable, Optional, Sequence
@@ -249,11 +248,11 @@ class KademliaBuckets:
         self.height = height
         self.max_size = max_size
         self.capacities = kademlia_capacity(max_size, height)
-        self.buckets: list[list[deque[BackupEntry]]] = [
-            [deque(), deque()] for _ in range(height)
-        ]
+        # Plain lists: a bucket holds a few entries, and an empty list is far
+        # smaller than an empty deque.
+        self.buckets: list[list[list[BackupEntry]]] = [[[], []] for _ in range(height)]
 
-    def bucket(self, level: int, direction: Direction) -> deque:
+    def bucket(self, level: int, direction: Direction) -> list[BackupEntry]:
         return self.buckets[level][direction]
 
     def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
@@ -272,9 +271,8 @@ class KademliaBuckets:
                 if e.num_id == item.num_id:
                     del bucket[i]
                     break
-            bucket.appendleft(BackupEntry(item.num_id, item.name_bits, item.sop))
-            while len(bucket) > cap:
-                bucket.pop()
+            bucket.insert(0, BackupEntry(item.num_id, item.name_bits, item.sop))
+            del bucket[cap:]
 
     def reset(self) -> None:
         for pair in self.buckets:
@@ -330,31 +328,32 @@ class DksPointers:
         self.height = height
         self.max_size = max_size
         self.capacities = kademlia_capacity(max_size, height)
-        # per (level, slot): deque of NodeIdentity plus the group frontier index
-        self.lists: list[list[deque[NodeIdentity]]] = [[deque(), deque()] for _ in range(height)]
+        # per (level, slot): list of NodeIdentity plus the group frontier index
+        self.lists: list[list[list[NodeIdentity]]] = [[[], []] for _ in range(height)]
         self._frontier: list[list[int]] = [[0, 0] for _ in range(height)]
         self._groups: list[list[NodeIdentity]] = []
 
-    def initialize(self, level_groups: Optional[Sequence[Sequence[NodeIdentity]]] = None) -> None:
+    def initialize(self, level_groups: Optional[list[list[NodeIdentity]]] = None) -> None:
         """Fill every list with the owner's nearest same-prefix-group nodes.
 
         ``level_groups[level]`` is the numerically sorted list of all registry
         nodes whose name ID shares at least ``level`` prefix bits with the
-        owner (the owner included).  Re-joining with no argument reuses the
-        groups supplied at the first join.
+        owner (the owner included).  The groups are kept, not copied: every
+        node of a topology shares them and nothing changes them.  Re-joining
+        with no argument reuses the groups supplied at the first join.
         """
         if level_groups is not None:
-            self._groups = [list(g) for g in level_groups]
+            self._groups = level_groups
         if not self._groups:
             raise ValueError("successor pointers need level groups at the first join")
+        owner_id = self.owner.num_id
         for level in range(self.height):
             group = self._groups[level]
-            ids = [n.num_id for n in group]
-            pos = bisect_left(ids, self.owner.num_id)
+            pos = bisect_left(group, owner_id, key=attrgetter("num_id"))
             cap_left, cap_right = self.capacities[level]
-            left = deque(group[max(0, pos - cap_left) : pos])
+            left = group[max(0, pos - cap_left) : pos]
             left.reverse()
-            right = deque(group[pos + 1 : pos + 1 + cap_right])
+            right = group[pos + 1 : pos + 1 + cap_right]
             self.lists[level][0] = left
             self.lists[level][1] = right
             self._frontier[level][0] = pos - len(left) - 1
@@ -390,7 +389,7 @@ class DksPointers:
                 entry = BackupEntry(head.num_id, head.name_bits, 0.0)
                 return entry, trace
             tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
-            pointers.popleft()
+            del pointers[0]
             if tail_online:
                 idx = self._frontier[level][direction]
                 if 0 <= idx < len(group):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from skipchurn.churn import ChurnModel
 from skipchurn.engine import SimConfig
 from skipchurn.overlay import ConfigError
 from skipchurn.predictors import PREDICTOR_KINDS
+from skipchurn.stabilizers import DksPointers
 
 # field name -> (config key, value text, parsed value); every value differs from its default
 FIELD_SETTINGS = {
@@ -165,9 +167,35 @@ def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, f
     assert cli.main([*argv, *flags]) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert "running" not in err
+    assert "topology" not in err
     assert not out.exists()
 
 
 def test_fixed_chain_accepts_a_cap_below_the_window():
     assert _from_flags(["--predictor", "dbg3", "--max-state-size", "2"]).base.max_state_size == 2
+
+
+SMALL_RUN = ["run", "--capacity", "64", "--slots", "6", "--search-cap", "20",
+             "--interarrival-mean-seconds", "300", "--workers", "1", "--format", "json"]
+
+
+def test_one_progress_line_per_finished_topology(tmp_path, capsys):
+    argv = SMALL_RUN + ["--topologies", "3", "--stabilizer", "kademlia,none", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("wrote ")]
+    assert len(lines) == 3
+    for t, line in enumerate(lines):
+        assert re.fullmatch(rf"\[{t + 1}/3\] topology {t}: 2 cells, \d+\.\d\d s", line), line
+
+
+def test_failing_cell_names_itself_and_its_topology(tmp_path, capsys, monkeypatch):
+    def broken(self, *args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(DksPointers, "resolve", broken)
+    argv = SMALL_RUN + ["--topologies", "2", "--stabilizer", "kademlia,dks", "--backup-size", "8",
+                        "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: combination dks/swdbg/b=8 failed: boom (topology 0)" in err
+    assert not (tmp_path / "results.json").exists()

@@ -42,11 +42,12 @@ def test_churn_free_run_succeeds_without_resolves(tmp_path):
 
 def test_search_for_its_initiator_succeeds_at_once():
     topo = generate_topology(16, seed=3)
-    state = SimulationState(SimConfig(capacity=16), topo, np.random.default_rng(0))
+    state = SimulationState([SimConfig(capacity=16)], topo, np.random.default_rng(0))
+    cell = state.cells[0]
     records = []
-    state.trace_sink = records.append
+    cell.trace_sink = records.append
     nid = topo.nodes[5].num_id
-    assert run_search(state, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
+    assert run_search(state, cell, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
     assert len(records) == 1
     assert records[0]["hops"] == [] and records[0]["success"] and records[0]["result"] == nid
 
@@ -80,6 +81,55 @@ def test_common_random_numbers_across_stabilizers_and_backup_sizes(tmp_path):
     online = [slot[0] for slot in series["swdbg"][0]]
     assert len(set(online)) > 1 and 0 < min(online) and max(online) < 2 * 64
     assert any(slot[2] > 0 for slot in series["swdbg"][0])
+
+
+# A 2-topology Debian sweep small enough to run every cell again on its own.
+ORACLE_RUN = [
+    "run", "--capacity", "64", "--slots", "12", "--topologies", "2", "--search-cap", "40",
+    "--interarrival-mean-seconds", "300", "--seed", "6", "--workers", "1", "--format", "json",
+]
+
+
+def _rows(out: Path) -> list[dict]:
+    return json.loads((out / "results.json").read_text(encoding="utf-8"))["rows"]
+
+
+@pytest.mark.parametrize("variant", [[], ["--rejoin", "stale"], ["--churn-kind", "uniform", "--uniform-q", "0.3"]],
+                         ids=["debian-fresh", "debian-stale", "uniform"])
+def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, variant):
+    # One run advances all 24 cells of a topology together over shared churn,
+    # joins and predictions; each cell run on its own must give the same row.
+    sweep = ["--stabilizer", ",".join(STABILIZER_KINDS), "--predictor", "swdbg,ludp",
+             "--backup-size", "0,8,40"]
+    assert cli.main(ORACLE_RUN + variant + sweep + ["--out", str(tmp_path / "all")]) == 0
+    rows = _rows(tmp_path / "all")
+    assert len(rows) == 2 * 3 * len(STABILIZER_KINDS)
+    # the cells differ, so sharing could have mixed them up
+    assert len({row["avg_success_ratio"] for row in rows}) > 4
+    for row in rows:
+        out = tmp_path / f"{row['stabilizer']}-{row['predictor']}-{row['backup_size']}"
+        alone = ["--stabilizer", row["stabilizer"], "--predictor", row["predictor"],
+                 "--backup-size", str(row["backup_size"]), "--out", str(out)]
+        assert cli.main(ORACLE_RUN + variant + alone) == 0
+        assert _rows(out) == [row]
+
+
+def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
+    cells = [SimConfig(capacity=16, stabilizer=s, predictor=p, backup_size=b)
+             for s in ("kademlia", "dks") for p in ("swdbg", "ludp", "dbg2") for b in (8, 40)]
+    state = SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
+    layers = {}
+    for cell in state.cells:
+        layers.setdefault(cell.config.predictor, set()).add(id(cell.layer))
+    assert {kind: len(ids) for kind, ids in layers.items()} == {"swdbg": 1, "dbg2": 1, "ludp": 4}
+    assert len(state.layers) == 6
+    assert len({id(cell.stabilizers[0]) for cell in state.cells}) == len(cells)
+
+
+def test_cells_of_one_run_differ_only_in_the_sweep_axes():
+    cells = [SimConfig(capacity=16), SimConfig(capacity=16, rejoin="stale")]
+    with pytest.raises(ValueError, match="may differ only in"):
+        SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
 
 
 def _run_slots(process, rng, slots):
