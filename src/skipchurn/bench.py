@@ -11,7 +11,6 @@ on incoming traffic receive none here.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .churn import ChurnModel
 # reports a missing trace target if they are gone.  The draws run in
 # engine.ChurnProcess.
 from .churn import draw_arrival_count, draw_session_length  # noqa: F401
-from .engine import ChurnProcess
+from .engine import ChurnProcess, topology_map
 from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, PredictorLayer
 
 
@@ -56,7 +55,7 @@ class PredictorBenchResult:
         return rows
 
 
-def _bench_one_topology(args) -> tuple[int, dict[str, float], int, float, int]:
+def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
     kinds, capacity, slots, seed, model_fields, max_state_size, error_mode, topo_index = args
     rng = np.random.default_rng([seed, topo_index, 2])
     # churn only needs node count, not identities: registry indices 0..capacity-1
@@ -75,7 +74,7 @@ def _bench_one_topology(args) -> tuple[int, dict[str, float], int, float, int]:
             right_sum += layers["swdbg"].right_size_sum()
         churn.depart()
     right_samples = slots * capacity if "swdbg" in layers else 0
-    return topo_index, err, slots * capacity, right_sum, right_samples
+    return err, slots * capacity, right_sum, right_samples
 
 
 def run_predictor_bench(
@@ -93,6 +92,7 @@ def run_predictor_bench(
 
     Deterministic for a fixed (capacity, slots, topologies, seed, churn,
     max_state_size, error_mode); the worker count does not affect the result.
+    ``workers`` processes share the topologies as in ``run`` (``engine.topology_map``).
     ``max_state_size`` and ``error_mode`` reach every predictor as in a run.
     """
     model = churn or ChurnModel()
@@ -105,13 +105,9 @@ def run_predictor_bench(
         (tuple(kinds), capacity, slots, seed, model.__dict__, max_state_size, error_mode, t)
         for t in range(topologies)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            raw = list(ex.map(_bench_one_topology, jobs))
-    else:
-        raw = [_bench_one_topology(j) for j in jobs]
-    raw.sort(key=lambda r: r[0])
-    for _, err, samples, right_sum, right_samples in raw:
+    with topology_map(workers, topologies) as run:
+        raw = list(run(_bench_one_topology, jobs))
+    for err, samples, right_sum, right_samples in raw:
         for k in kinds:
             result.error_sums[k] += err[k]
             result.per_topology_errors[k].append(err[k] / samples if samples else 0.0)

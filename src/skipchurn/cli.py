@@ -25,13 +25,11 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -39,7 +37,7 @@ from typing import Optional, TextIO
 
 from .analytics import analysis_chain
 from .churn import ChurnModel
-from .engine import CellFailure, RunMetrics, SimConfig, aggregate, run_topology
+from .engine import CellFailure, RunMetrics, SimConfig, aggregate, run_topology, topology_map
 from .bench import run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
@@ -238,8 +236,8 @@ def run_combination(
 ) -> list[RunMetrics]:
     """Every topology run of the sweep, each cell reduced in topology order.
 
-    One task per topology runs all cells in lockstep; with ``workers > 1``
-    one process pool runs the tasks.  A line on stderr reports each finished
+    One task per topology runs all cells in lockstep, spread over processes
+    by ``engine.topology_map``.  A line on stderr reports each finished
     topology.  With ``trace``, each cell's per-search records are spooled as
     the topologies finish and written cell by cell, each in topology order.
     """
@@ -251,12 +249,7 @@ def run_combination(
             stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
             for _ in (cells if trace is not None else ())
         ]
-        if workers > 1 and topologies > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, topologies), mp_context=multiprocessing.get_context("spawn")))
-            results = pool.map(_topology_task, jobs)
-        else:
-            results = map(_topology_task, jobs)
+        results = stack.enter_context(topology_map(workers, topologies))(_topology_task, jobs)
         for t, (runs, lines, seconds) in enumerate(results):
             print(f"[{t + 1}/{topologies}] topology {t}: {len(cells)} cells, {seconds:.2f} s",
                   file=sys.stderr)
@@ -326,10 +319,11 @@ def emit_reports(
 
 
 def preflight_out_dir(out_dir: Path) -> None:
+    """Create ``out_dir`` and prove it writable; any failure is a ``ConfigError``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".write-probe"
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
@@ -379,6 +373,8 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
         _overrides_from_args(args),
         defaults={"predictor": list(PREDICTOR_KINDS), "out": None},
     )
+    if spec.out_dir is not None:
+        preflight_out_dir(spec.out_dir)
     base = spec.base
     kinds = tuple(spec.predictors)
     result = run_predictor_bench(
@@ -400,7 +396,6 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     if "swdbg" in kinds:
         print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
     if spec.out_dir is not None:
-        preflight_out_dir(spec.out_dir)
         path = spec.out_dir / "predictor_errors.csv"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -25,14 +25,18 @@ the two score different churn realizations.  No stabilizer or predictor
 draws from the stream, so every cell sees the same draws.
 
 Topology runs are pure functions of (cells, topology index) and may execute
-in parallel.
+in parallel; ``topology_map`` is the one rule for how ``run`` and
+``predict-bench`` spread them over processes.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,13 +55,7 @@ from .overlay import (
     route_step,
 )
 from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
-from .stabilizers import (
-    STABILIZER_KINDS,
-    DksPointers,
-    build_prefix_groups,
-    level_groups_for,
-    make_stabilizer,
-)
+from .stabilizers import STABILIZER_KINDS, make_stabilizer
 
 DEFAULT_SEARCH_CAP = 2000
 
@@ -276,13 +274,12 @@ class ChurnProcess:
 class NodeRuntime:
     """The part of a registered node every cell shares: identity, index, lookup table."""
 
-    __slots__ = ("identity", "index", "lookup", "joined_once")
+    __slots__ = ("identity", "index", "lookup")
 
     def __init__(self, identity: NodeIdentity, index: int):
         self.identity = identity
         self.index = index
         self.lookup: Optional[LookupTable] = None
-        self.joined_once = False
 
 
 @dataclass(slots=True)
@@ -346,20 +343,14 @@ class SimulationState:
                 if cfg.predictor not in TRAFFIC_FED_KINDS:
                     shared[cfg.predictor] = layer
             stabilizers = [
-                make_stabilizer(cfg.stabilizer, ident, self.levels, cfg.backup_size) for ident in idents
+                make_stabilizer(cfg.stabilizer, ident, topology, cfg.backup_size) for ident in idents
             ]
             self.cells.append(Cell(cfg, stabilizers, layer))
         self.online_ids: list[int] = []
         self.slot_index = 0
-        self._prefix_groups = None
 
     def is_online(self, num_id: int) -> bool:
         return self.churn.online[self.nodes[num_id].index]
-
-    def _groups_for(self, ident: NodeIdentity):
-        if self._prefix_groups is None:
-            self._prefix_groups = build_prefix_groups(self.topology)
-        return level_groups_for(self._prefix_groups, ident)
 
     def bring_online(self, index: int, slot: int) -> None:
         """Replay the slots an arriving node missed as offline bits, in every layer."""
@@ -367,22 +358,15 @@ class SimulationState:
             layer.catch_up(index, slot)
 
     def join(self, num_id: int) -> None:
-        # Departing is a crash: a returning node rebuilds its lookup table and
-        # starts with empty stabilizer stores (kept under rejoin = stale).
+        # Departing is a crash: a returning node rebuilds its lookup table
+        # (kept under rejoin = stale).  Each cell's store applies its own join
+        # rule to ``fresh`` on every join, the first one included.
         node = self.nodes[num_id]
         fresh = node.lookup is None or self.config.rejoin == "fresh"
         if fresh:
             node.lookup = join_node(self.topology, num_id, self.online_ids)
         for cell in self.cells:
-            stabilizer = cell.stabilizers[node.index]
-            if isinstance(stabilizer, DksPointers):
-                if node.joined_once:
-                    stabilizer.initialize()
-                else:
-                    stabilizer.initialize(self._groups_for(node.identity))
-            elif fresh and node.joined_once:
-                stabilizer.reset()
-        node.joined_once = True
+            cell.stabilizers[node.index].reset(fresh)
 
 
 def _piggyback_entry(node: NodeRuntime, predictors: list) -> PiggybackEntry:
@@ -440,7 +424,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                 msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
                 predictors[nb_node.index].record_incoming()
-                stabilizers[nb_node.index].update(nb_node.lookup, list(msg.piggyback.values()))
+                stabilizers[nb_node.index].update(nb_node.lookup, msg.piggyback.values())
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
@@ -450,9 +434,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
 
             # timeout failure on the lookup neighbor
             latency += timeout_mult * hop_rtt
-            candidate, contact_trace = stabilizers[current.index].resolve(
-                target, msg.level, msg.direction, msg, state.is_online
-            )
+            candidate, contact_trace = stabilizers[current.index].resolve(msg, state.is_online)
             resolve_inv += 1
             resolve_msgs += len(contact_trace)
             for attempt in contact_trace:
@@ -477,7 +459,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                 msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
                 cand_node = nodes[candidate.num_id]
-                stabilizers[cand_node.index].update(cand_node.lookup, list(msg.piggyback.values()))
+                stabilizers[cand_node.index].update(cand_node.lookup, msg.piggyback.values())
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}
@@ -581,6 +563,19 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     churn.depart()
     state.slot_index += 1
     return series
+
+
+@contextmanager
+def topology_map(workers: int, topologies: int) -> Iterator[Callable]:
+    """A ``map`` for one task per topology, in task order: in this process for
+    one worker or one topology, else on a spawn-context pool of
+    ``min(workers, topologies)`` processes, closed on exit."""
+    if workers > 1 and topologies > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(workers, topologies), mp_context=context) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def topology_seed(seed: int, topology_index: int) -> int:

@@ -128,6 +128,22 @@ class TopologySnapshot:
             self._by_num_id = {n.num_id: n for n in self.nodes}
         return self._by_num_id
 
+    def level_groups(self, ident: NodeIdentity) -> list[list[NodeIdentity]]:
+        """Per level, every registered node sharing that many name-ID prefix bits
+        with ``ident`` (``ident`` included), numerically sorted.
+
+        The groups are built at the first call and shared, never copied: every
+        node of the topology with the same ``level``-bit prefix gets the same list.
+        """
+        length = self.name_length
+        if not hasattr(self, "_prefix_groups"):
+            # per level, prefix -> nodes with that prefix
+            self._prefix_groups: list[dict[int, list[NodeIdentity]]] = [{} for _ in range(length)]
+            for n in sorted(self.nodes, key=lambda n: n.num_id):
+                for level, groups in enumerate(self._prefix_groups):
+                    groups.setdefault(n.name_bits >> (length - level), []).append(n)
+        return [self._prefix_groups[lvl][ident.name_bits >> (length - lvl)] for lvl in range(length)]
+
 
 def common_prefix_length(a: str, b: str) -> int:
     """Number of leading bits shared by two equal-length name IDs."""

@@ -1,13 +1,17 @@
 """Timeout-failure recovery strategies.
 
-Every stabilizer exposes the same two event handlers.  ``update`` runs on
-each search message a node handles and feeds the piggybacked availability
-entries into the node's local store.  ``resolve`` runs after a timeout failure
-on the lookup neighbor at a given level and direction; it pings candidates
-from the store until one answers, returning that candidate together with the
-ordered contact trace (candidate, was_online) used for latency accounting.  A
+Every stabilizer is one node's store behind one protocol; the engine never
+asks which kind it holds.  ``update(lookup, piggyback)`` runs on each search
+message the node handles and feeds the piggybacked availability entries into
+the store.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
+neighbor at the level and direction of ``msg``; it pings candidates from the
+store until one answers, returning that candidate together with the ordered
+contact trace (candidate, was_online) used for latency accounting.  A
 ``None`` candidate tells the caller to descend a level, or to end the whole
-search when already at level 0.
+search when already at level 0.  ``reset(fresh)`` runs on every join, the
+first one included, and applies the store's own join rule; ``fresh`` is false
+when a returning node keeps its state (rejoin = stale).  ``total_entries()``
+counts what the store holds.
 
 Strategies:
 
@@ -17,7 +21,8 @@ Strategies:
   the head, oldest evicted, contacted head first.
 * successor pointers (``dks``): per-level lists of the immediately following
   topology nodes, refilled from the identifier space as heads fail.
-* ``none``: keeps nothing, resolves nothing.
+* ``none``: a scored backup table of size 0, which keeps nothing and
+  resolves nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .overlay import (
     Direction,
@@ -59,16 +64,24 @@ class ContactAttempt:
 ResolveResult = tuple[Optional[BackupEntry], list[ContactAttempt]]
 
 
-def cand_check(entry_num_id: int, target: int, direction: Direction, msg: SearchMessage) -> bool:
-    """A routing candidate must lie on the search side of the target and must
-    not already have handled this message."""
-    if direction is Direction.RIGHT and entry_num_id > target:
-        return False
-    if direction is Direction.LEFT and entry_num_id < target:
-        return False
-    if msg.has_visited(entry_num_id):
-        return False
-    return True
+def cand_check(num_id: int, msg: SearchMessage) -> bool:
+    """A routing candidate must not overshoot the target of ``msg`` and must
+    not already have handled it."""
+    target = msg.target_num_id
+    within = num_id <= target if msg.direction is Direction.RIGHT else num_id >= target
+    return within and not msg.has_visited(num_id)
+
+
+def _first_online(candidates: Iterable[BackupEntry], ping: PingFn, drop: Callable) -> ResolveResult:
+    """Ping ``candidates`` in order until one answers; ``drop`` each that does not."""
+    trace: list[ContactAttempt] = []
+    for e in candidates:
+        online = ping(e.num_id)
+        trace.append(ContactAttempt(e.num_id, online))
+        if online:
+            return e, trace
+        drop(e)
+    return None, trace
 
 
 def _entry_level(owner: NodeIdentity, name_bits: int, height: int) -> int:
@@ -113,7 +126,7 @@ class BackupTable:
         cpl = cpl_ints(self.owner.name_bits, e.name_bits, self.height)
         return _score(e.sop, cpl, abs(e.num_id - self.owner.num_id))
 
-    def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
+    def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         """Insert piggybacked elements, skipping lookup neighbors and self."""
         if self.max_size == 0:
             return
@@ -150,19 +163,13 @@ class BackupTable:
         del entries[worst.num_id]
         return worst
 
-    def reset(self) -> None:
-        """Drop all entries; a re-arriving node starts with an empty table."""
-        self._entries.clear()
+    def reset(self, fresh: bool) -> None:
+        """A node joining fresh starts with an empty table; a stale one keeps it."""
+        if fresh:
+            self._entries.clear()
 
-    def resolve(
-        self,
-        target: int,
-        level: int,
-        direction: Direction,
-        msg: SearchMessage,
-        ping: PingFn,
-    ) -> ResolveResult:
-        """Pick an online routing candidate eligible at (level, direction).
+    def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
+        """Pick an online routing candidate eligible at the level and side of ``msg``.
 
         Mirroring lookup-table structure, an entry is a member of every level
         up to its own (capped common-prefix) level, so resolution at
@@ -173,40 +180,41 @@ class BackupTable:
         contacts are purged from the table.  Returns (candidate, trace); the
         candidate is None when no online eligible entry exists.
         """
+        if not self._entries:
+            return None, []
+        return _first_online(self._candidates(msg), ping, self._drop)
+
+    def _drop(self, e: BackupEntry) -> None:
+        del self._entries[e.num_id]
+
+    def _candidates(self, msg: SearchMessage) -> Iterator[BackupEntry]:
+        """The eligible entries in contact order; ranked only if the exact target fails."""
         entries = self._entries
+        target = msg.target_num_id
+        level = msg.level
         owner_id = self.owner.num_id
         owner_bits = self.owner.name_bits
         height = self.height
-        right = direction is Direction.RIGHT
-        trace: list[ContactAttempt] = []
+        # Eligible IDs lie past the owner on the search side, up to the target.
+        lo, hi = (owner_id + 1, target) if msg.direction is Direction.RIGHT else (target, owner_id - 1)
         exact = entries.get(target)
-        if (
-            exact is not None
-            and (target > owner_id) == right
-            and _entry_level(self.owner, exact.name_bits, height) >= level
-        ):
-            online = ping(target)
-            trace.append(ContactAttempt(target, online))
-            if online:
-                return exact, trace
-            del entries[target]
+        if exact is not None and lo <= target <= hi and _entry_level(self.owner, exact.name_bits, height) >= level:
+            yield exact
+        # An offline exact target is gone by now; an ineligible one fails the
+        # same tests below.
+        visited = msg.piggyback
         ranked = []
-        for e in entries.values():
-            if (e.num_id > owner_id) != right or not cand_check(e.num_id, target, direction, msg):
+        for num_id, e in entries.items():
+            if not lo <= num_id <= hi or num_id in visited:
                 continue
             cpl = cpl_ints(owner_bits, e.name_bits, height)
-            if min(cpl, height - 1) < level:
+            # level < height, so capping cpl at height - 1 changes nothing here
+            if cpl < level:
                 continue
-            distance = abs(e.num_id - target)
+            distance = abs(num_id - target)
             ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
         ranked.sort(key=itemgetter(0, 1, 2))
-        for *_, e in ranked:
-            online = ping(e.num_id)
-            trace.append(ContactAttempt(e.num_id, online))
-            if online:
-                return e, trace
-            del entries[e.num_id]
-        return None, trace
+        yield from map(itemgetter(3), ranked)
 
     def total_entries(self) -> int:
         return len(self._entries)
@@ -255,7 +263,7 @@ class KademliaBuckets:
     def bucket(self, level: int, direction: Direction) -> list[BackupEntry]:
         return self.buckets[level][direction]
 
-    def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
+    def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
         lookup_ids = lookup.neighbor_num_ids()
         for item in piggyback:
@@ -274,38 +282,19 @@ class KademliaBuckets:
             bucket.insert(0, BackupEntry(item.num_id, item.name_bits, item.sop))
             del bucket[cap:]
 
-    def reset(self) -> None:
-        for pair in self.buckets:
-            pair[0].clear()
-            pair[1].clear()
+    def reset(self, fresh: bool) -> None:
+        if fresh:
+            for pair in self.buckets:
+                pair[0].clear()
+                pair[1].clear()
 
-    def resolve(
-        self,
-        target: int,
-        level: int,
-        direction: Direction,
-        msg: SearchMessage,
-        ping: PingFn,
-    ) -> ResolveResult:
-        """Head-to-tail scan of the bucket; first online candidate wins."""
-        bucket = self.buckets[level][direction]
-        trace: list[ContactAttempt] = []
-        exact = next((e for e in bucket if e.num_id == target), None)
-        if exact is not None:
-            online = ping(exact.num_id)
-            trace.append(ContactAttempt(exact.num_id, online))
-            if online:
-                return exact, trace
-            bucket.remove(exact)
-        for e in list(bucket):
-            if not cand_check(e.num_id, target, direction, msg):
-                continue
-            online = ping(e.num_id)
-            trace.append(ContactAttempt(e.num_id, online))
-            if online:
-                return e, trace
-            bucket.remove(e)
-        return None, trace
+    def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
+        """The exact target first, then a head-to-tail scan of the bucket."""
+        bucket = self.buckets[msg.level][msg.direction]
+        target = msg.target_num_id
+        order = [e for e in bucket if e.num_id == target]
+        order += [e for e in bucket if e.num_id != target and cand_check(e.num_id, msg)]
+        return _first_online(order, ping, bucket.remove)
 
     def total_entries(self) -> int:
         return sum(len(b) for pair in self.buckets for b in pair)
@@ -314,8 +303,9 @@ class KademliaBuckets:
 class DksPointers:
     """Per-level lists of the immediately succeeding topology nodes.
 
-    Lists are (re)filled at join time from the full registry, ignoring online
-    status, and carry no availability information.  When a head fails it is
+    Lists are refilled on every join, stale or fresh, from the owner's level
+    groups (:meth:`TopologySnapshot.level_groups`), ignoring online status,
+    and carry no availability information.  When a head fails it is
     dropped and the list is extended with the node beyond the current tail in
     the identifier space; the appended node may itself be offline.  Learning
     that next node requires asking the current tail, so no extension happens
@@ -323,137 +313,79 @@ class DksPointers:
     the list.
     """
 
-    def __init__(self, owner: NodeIdentity, height: int, max_size: int):
-        self.owner = owner
-        self.height = height
-        self.max_size = max_size
-        self.capacities = kademlia_capacity(max_size, height)
-        # per (level, slot): list of NodeIdentity plus the group frontier index
-        self.lists: list[list[list[NodeIdentity]]] = [[[], []] for _ in range(height)]
-        self._frontier: list[list[int]] = [[0, 0] for _ in range(height)]
-        self._groups: list[list[NodeIdentity]] = []
-
-    def initialize(self, level_groups: Optional[list[list[NodeIdentity]]] = None) -> None:
-        """Fill every list with the owner's nearest same-prefix-group nodes.
-
-        ``level_groups[level]`` is the numerically sorted list of all registry
+    def __init__(self, owner: NodeIdentity, level_groups: list[list[NodeIdentity]], max_size: int):
+        """``level_groups[level]`` is the numerically sorted list of all registry
         nodes whose name ID shares at least ``level`` prefix bits with the
         owner (the owner included).  The groups are kept, not copied: every
-        node of a topology shares them and nothing changes them.  Re-joining
-        with no argument reuses the groups supplied at the first join.
+        node of a topology shares them and nothing changes them."""
+        self.owner = owner
+        self.height = len(level_groups)
+        self.max_size = max_size
+        self.capacities = kademlia_capacity(max_size, self.height)
+        self._groups = level_groups
+        # per (level, slot): list of NodeIdentity plus the group frontier
+        # index; built at each join, so a node that never joins holds none
+        self.lists: list[list[list[NodeIdentity]]] = []
+        self._frontier: list[list[int]] = []
+
+    def reset(self, fresh: bool) -> None:
+        """Fill every list with the owner's nearest same-prefix-group nodes.
+
+        Successor lists are rebuilt on every join, so a stale rejoin does not
+        keep lists that failures have shrunk.
         """
-        if level_groups is not None:
-            self._groups = level_groups
-        if not self._groups:
-            raise ValueError("successor pointers need level groups at the first join")
         owner_id = self.owner.num_id
-        for level in range(self.height):
-            group = self._groups[level]
+        self.lists, self._frontier = [], []
+        for group, (cap_left, cap_right) in zip(self._groups, self.capacities):
             pos = bisect_left(group, owner_id, key=attrgetter("num_id"))
-            cap_left, cap_right = self.capacities[level]
             left = group[max(0, pos - cap_left) : pos]
             left.reverse()
             right = group[pos + 1 : pos + 1 + cap_right]
-            self.lists[level][0] = left
-            self.lists[level][1] = right
-            self._frontier[level][0] = pos - len(left) - 1
-            self._frontier[level][1] = pos + len(right) + 1
+            self.lists.append([left, right])
+            self._frontier.append([pos - len(left) - 1, pos + len(right) + 1])
 
-    def reset(self) -> None:
-        self.initialize()
-
-    def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
+    def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         # Successor pointers ignore piggybacked availability information.
         return
 
-    def resolve(
-        self,
-        target: int,
-        level: int,
-        direction: Direction,
-        msg: SearchMessage,
-        ping: PingFn,
-    ) -> ResolveResult:
+    def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
+        target = msg.target_num_id
+        level = msg.level
+        direction = msg.direction
+        right = direction is Direction.RIGHT
         pointers = self.lists[level][direction]
-        group = self._groups[level] if self._groups else []
+        group = self._groups[level]
         trace: list[ContactAttempt] = []
         while pointers:
             head = pointers[0]
-            if direction is Direction.RIGHT and head.num_id > target:
-                return None, trace
-            if direction is Direction.LEFT and head.num_id < target:
+            if head.num_id > target if right else head.num_id < target:
                 return None, trace
             online = ping(head.num_id)
             trace.append(ContactAttempt(head.num_id, online))
             if online:
-                entry = BackupEntry(head.num_id, head.name_bits, 0.0)
-                return entry, trace
+                return BackupEntry(head.num_id, head.name_bits, 0.0), trace
             tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
             del pointers[0]
             if tail_online:
                 idx = self._frontier[level][direction]
                 if 0 <= idx < len(group):
                     pointers.append(group[idx])
-                    self._frontier[level][direction] = idx + (1 if direction is Direction.RIGHT else -1)
+                    self._frontier[level][direction] = idx + (1 if right else -1)
         return None, trace
 
     def total_entries(self) -> int:
         return sum(len(lst) for pair in self.lists for lst in pair)
 
 
-class NoStabilizer:
-    """Keeps no state; every resolution fails."""
-
-    def __init__(self, owner: NodeIdentity, height: int, max_size: int):
-        self.owner = owner
-        self.height = height
-        self.max_size = 0
-
-    def update(self, lookup: LookupTable, piggyback: Sequence[PiggybackEntry]) -> None:
-        return
-
-    def reset(self) -> None:
-        return
-
-    def resolve(self, target, level, direction, msg, ping) -> ResolveResult:
-        return None, []
-
-    def total_entries(self) -> int:
-        return 0
-
-
-def make_stabilizer(kind: str, owner: NodeIdentity, height: int, max_size: int):
+def make_stabilizer(kind: str, owner: NodeIdentity, topology: TopologySnapshot, max_size: int):
+    """The ``kind`` store of ``owner``, a node of ``topology``, holding at most ``max_size``."""
+    height = topology.name_length
     if kind == "interlaced":
         return BackupTable(owner, height, max_size)
     if kind == "kademlia":
         return KademliaBuckets(owner, height, max_size)
     if kind == "dks":
-        return DksPointers(owner, height, max_size)
+        return DksPointers(owner, topology.level_groups(owner), max_size)
     if kind == "none":
-        return NoStabilizer(owner, height, max_size)
+        return BackupTable(owner, height, 0)
     raise ValueError(f"unknown stabilizer kind: {kind}")
-
-
-def build_prefix_groups(topology: TopologySnapshot) -> list[dict[int, list[NodeIdentity]]]:
-    """Per-level prefix buckets of the whole registry, numerically sorted.
-
-    ``groups[level][prefix]`` lists every node whose name ID starts with the
-    ``level``-bit ``prefix`` (``name_bits >> (length - level)``); shared by all
-    nodes of one topology.
-    """
-    length = topology.name_length
-    ordered = sorted(topology.nodes, key=lambda n: n.num_id)
-    groups: list[dict[int, list[NodeIdentity]]] = []
-    for level in range(length):
-        buckets: dict[int, list[NodeIdentity]] = {}
-        for n in ordered:
-            buckets.setdefault(n.name_bits >> (length - level), []).append(n)
-        groups.append(buckets)
-    return groups
-
-
-def level_groups_for(
-    prefix_groups: Sequence[dict[int, list[NodeIdentity]]], owner: NodeIdentity
-) -> list[list[NodeIdentity]]:
-    length = len(prefix_groups)
-    return [prefix_groups[lvl][owner.name_bits >> (length - lvl)] for lvl in range(length)]

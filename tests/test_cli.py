@@ -171,6 +171,23 @@ def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "predict-bench"])
+def test_uncreatable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "run_experiments", no_work)
+    monkeypatch.setattr(cli, "run_predictor_bench", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--workers", "1"]
+    assert cli.main([*argv, "--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: output directory not writable: {blocker / 'sub'}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_fixed_chain_accepts_a_cap_below_the_window():
     assert _from_flags(["--predictor", "dbg3", "--max-state-size", "2"]).base.max_state_size == 2
 

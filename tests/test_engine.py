@@ -114,6 +114,36 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, variant):
         assert _rows(out) == [row]
 
 
+# Per-slot counters that routing and the stabilizer store decide.
+SEARCH_COUNTERS = ("searches_initiated", "searches_succeeded", "sum_latency_ms",
+                   "resolve_invocations", "resolve_messages")
+
+
+def test_cells_that_ignore_b_or_the_predictor_search_alike(tmp_path):
+    # none holds nothing, so neither b nor the predictor reaches its
+    # searches; kademlia and dks never read piggybacked availability, so the
+    # predictor does not reach theirs.  Both must hold slot by slot, ludp
+    # (fed by the traffic itself) included.
+    sweep = ["--stabilizer", "none,kademlia,dks", "--predictor", "swdbg,dbg3,lifetime,ludp",
+             "--backup-size", "0,8,40"]
+    assert cli.main(ORACLE_RUN + sweep + ["--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path)
+    assert len(rows) == 3 * 4 * 3
+    signatures = defaultdict(set)
+    resolves = 0
+    for row in rows:
+        series = row["slot_series"]
+        group = "none" if row["stabilizer"] == "none" else (row["stabilizer"], row["backup_size"])
+        signatures[group].add(tuple(tuple(s[c] for c in SEARCH_COUNTERS) for s in series))
+        resolves += sum(s["resolve_invocations"] for s in series)
+    assert len(signatures) == 1 + 2 * 3
+    assert all(len(found) == 1 for found in signatures.values())
+    # at b = 0 kademlia and dks hold as little as none; the other four groups
+    # differ from it and from each other, and timeouts reached the stores
+    assert len(set().union(*signatures.values())) == 5
+    assert resolves > 10_000
+
+
 def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
     cells = [SimConfig(capacity=16, stabilizer=s, predictor=p, backup_size=b)
              for s in ("kademlia", "dks") for p in ("swdbg", "ludp", "dbg2") for b in (8, 40)]

@@ -3,9 +3,9 @@
 Each digest is the SHA-256 of one file that ``skipchurn`` writes.  The runs
 cover what the one-topology benchmark workloads do not reach: dispersion
 across several topologies, merging topology runs, the config-file path,
-uniform churn, and per-search traces written from worker processes.  A change
-to any simulated number, report format or random stream changes a digest, so
-such a change has to re-pin these on purpose.
+uniform churn, and per-search traces and predictor tables written from
+worker processes.  A change to any simulated number, report format or random
+stream changes a digest, so such a change has to re-pin these on purpose.
 """
 
 from __future__ import annotations
@@ -107,6 +107,11 @@ def test_traced_run_with_two_workers_gives_same_results(tmp_path):
 
 def test_predictor_table(tmp_path):
     assert cli.main(PREDICTOR_TABLE + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN["predictor_table"]
+
+
+def test_predictor_table_with_two_workers(tmp_path):
+    assert cli.main(PREDICTOR_TABLE + ["--workers", "2", "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN["predictor_table"]
 
 

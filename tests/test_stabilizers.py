@@ -20,18 +20,17 @@ from skipchurn.stabilizers import (
     BackupTable,
     DksPointers,
     KademliaBuckets,
-    NoStabilizer,
     _entry_level,
     _score,
-    build_prefix_groups,
     cand_check,
     kademlia_capacity,
-    level_groups_for,
     make_stabilizer,
 )
 
 OWNER = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0.5, 0.5))
 HEIGHT = 4
+# A 16-node registry: four name-ID levels, as HEIGHT
+TOPOLOGY = generate_topology(16, seed=13)
 
 
 def entry(num_id, name_id, sop=0.5):
@@ -69,24 +68,23 @@ def online_set(ids):
 def members(table, level, direction):
     """Ids a resolve at (level, direction) contacts when nobody answers, on a copy."""
     target = 10**6 if direction is Direction.RIGHT else 0
-    _, trace = copy.deepcopy(table).resolve(
-        target, level, direction, msg(target, level, direction), lambda _: False
-    )
+    _, trace = copy.deepcopy(table).resolve(msg(target, level, direction), lambda _: False)
     return {t.num_id for t in trace}
 
 
 class TestCandCheck:
     def test_right_overshoot(self):
-        assert not cand_check(50, 40, Direction.RIGHT, msg(40))
+        assert not cand_check(50, msg(40))
 
     def test_visited_is_rejected(self):
-        assert not cand_check(30, 40, Direction.RIGHT, msg(40, visited=[30]))
+        assert not cand_check(30, msg(40, visited=[30]))
 
     def test_left_in_range(self):
-        assert cand_check(30, 20, Direction.LEFT, msg(20, direction=Direction.LEFT))
+        assert cand_check(30, msg(20, direction=Direction.LEFT))
+        assert not cand_check(10, msg(20, direction=Direction.LEFT))
 
     def test_exact_target_allowed(self):
-        assert cand_check(40, 40, Direction.RIGHT, msg(40))
+        assert cand_check(40, msg(40))
 
 
 class TestBackupUpdate:
@@ -319,7 +317,7 @@ class TestCachedScores:
             else:
                 target, level, direction, online = arg
                 m = SearchMessage(target_num_id=target, level=level, direction=direction)
-                got, trace = table.resolve(target, level, direction, m, online.__contains__)
+                got, trace = table.resolve(m, online.__contains__)
                 expected = resolve_oracle(model, names, target, level, direction, online)
                 assert [(t.num_id, t.online) for t in trace] == expected
                 assert (got.num_id if got else None) == (
@@ -344,27 +342,27 @@ class TestBackupResolve:
 
     def test_exact_target_returned_with_single_contact(self):
         table = self.make_table([entry(140, "1011"), entry(120, "1001")])
-        got, trace = table.resolve(140, 1, Direction.RIGHT, msg(140, 1), always_online)
+        got, trace = table.resolve(msg(140, 1), always_online)
         assert got.num_id == 140
         assert [t.num_id for t in trace] == [140]
 
     def test_offline_exact_target_removed_then_fallback(self):
         table = self.make_table([entry(140, "1011"), entry(120, "1011")])
-        got, trace = table.resolve(140, 1, Direction.RIGHT, msg(140, 1), online_set({120}))
+        got, trace = table.resolve(msg(140, 1), online_set({120}))
         assert got.num_id == 120
         assert [t.num_id for t in trace] == [140, 120]
         assert 140 not in table._entries
 
     def test_exact_target_is_contacted_only_from_its_side(self):
         table = self.make_table([entry(90, "1001")])
-        got, trace = table.resolve(90, 0, Direction.RIGHT, msg(90), always_online)
+        got, trace = table.resolve(msg(90), always_online)
         assert got is None and trace == []
-        got, trace = table.resolve(90, 0, Direction.LEFT, msg(90, 0, Direction.LEFT), always_online)
+        got, trace = table.resolve(msg(90, 0, Direction.LEFT), always_online)
         assert got.num_id == 90 and [t.num_id for t in trace] == [90]
 
     def test_empty_set_returns_none(self):
         table = self.make_table([])
-        got, trace = table.resolve(140, 1, Direction.RIGHT, msg(140, 1), always_online)
+        got, trace = table.resolve(msg(140, 1), always_online)
         assert got is None and trace == []
 
     def test_contacts_follow_score_order_and_purge(self):
@@ -376,7 +374,7 @@ class TestBackupResolve:
             entry(130, "1001", sop=0.1),
         ]
         table = self.make_table(items)
-        got, trace = table.resolve(150, 1, Direction.RIGHT, msg(150, 1), online_set({120, 130}))
+        got, trace = table.resolve(msg(150, 1), online_set({120, 130}))
         assert [t.num_id for t in trace][0] == 149
         assert trace[0].online is False
         assert got.num_id == 120
@@ -395,7 +393,7 @@ class TestBackupResolve:
             items.append(entry(nid, name, sop=float(rng.random())))
         table = self.make_table(items, max_size=40)
         target = 400
-        got, trace = table.resolve(target, 0, Direction.RIGHT, msg(target), lambda _: False)
+        got, trace = table.resolve(msg(target), lambda _: False)
         assert got is None
         def rscore(nid):
             e = next(x for x in items if x.num_id == nid)
@@ -408,14 +406,14 @@ class TestBackupResolve:
         # prefix-3 entry rescues a level-0 failure; prefix-0 entry cannot
         # rescue a level-1 failure
         table = self.make_table([entry(140, "1001"), entry(90, "0001")])
-        got, _ = table.resolve(150, 0, Direction.RIGHT, msg(150), always_online)
+        got, _ = table.resolve(msg(150), always_online)
         assert got.num_id == 140
-        got_left, _ = table.resolve(80, 1, Direction.LEFT, msg(80, 1, Direction.LEFT), always_online)
+        got_left, _ = table.resolve(msg(80, 1, Direction.LEFT), always_online)
         assert got_left is None
 
     def test_visited_candidates_skipped(self):
         table = self.make_table([entry(140, "1011")])
-        got, trace = table.resolve(150, 1, Direction.RIGHT, msg(150, 1, visited=[140]), always_online)
+        got, trace = table.resolve(msg(150, 1, visited=[140]), always_online)
         assert got is None and trace == []
 
 
@@ -461,19 +459,19 @@ class TestKademlia:
         buckets = KademliaBuckets(owner, 4, max_size=16)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
-        got, trace = buckets.resolve(150, 2, Direction.RIGHT, msg(150, 2), online_set({106}))
+        got, trace = buckets.resolve(msg(150, 2), online_set({106}))
         assert [t.num_id for t in trace] == [108, 106]
         assert got.num_id == 106
         assert all(e.num_id != 108 for e in buckets.bucket(2, Direction.RIGHT))
 
 
 def dks_fixture(max_size=8):
-    topo = generate_topology(16, seed=13)
-    groups = build_prefix_groups(topo)
+    topo = TOPOLOGY
     ids = sorted(n.num_id for n in topo.nodes)
     owner = topo.node_by_num_id(ids[5])
-    dks = DksPointers(owner, topo.name_length, max_size=max_size)
-    dks.initialize(level_groups_for(groups, owner))
+    dks = make_stabilizer("dks", owner, topo, max_size)
+    assert dks.total_entries() == 0  # filled at the first join
+    dks.reset(True)
     return topo, ids, owner, dks
 
 
@@ -481,7 +479,6 @@ class TestDks:
     def test_level_groups_match_string_prefixes(self):
         topo = generate_topology(32, seed=13)
         length = topo.name_length
-        groups = build_prefix_groups(topo)
         for owner in topo.nodes:
             name = format(owner.name_bits, f"0{length}b")
             expected = [
@@ -492,7 +489,7 @@ class TestDks:
                 )
                 for lvl in range(length)
             ]
-            assert level_groups_for(groups, owner) == expected
+            assert topo.level_groups(owner) == expected
 
     def test_init_lists_are_consecutive(self):
         topo, ids, owner, dks = dks_fixture()
@@ -507,7 +504,7 @@ class TestDks:
     def test_all_online_head_returned(self):
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
-        got, trace = dks.resolve(target, 0, Direction.RIGHT, msg(target), always_online)
+        got, trace = dks.resolve(msg(target), always_online)
         assert got.num_id == dks.lists[0][1][0].num_id if dks.lists[0][1] else got is None
         assert len(trace) == 1
 
@@ -518,7 +515,7 @@ class TestDks:
         target = ids[-1]
         ping = online_set(set(ids) - {first})
         before = [n.num_id for n in dks.lists[0][1]]
-        got, trace = dks.resolve(target, 0, Direction.RIGHT, msg(target), ping)
+        got, trace = dks.resolve(msg(target), ping)
         assert [t.num_id for t in trace] == [first, second]
         assert got.num_id == second
         after = [n.num_id for n in dks.lists[0][1]]
@@ -531,33 +528,30 @@ class TestDks:
         target = ids[-1]
         before = len(dks.lists[0][1])
         assert before == 1
-        got, trace = dks.resolve(target, 0, Direction.RIGHT, msg(target), lambda _: False)
+        got, trace = dks.resolve(msg(target), lambda _: False)
         assert got is None and len(trace) == 1
         assert len(dks.lists[0][1]) == 0
 
     def test_concurrent_failures_starve_the_list(self):
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
-        got, trace = dks.resolve(target, 0, Direction.RIGHT, msg(target), lambda _: False)
+        got, trace = dks.resolve(msg(target), lambda _: False)
         assert got is None
         assert dks.total_entries() < dks.max_size  # lists shrank, not refilled
 
     def test_overshoot_returns_none_without_contact(self):
         topo, ids, owner, dks = dks_fixture()
-        pos = ids.index(owner.num_id)
         target = owner.num_id + 1  # below the first right successor
-        if ids[pos + 1] <= target:
-            target = owner.num_id
-        got, trace = dks.resolve(target, 0, Direction.RIGHT, msg(max(target, owner.num_id + 1)), always_online)
-        if dks.lists[0][1] and dks.lists[0][1][0].num_id > target:
-            assert got is None and trace == []
+        assert dks.lists[0][1][0].num_id > target
+        got, trace = dks.resolve(msg(target), always_online)
+        assert got is None and trace == []
 
     def test_rejoin_restores_windows(self):
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
-        dks.resolve(target, 0, Direction.RIGHT, msg(target), lambda _: False)
+        dks.resolve(msg(target), lambda _: False)
         shrunk = dks.total_entries()
-        dks.reset()
+        dks.reset(False)  # a stale rejoin refills the lists too
         assert dks.total_entries() > shrunk
 
 
@@ -565,27 +559,38 @@ class TestLifecycle:
     def test_reset_clears_backup(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        table.reset()
+        table.reset(False)  # a stale rejoin keeps the table
+        assert len(table) == 2
+        table.reset(True)
         assert len(table) == 0
         assert table.total_entries() == 0
 
+    def test_reset_clears_buckets_only_when_fresh(self):
+        buckets = KademliaBuckets(OWNER, HEIGHT, max_size=16)
+        buckets.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
+        buckets.reset(False)
+        assert buckets.total_entries() == 2
+        buckets.reset(True)
+        assert buckets.total_entries() == 0
+
     def test_none_stabilizer_resolves_nothing(self):
-        stab = NoStabilizer(OWNER, HEIGHT, 40)
+        # none is a scored table that may hold nothing, whatever its budget
+        stab = make_stabilizer("none", OWNER, TOPOLOGY, 40)
+        assert isinstance(stab, BackupTable) and stab.max_size == 0
         stab.update(empty_lookup(), [entry(106, "1011")])
-        got, trace = stab.resolve(150, 0, Direction.RIGHT, msg(150), always_online)
+        got, trace = stab.resolve(msg(150), always_online)
         assert got is None and trace == [] and stab.total_entries() == 0
 
     def test_factory(self):
-        assert isinstance(make_stabilizer("interlaced", OWNER, 4, 8), BackupTable)
-        assert isinstance(make_stabilizer("kademlia", OWNER, 4, 8), KademliaBuckets)
-        assert isinstance(make_stabilizer("dks", OWNER, 4, 8), DksPointers)
-        assert isinstance(make_stabilizer("none", OWNER, 4, 8), NoStabilizer)
+        assert isinstance(make_stabilizer("interlaced", OWNER, TOPOLOGY, 8), BackupTable)
+        assert isinstance(make_stabilizer("kademlia", OWNER, TOPOLOGY, 8), KademliaBuckets)
+        assert isinstance(make_stabilizer("dks", OWNER, TOPOLOGY, 8), DksPointers)
         with pytest.raises(ValueError):
-            make_stabilizer("chord", OWNER, 4, 8)
+            make_stabilizer("chord", OWNER, TOPOLOGY, 8)
 
     def test_zero_budget_resolves_nothing(self):
         for kind in ("interlaced", "kademlia"):
-            stab = make_stabilizer(kind, OWNER, HEIGHT, 0)
+            stab = make_stabilizer(kind, OWNER, TOPOLOGY, 0)
             stab.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-            got, trace = stab.resolve(150, 0, Direction.RIGHT, msg(150), always_online)
+            got, trace = stab.resolve(msg(150), always_online)
             assert got is None and trace == []
