@@ -11,12 +11,13 @@ prediction; finally ``ChurnProcess.depart`` ends expired sessions silently.
 
 What cannot differ between cells runs once per slot, in ``SimulationState``:
 the churn, the search count and every (initiator, target) pair, each joiner's
-lookup table, and one ``PredictorLayer`` per predictor kind.  Each ``Cell``
-holds only what its config shapes: one stabilizer store per node, and for a
-kind fed by traffic (``ludp``) its own predictor layer.  The searches run
-once per cell, in cell order, between the joins and the predictor feed, so
-every cell routes against the same overlay and the same predictions as it
-would alone.
+lookup table, and one ``PredictorLayer`` per predictor kind.  The registry is
+``topology.nodes``.  One online set, built after arrivals, serves the joins and
+every ping of the slot, since departures come last.  Each ``Cell`` holds only
+what its config shapes: one stabilizer store per node, and for a kind fed by
+traffic (``ludp``) its own predictor layer.  The searches run once per cell,
+in cell order, between the joins and the predictor feed, so every cell routes
+against the same overlay and the same predictions as it would alone.
 
 ``ChurnProcess`` is the package's one churn law; ``predict-bench`` runs it
 without the overlay.  A run draws churn and searches from the stream
@@ -313,9 +314,9 @@ class SimulationState:
     """Mutable state of one topology run, shared by all its cells.
 
     ``churn``, the predictor layers and each cell's stabilizers are indexed by
-    position in ``all_ids``; ``online_ids`` is derived from ``churn`` once per
-    slot, after arrivals.  ``config`` is the first cell's, and holds every
-    setting the cells share.
+    position in ``all_ids``; ``online_ids`` is the set derived from ``churn``
+    once per slot, after arrivals.  ``config`` is the first cell's, and holds
+    every setting the cells share.
     """
 
     def __init__(self, cells: Sequence[SimConfig], topology: TopologySnapshot, rng: np.random.Generator):
@@ -328,7 +329,7 @@ class SimulationState:
         self.topology = topology
         self.rng = rng
         self.levels = topology.name_length
-        idents = sorted(topology.nodes, key=lambda ident: ident.num_id)
+        idents = topology.nodes
         self.all_ids = [ident.num_id for ident in idents]
         self.churn = ChurnProcess(config.churn, len(idents))
         self.nodes = {ident.num_id: NodeRuntime(ident, i) for i, ident in enumerate(idents)}
@@ -346,11 +347,8 @@ class SimulationState:
                 make_stabilizer(cfg.stabilizer, ident, topology, cfg.backup_size) for ident in idents
             ]
             self.cells.append(Cell(cfg, stabilizers, layer))
-        self.online_ids: list[int] = []
+        self.online_ids: set[int] = set()
         self.slot_index = 0
-
-    def is_online(self, num_id: int) -> bool:
-        return self.churn.online[self.nodes[num_id].index]
 
     def bring_online(self, index: int, slot: int) -> None:
         """Replay the slots an arriving node missed as offline bits, in every layer."""
@@ -434,7 +432,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
 
             # timeout failure on the lookup neighbor
             latency += timeout_mult * hop_rtt
-            candidate, contact_trace = stabilizers[current.index].resolve(msg, state.is_online)
+            candidate, contact_trace = stabilizers[current.index].resolve(msg, state.online_ids.__contains__)
             resolve_inv += 1
             resolve_msgs += len(contact_trace)
             for attempt in contact_trace:
@@ -507,7 +505,8 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     all_ids = state.all_ids
 
     arrivals = churn.arrive(rng)
-    state.online_ids = online = [nid for nid, up in zip(all_ids, churn.online) if up]
+    online = [nid for nid, up in zip(all_ids, churn.online) if up]
+    state.online_ids = set(online)
     for i in arrivals:
         state.bring_online(i, slot)
     for i in arrivals:

@@ -6,7 +6,9 @@ prefixes govern membership in the higher-level lists) and a pair of synthetic
 coordinates used by the latency model.  Name IDs are assigned by recursive
 median bisection of the coordinates so that spatial proximity shows up as
 longer common prefixes.  From assignment on, a name ID is an integer
-(``name_bits``) of ``name_length`` bits, compared with :func:`cpl_ints`.
+(``name_bits``) of ``name_length`` bits, compared with :func:`cpl_ints`.  The
+topology's prefix groups (per level, the nodes sharing that many name-ID bits)
+are the one membership structure that joins and the DKS store both read.
 
 A search side is a :class:`Direction`, whose value (0 left, 1 right) indexes
 every (left, right) pair directly.
@@ -17,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import attrgetter
+from typing import Container, Optional, Sequence
 
 import numpy as np
 
@@ -47,29 +50,20 @@ class NodeIdentity:
     coords: tuple[float, float]
 
 
-class NeighborRef(NamedTuple):
-    num_id: int
-    name_bits: int
-
-
 @dataclass
 class LookupTable:
-    """Per-level left/right neighbor pointers of one node."""
+    """Per-level left/right neighbor pointers of one node, to registry records."""
 
-    levels: list[list[Optional[NeighborRef]]]
+    levels: list[list[Optional[NodeIdentity]]]
 
     @classmethod
     def empty(cls, height: int) -> "LookupTable":
         return cls(levels=[[None, None] for _ in range(height)])
 
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
-    def neighbor(self, level: int, direction: Direction) -> Optional[NeighborRef]:
+    def neighbor(self, level: int, direction: Direction) -> Optional[NodeIdentity]:
         return self.levels[level][direction]
 
-    def set_neighbor(self, level: int, direction: Direction, ref: Optional[NeighborRef]) -> None:
+    def set_neighbor(self, level: int, direction: Direction, ref: Optional[NodeIdentity]) -> None:
         self.levels[level][direction] = ref
 
     def neighbor_num_ids(self) -> set[int]:
@@ -106,7 +100,8 @@ class SearchMessage:
 
 @dataclass
 class TopologySnapshot:
-    """An immutable node registry, reproducible from (capacity, seed)."""
+    """An immutable node registry, reproducible from (capacity, seed); ``nodes``
+    is kept in registry order (ascending ``num_id``) whatever order it came in."""
 
     capacity: int
     nodes: list[NodeIdentity]
@@ -115,33 +110,30 @@ class TopologySnapshot:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.capacity):
             raise ConfigError(f"capacity must be a power of two, got {self.capacity}")
+        self.nodes = sorted(self.nodes, key=attrgetter("num_id"))
+        self._by_num_id = {n.num_id: n for n in self.nodes}
+        length = self.name_length
+        # per level, prefix -> nodes with that prefix
+        self._prefix_groups: list[dict[int, list[NodeIdentity]]] = [{} for _ in range(length)]
+        for n in self.nodes:
+            for level, groups in enumerate(self._prefix_groups):
+                groups.setdefault(n.name_bits >> (length - level), []).append(n)
 
     @property
     def name_length(self) -> int:
         return max(1, self.capacity.bit_length() - 1)
 
     def node_by_num_id(self, num_id: int) -> NodeIdentity:
-        return self._index()[num_id]
-
-    def _index(self) -> dict[int, NodeIdentity]:
-        if not hasattr(self, "_by_num_id"):
-            self._by_num_id = {n.num_id: n for n in self.nodes}
-        return self._by_num_id
+        return self._by_num_id[num_id]
 
     def level_groups(self, ident: NodeIdentity) -> list[list[NodeIdentity]]:
         """Per level, every registered node sharing that many name-ID prefix bits
-        with ``ident`` (``ident`` included), numerically sorted.
+        with ``ident`` (``ident`` included), in registry order.
 
-        The groups are built at the first call and shared, never copied: every
-        node of the topology with the same ``level``-bit prefix gets the same list.
+        The groups are shared, never copied: every node of the topology with
+        the same ``level``-bit prefix gets the same list.
         """
         length = self.name_length
-        if not hasattr(self, "_prefix_groups"):
-            # per level, prefix -> nodes with that prefix
-            self._prefix_groups: list[dict[int, list[NodeIdentity]]] = [{} for _ in range(length)]
-            for n in sorted(self.nodes, key=lambda n: n.num_id):
-                for level, groups in enumerate(self._prefix_groups):
-                    groups.setdefault(n.name_bits >> (length - level), []).append(n)
         return [self._prefix_groups[lvl][ident.name_bits >> (length - lvl)] for lvl in range(length)]
 
 
@@ -230,49 +222,30 @@ def generate_topology(capacity: int, seed: int) -> TopologySnapshot:
 def join_node(
     topology: TopologySnapshot,
     num_id: int,
-    online_num_ids: Iterable[int],
+    online: Container[int],
 ) -> LookupTable:
     """Build the lookup table a correct join would produce.
 
     For every level the left and right neighbors are the nearest online nodes
     by numerical ID among those sharing at least that many name-ID prefix bits
-    with the joiner.  The joiner itself is ignored; an empty online set yields
-    an empty table.
+    with the joiner: the walk starts at the joiner's place in its level group
+    and steps outward until it meets a member of ``online``.  The joiner
+    itself is ignored; an empty online set yields an empty table.
     """
-    length = topology.name_length
-    joiner = topology.node_by_num_id(num_id)
-    joiner_bits = joiner.name_bits
-    table = LookupTable.empty(length)
-    best_left: list[Optional[NodeIdentity]] = [None] * length
-    best_right: list[Optional[NodeIdentity]] = [None] * length
-    index = topology._index()
-    for other_id in online_num_ids:
-        if other_id == num_id:
-            continue
-        other = index[other_id]
-        cpl = cpl_ints(joiner_bits, other.name_bits, length)
-        top = min(cpl, length - 1)
-        if other_id < num_id:
-            for lvl in range(top + 1):
-                cur = best_left[lvl]
-                if cur is None or other_id > cur.num_id:
-                    best_left[lvl] = other
-        else:
-            for lvl in range(top + 1):
-                cur = best_right[lvl]
-                if cur is None or other_id < cur.num_id:
-                    best_right[lvl] = other
-    for lvl in range(length):
-        if best_left[lvl] is not None:
-            n = best_left[lvl]
-            table.set_neighbor(lvl, Direction.LEFT, NeighborRef(n.num_id, n.name_bits))
-        if best_right[lvl] is not None:
-            n = best_right[lvl]
-            table.set_neighbor(lvl, Direction.RIGHT, NeighborRef(n.num_id, n.name_bits))
-    return table
+    levels: list[list[Optional[NodeIdentity]]] = []
+    for group in topology.level_groups(topology.node_by_num_id(num_id)):
+        pos = bisect_left(group, num_id, key=attrgetter("num_id"))
+        left = pos - 1
+        while left >= 0 and group[left].num_id not in online:
+            left -= 1
+        right = pos + 1
+        while right < len(group) and group[right].num_id not in online:
+            right += 1
+        levels.append([group[left] if left >= 0 else None, group[right] if right < len(group) else None])
+    return LookupTable(levels)
 
 
-def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Optional[NeighborRef]:
+def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Optional[NodeIdentity]:
     """The level neighbor a node other than the target forwards ``msg`` to.
 
     That is the neighbor at ``msg.level`` in the search direction when it lies

@@ -50,13 +50,6 @@ TRAFFIC_FED_KINDS = ("ludp",)
 DEFAULT_MAX_STATE_SIZE = 8
 
 
-def prediction_error(predicted: float, status: int) -> float:
-    """Absolute difference between a predicted probability and a status bit."""
-    if not 0.0 <= predicted <= 1.0:
-        raise ValueError(f"predicted probability out of range: {predicted}")
-    return abs(predicted - (1 if status else 0))
-
-
 def _stationary_core(P: np.ndarray) -> np.ndarray:
     """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P."""
     m = P.shape[0]

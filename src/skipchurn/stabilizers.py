@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -220,12 +221,14 @@ class BackupTable:
         return len(self._entries)
 
 
-def kademlia_capacity(b: int, levels: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def kademlia_capacity(b: int, levels: int) -> tuple[tuple[int, int], ...]:
     """Distribute a backup budget over levels and directions.
 
     Each level receives floor(b / levels), split between (left, right) with an
     odd slot going left.  The remainder is handed out two at a time (one per
-    direction) starting at level 0; an odd final slot also goes left.
+    direction) starting at level 0; an odd final slot also goes left.  The
+    table is immutable, so every store shares the one per (b, levels).
     """
     if b < 0:
         raise ValueError("backup size must be >= 0")
@@ -244,8 +247,8 @@ def kademlia_capacity(b: int, levels: int) -> list[list[int]]:
     for share in shares:
         right = share // 2
         left = share - right
-        result.append([left, right])
-    return result
+        result.append((left, right))
+    return tuple(result)
 
 
 class KademliaBuckets:
@@ -256,9 +259,10 @@ class KademliaBuckets:
         self.height = height
         self.max_size = max_size
         self.capacities = kademlia_capacity(max_size, height)
-        # Plain lists: a bucket holds a few entries, and an empty list is far
-        # smaller than an empty deque.
-        self.buckets: list[list[list[BackupEntry]]] = [[[], []] for _ in range(height)]
+        # Plain lists, built at each fresh join: a bucket holds a few entries,
+        # an empty list is far smaller than an empty deque, and a node that
+        # never joins holds none.
+        self.buckets: list[list[list[BackupEntry]]] = []
 
     def bucket(self, level: int, direction: Direction) -> list[BackupEntry]:
         return self.buckets[level][direction]
@@ -284,9 +288,7 @@ class KademliaBuckets:
 
     def reset(self, fresh: bool) -> None:
         if fresh:
-            for pair in self.buckets:
-                pair[0].clear()
-                pair[1].clear()
+            self.buckets = [[[], []] for _ in range(self.height)]
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """The exact target first, then a head-to-tail scan of the bucket."""

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from skipchurn.overlay import (
     ConfigError,
     Direction,
     LookupTable,
-    NeighborRef,
     NodeIdentity,
     SearchMessage,
     TopologySnapshot,
@@ -155,6 +155,16 @@ class TestGenerateTopology:
         with pytest.raises(ConfigError):
             generate_topology(100, seed=0)
 
+    def test_registry_order_is_ascending_num_id(self):
+        topo = generate_topology(64, seed=8)
+        shuffled = list(topo.nodes)
+        random.Random(0).shuffle(shuffled)
+        snapshot = TopologySnapshot(capacity=64, nodes=shuffled, rng_seed=8)
+        assert [n.num_id for n in snapshot.nodes] == sorted(n.num_id for n in shuffled)
+        assert snapshot.nodes == topo.nodes
+        for n in snapshot.nodes:
+            assert snapshot.level_groups(n)[0] == snapshot.nodes
+
 
 class TestJoin:
     def test_sole_online_node_has_empty_table(self):
@@ -180,37 +190,40 @@ class TestJoin:
                 right = table.neighbor(lvl, Direction.RIGHT)
                 if left is not None:
                     left_node = topo.node_by_num_id(left.num_id)
-                    assert left.name_bits == left_node.name_bits
+                    assert left is left_node  # the topology's own record
                     assert left.num_id < ident.num_id
                     assert common_prefix_length(
                         name_str(left_node.name_bits, length), name_str(ident.name_bits, length)
                     ) >= lvl
                 if right is not None:
                     right_node = topo.node_by_num_id(right.num_id)
-                    assert right.name_bits == right_node.name_bits
+                    assert right is right_node
                     assert right.num_id > ident.num_id
                     assert common_prefix_length(
                         name_str(right_node.name_bits, length), name_str(ident.name_bits, length)
                     ) >= lvl
 
-    def test_neighbors_are_nearest_online(self):
-        topo = generate_topology(32, seed=4)
-        ids = sorted(n.num_id for n in topo.nodes)
-        online = ids[::2]
+    # "joiner": the joiner alone is online.  The sparse sets make the walk run
+    # off both ends of a level group.
+    @pytest.mark.parametrize("online_set", ["empty", "joiner", "5pct", "half", "all"])
+    @pytest.mark.parametrize("capacity", [32, 256])
+    def test_neighbors_are_nearest_online(self, capacity, online_set):
+        topo = generate_topology(capacity, seed=4)
         length = topo.name_length
-        by_id = {n.num_id: n for n in topo.nodes}
-        for joiner_id in online:
+        share = {"empty": 0.0, "joiner": 0.0, "5pct": 0.05, "half": 0.5, "all": 1.0}[online_set]
+        rng = np.random.default_rng(capacity)
+        drawn = {n.num_id for n in topo.nodes if rng.random() < share}
+        for joiner in topo.nodes:
+            joiner_id = joiner.num_id
+            online = {joiner_id} if online_set == "joiner" else drawn
             table = join_node(topo, joiner_id, online)
-            joiner = by_id[joiner_id]
+            name = name_str(joiner.name_bits, length)
+            cpl = {
+                i: common_prefix_length(name_str(topo.node_by_num_id(i).name_bits, length), name)
+                for i in online
+            }
             for lvl in range(length):
-                group = [
-                    i
-                    for i in online
-                    if i != joiner_id
-                    and common_prefix_length(
-                        name_str(by_id[i].name_bits, length), name_str(joiner.name_bits, length)
-                    ) >= lvl
-                ]
+                group = [i for i in online if i != joiner_id and cpl[i] >= lvl]
                 lefts = [i for i in group if i < joiner_id]
                 rights = [i for i in group if i > joiner_id]
                 left = table.neighbor(lvl, Direction.LEFT)
@@ -226,13 +239,14 @@ def _msg(target, level, direction):
 class TestRouteStep:
     def test_forward_within_interval(self):
         table = LookupTable.empty(2)
-        table.set_neighbor(1, Direction.RIGHT, NeighborRef(50, 0b10))
-        assert route_step(43, table, _msg(59, 1, Direction.RIGHT)) == NeighborRef(50, 0b10)
+        neighbor = NodeIdentity(50, 0b10, (0.0, 0.0))
+        table.set_neighbor(1, Direction.RIGHT, neighbor)
+        assert route_step(43, table, _msg(59, 1, Direction.RIGHT)) is neighbor
 
     def test_overshoot_descends(self):
         # the level-1 neighbor lies past the target: no forward, the caller descends
         table = LookupTable.empty(2)
-        table.set_neighbor(1, Direction.RIGHT, NeighborRef(50, 0b10))
+        table.set_neighbor(1, Direction.RIGHT, NodeIdentity(50, 0b10, (0.0, 0.0)))
         assert route_step(43, table, _msg(45, 1, Direction.RIGHT)) is None
 
     def test_level_zero_without_neighbor_terminates(self):

@@ -17,7 +17,6 @@ from skipchurn.predictors import (
     lifetime_availability,
     ludp_online_probability,
     make_predictor,
-    prediction_error,
     solve_stationary,
 )
 
@@ -449,12 +448,6 @@ class TestBaselines:
         assert p.prediction == 0.0
         p.record_incoming()
         assert p.prediction == pytest.approx(1 / 16)
-
-    def test_prediction_error(self):
-        assert prediction_error(1.0, 1) == 0.0
-        assert prediction_error(0.2, 1) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            prediction_error(1.5, 1)
 
 
 class TestOfflineReplay:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st_
 from skipchurn.overlay import (
     Direction,
     LookupTable,
-    NeighborRef,
     NodeIdentity,
     PiggybackEntry,
     SearchMessage,
@@ -105,7 +104,7 @@ class TestBackupUpdate:
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         lookup = empty_lookup()
-        lookup.set_neighbor(0, Direction.RIGHT, NeighborRef(106, 0b0001))
+        lookup.set_neighbor(0, Direction.RIGHT, NodeIdentity(106, 0b0001, (0.0, 0.0)))
         table.update(lookup, [entry(106, "0001")])
         assert len(table) == 0
 
@@ -423,11 +422,11 @@ class TestKademlia:
         assert [sum(pair) for pair in caps] == [14, 12, 12, 12]
 
     def test_capacity_zero(self):
-        assert kademlia_capacity(0, 4) == [[0, 0]] * 4
+        assert kademlia_capacity(0, 4) == ((0, 0),) * 4
 
     def test_capacity_exact_division(self):
         caps = kademlia_capacity(8, 4)
-        assert caps == [[1, 1]] * 4
+        assert caps == ((1, 1),) * 4
 
     def test_odd_shares_favor_left(self):
         caps = kademlia_capacity(7, 4)
@@ -438,6 +437,7 @@ class TestKademlia:
     def test_insert_at_head_evict_tail(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
+        buckets.reset(True)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011")])
         buckets.update(lookup, [entry(108, "1010")])
@@ -447,6 +447,7 @@ class TestKademlia:
     def test_reinsert_moves_to_head(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
+        buckets.reset(True)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
         buckets.update(lookup, [entry(106, "1011")])
@@ -457,6 +458,7 @@ class TestKademlia:
     def test_resolve_scans_recency_order(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)
+        buckets.reset(True)
         lookup = LookupTable.empty(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
@@ -567,6 +569,8 @@ class TestLifecycle:
 
     def test_reset_clears_buckets_only_when_fresh(self):
         buckets = KademliaBuckets(OWNER, HEIGHT, max_size=16)
+        assert buckets.total_entries() == 0  # buckets are built at the first join
+        buckets.reset(True)
         buckets.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
         buckets.reset(False)
         assert buckets.total_entries() == 2
@@ -591,6 +595,7 @@ class TestLifecycle:
     def test_zero_budget_resolves_nothing(self):
         for kind in ("interlaced", "kademlia"):
             stab = make_stabilizer(kind, OWNER, TOPOLOGY, 0)
+            stab.reset(True)
             stab.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
             got, trace = stab.resolve(msg(150), always_online)
             assert got is None and trace == []
