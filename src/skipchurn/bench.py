@@ -7,6 +7,11 @@ Churn is drawn from the stream ``[seed, topology, 2]``, not the run's
 ``[seed, topology, 1]``, so the table scores a different churn realization
 than ``run`` does.  No searches run, hence no messages: predictors that feed
 on incoming traffic receive none here.
+
+A bench reads ``capacity``, ``slots``, ``topologies``, ``seed``, ``churn``,
+``max_state_size`` and ``pred_error_mode`` from its ``SimConfig``; the kinds
+are passed on their own, so the config's ``predictor``, like its overlay and
+stabilizer settings, is not read.
 """
 
 from __future__ import annotations
@@ -15,22 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .churn import ChurnModel
 # Not called here: perfbench/tracing.py patches these names in this module and
 # reports a missing trace target if they are gone.  The draws run in
 # engine.ChurnProcess.
 from .churn import draw_arrival_count, draw_session_length  # noqa: F401
-from .engine import ChurnProcess, topology_map
-from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, PredictorLayer
+from .engine import ChurnProcess, SimConfig, topology_map
+from .predictors import PREDICTOR_KINDS, PredictorLayer
 
 
 @dataclass
 class PredictorBenchResult:
     kinds: list[str]
-    capacity: int
-    slots: int
-    topologies: int
-    seed: int
     error_sums: dict[str, float] = field(default_factory=dict)
     samples: int = 0
     per_topology_errors: dict[str, list[float]] = field(default_factory=dict)
@@ -56,11 +56,12 @@ class PredictorBenchResult:
 
 
 def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
-    kinds, capacity, slots, seed, model_fields, max_state_size, error_mode, topo_index = args
-    rng = np.random.default_rng([seed, topo_index, 2])
+    config, kinds, topo_index = args
+    capacity, slots = config.capacity, config.slots
+    rng = np.random.default_rng([config.seed, topo_index, 2])
     # churn only needs node count, not identities: registry indices 0..capacity-1
-    churn = ChurnProcess(ChurnModel(**model_fields), capacity)
-    layers = {k: PredictorLayer(k, capacity, max_state_size, error_mode) for k in kinds}
+    churn = ChurnProcess(config.churn, capacity)
+    layers = {k: PredictorLayer(k, capacity, config.max_state_size, config.pred_error_mode) for k in kinds}
     err = {k: 0.0 for k in kinds}
     right_sum = 0.0
     for slot in range(slots):
@@ -78,34 +79,22 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
 
 
 def run_predictor_bench(
-    capacity: int,
-    slots: int,
-    topologies: int,
-    seed: int,
-    churn: ChurnModel | None = None,
-    kinds: tuple[str, ...] = PREDICTOR_KINDS,
-    workers: int = 1,
-    max_state_size: int = DEFAULT_MAX_STATE_SIZE,
-    error_mode: str = "window",
+    config: SimConfig, kinds: tuple[str, ...] = PREDICTOR_KINDS, workers: int = 1
 ) -> PredictorBenchResult:
     """Benchmark predictor kinds on shared churn traces.
 
-    Deterministic for a fixed (capacity, slots, topologies, seed, churn,
-    max_state_size, error_mode); the worker count does not affect the result.
-    ``workers`` processes share the topologies as in ``run`` (``engine.topology_map``).
-    ``max_state_size`` and ``error_mode`` reach every predictor as in a run.
+    Deterministic for a fixed ``config``; the worker count does not affect the
+    result.  ``workers`` processes share the topologies as in ``run``
+    (``engine.topology_map``).  The config's ``max_state_size`` and
+    ``pred_error_mode`` reach every predictor as in a run.
     """
-    model = churn or ChurnModel()
     result = PredictorBenchResult(
-        kinds=list(kinds), capacity=capacity, slots=slots, topologies=topologies, seed=seed
+        kinds=list(kinds),
+        error_sums={k: 0.0 for k in kinds},
+        per_topology_errors={k: [] for k in kinds},
     )
-    result.error_sums = {k: 0.0 for k in kinds}
-    result.per_topology_errors = {k: [] for k in kinds}
-    jobs = [
-        (tuple(kinds), capacity, slots, seed, model.__dict__, max_state_size, error_mode, t)
-        for t in range(topologies)
-    ]
-    with topology_map(workers, topologies) as run:
+    jobs = [(config, tuple(kinds), t) for t in range(config.topologies)]
+    with topology_map(workers, config.topologies) as run:
         raw = list(run(_bench_one_topology, jobs))
     for err, samples, right_sum, right_samples in raw:
         for k in kinds:

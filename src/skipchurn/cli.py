@@ -5,13 +5,15 @@ override file values.  The keys are the field names of ``SimConfig`` and
 ``ChurnModel`` with dashes for underscores, each typed by its default, except
 that ``ChurnModel.kind`` is ``churn-kind`` and ``SimConfig.pred_error_mode`` is
 ``pred-error``.  ``workers``, ``out`` and ``format`` configure the run itself.
-``backup-size``, ``stabilizer``, ``predictor`` and ``format`` take
-comma-separated lists; the first three are the sweep axes.  ``search-cap none``
-removes the per-slot search cap.
+The sweep keys are the keys of the fields in ``engine.SWEEP_FIELDS``
+(``stabilizer``, ``predictor``, ``backup-size``); they and ``format`` take
+comma-separated lists.  ``search-cap none`` removes the per-slot search cap.
 
-The ``run`` subcommand executes the (stabilizer x predictor x backup size)
-sweep, ``analyze`` prints the closed-form chain as JSON, and
+The ``run`` subcommand executes the sweep, one cell per combination of the
+sweep values, ``analyze`` prints the closed-form chain as JSON, and
 ``predict-bench`` reproduces the predictor error table without the overlay.
+Report columns are the sweep fields, the figures ``RunMetrics.REPORTED`` and
+the seed.
 
 A sweep is one task per topology, each running every cell of the sweep in
 lockstep (see ``engine``); ``--workers`` processes share the tasks.  Each
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -37,7 +40,7 @@ from typing import Optional, TextIO
 
 from .analytics import analysis_chain
 from .churn import ChurnModel
-from .engine import CellFailure, RunMetrics, SimConfig, aggregate, run_topology, topology_map
+from .engine import SWEEP_FIELDS, CellFailure, RunMetrics, SimConfig, aggregate, run_topology, topology_map
 from .bench import run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
@@ -46,19 +49,19 @@ DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 # Keys that are not their field's name with dashes for underscores.
 _RENAMED = {"kind": "churn-kind", "pred_error_mode": "pred-error"}
-SWEEP_KEYS = ("backup-size", "stabilizer", "predictor")
-_LIST_KEYS = (*SWEEP_KEYS, "format")
+
+
+def _key(name: str) -> str:
+    return _RENAMED.get(name, name.replace("_", "-"))
 
 
 def _field_keys(cls) -> dict[str, str]:
     """Config key -> field name for every field of ``cls`` but the nested churn model."""
-    return {
-        _RENAMED.get(f.name, f.name.replace("_", "-")): f.name
-        for f in fields(cls)
-        if f.name != "churn"
-    }
+    return {_key(f.name): f.name for f in fields(cls) if f.name != "churn"}
 
 
+SWEEP_KEYS = {_key(name): name for name in SWEEP_FIELDS}
+_LIST_KEYS = (*SWEEP_KEYS, "format")
 _SIM_KEYS = _field_keys(SimConfig)
 _CHURN_KEYS = _field_keys(ChurnModel)
 
@@ -76,65 +79,28 @@ DEFAULTS = _defaults()
 
 @dataclass
 class RunSpec:
-    """A resolved experiment matrix: one base config plus sweep lists."""
+    """A resolved experiment matrix: one base config plus a value list per sweep field."""
 
     base: SimConfig
-    backup_sizes: list[int]
-    stabilizers: list[str]
-    predictors: list[str]
+    sweep: dict[str, list]
     out_dir: Optional[Path]
     formats: list[str]
     workers: int = DEFAULT_WORKERS
 
     def combinations(self) -> list[SimConfig]:
-        combos = []
-        for stab in self.stabilizers:
-            for pred in self.predictors:
-                for b in self.backup_sizes:
-                    combos.append(
-                        replace(self.base, stabilizer=stab, predictor=pred, backup_size=b)
-                    )
-        return combos
+        """Every cell, the first of ``SWEEP_FIELDS`` outermost and the last varying fastest."""
+        return [
+            replace(self.base, **dict(zip(SWEEP_FIELDS, values)))
+            for values in itertools.product(*(self.sweep[name] for name in SWEEP_FIELDS))
+        ]
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    stabilizer: str
-    predictor: str
-    backup_size: int
-    avg_success_ratio: float
-    std_success_ratio: float
-    avg_search_latency_ms: float
-    std_search_latency_ms: float
-    avg_prediction_error: float
-    std_prediction_error: float
-    avg_resolve_messages: float
-    avg_backup_neighbors_per_level: float
-    topologies: int
-    slots: int
-    seed: int
-
-    @classmethod
-    def from_metrics(cls, cfg: SimConfig, metrics: RunMetrics) -> "ReportRow":
-        return cls(
-            stabilizer=cfg.stabilizer,
-            predictor=cfg.predictor,
-            backup_size=cfg.backup_size,
-            avg_success_ratio=metrics.avg_success_ratio,
-            std_success_ratio=metrics.std_success_ratio,
-            avg_search_latency_ms=metrics.avg_search_latency_ms,
-            std_search_latency_ms=metrics.std_search_latency_ms,
-            avg_prediction_error=metrics.avg_prediction_error,
-            std_prediction_error=metrics.std_prediction_error,
-            avg_resolve_messages=metrics.avg_resolve_messages,
-            avg_backup_neighbors_per_level=metrics.avg_backup_neighbors_per_level,
-            topologies=metrics.runs,
-            slots=metrics.slots,
-            seed=cfg.seed,
-        )
+CSV_COLUMNS = [*SWEEP_FIELDS, *RunMetrics.REPORTED, "seed"]
 
 
-CSV_COLUMNS = [f.name for f in fields(ReportRow)]
+def report_row(cfg: SimConfig, metrics: RunMetrics) -> dict:
+    """One report row by column name: each figure from ``metrics``, the rest from ``cfg``."""
+    return {col: getattr(metrics if col in RunMetrics.REPORTED else cfg, col) for col in CSV_COLUMNS}
 
 
 def parse_value(key: str, raw: str):
@@ -206,9 +172,7 @@ def parse_config(
     )
     spec = RunSpec(
         base=base,
-        backup_sizes=list(values["backup-size"]),
-        stabilizers=list(values["stabilizer"]),
-        predictors=list(values["predictor"]),
+        sweep={name: list(values[key]) for key, name in SWEEP_KEYS.items()},
         out_dir=None if values["out"] is None else Path(values["out"]),
         formats=list(values["format"]),
         workers=values["workers"],
@@ -278,26 +242,14 @@ def run_experiments(
     return list(zip(cells, runs))
 
 
-def _float_repr(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def rows_to_csv(rows: list[ReportRow]) -> str:
+def csv_text(columns: list[str], rows) -> str:
+    """CSV with a header row; floats are written by ``repr``, so they read back exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([_float_repr(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
-
-
-def results_to_json(results: list[tuple[SimConfig, RunMetrics]]) -> str:
-    doc = {"rows": []}
-    for cfg, metrics in results:
-        entry = asdict(ReportRow.from_metrics(cfg, metrics))
-        entry["slot_series"] = [asdict(sm) for sm in metrics.slot_series]
-        doc["rows"].append(entry)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def emit_reports(
@@ -306,14 +258,18 @@ def emit_reports(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    rows = [ReportRow.from_metrics(cfg, m) for cfg, m in results]
+    rows = [report_row(cfg, m) for cfg, m in results]
     if "csv" in formats:
         path = out_dir / "results.csv"
-        path.write_text(rows_to_csv(rows), encoding="utf-8")
+        path.write_text(csv_text(CSV_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
         written.append(path)
     if "json" in formats:
+        doc = {"rows": [
+            {**row, "slot_series": [asdict(sm) for sm in m.slot_series]}
+            for row, (_, m) in zip(rows, results)
+        ]}
         path = out_dir / "results.json"
-        path.write_text(results_to_json(results), encoding="utf-8")
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8")
         written.append(path)
     return written
 
@@ -375,19 +331,8 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     )
     if spec.out_dir is not None:
         preflight_out_dir(spec.out_dir)
-    base = spec.base
-    kinds = tuple(spec.predictors)
-    result = run_predictor_bench(
-        capacity=base.capacity,
-        slots=base.slots,
-        topologies=base.topologies,
-        seed=base.seed,
-        churn=base.churn,
-        kinds=kinds,
-        workers=spec.workers,
-        max_state_size=base.max_state_size,
-        error_mode=base.pred_error_mode,
-    )
+    kinds = tuple(spec.sweep["predictor"])
+    result = run_predictor_bench(spec.base, kinds, spec.workers)
     rows = result.table()
     width = max(len(k) for k, _, _ in rows)
     print(f"{'predictor':<{width}}  mean_error  std_across_topologies")
@@ -397,12 +342,7 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
         print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
     if spec.out_dir is not None:
         path = spec.out_dir / "predictor_errors.csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["predictor", "mean_error", "std_across_topologies"])
-        for kind, mean, std in rows:
-            writer.writerow([kind, repr(mean), repr(std)])
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        path.write_text(csv_text(["predictor", "mean_error", "std_across_topologies"], rows), encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -37,7 +37,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +138,14 @@ class Counters:
         for f in fields(Counters):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
+    @classmethod
+    def sum_of(cls, parts) -> Counters:
+        """The sum of ``parts``, added in order onto zero counters."""
+        total = cls()
+        for part in parts:
+            total.add(part)
+        return total
+
 
 @dataclass
 class SlotMetrics(Counters):
@@ -160,16 +168,36 @@ def _ratio(num: float, den: float) -> float:
 
 @dataclass
 class RunMetrics:
-    """Raw totals of one or more topology runs; averages are derived."""
+    """One cell's topology runs: each topology's counters and the slot series.
 
-    slots: int
+    ``per_topology`` holds one ``Counters`` per topology run, in topology
+    order; ``slot_series`` holds each slot's counters summed over them.  Every
+    other figure is derived: ``totals`` is the sum of ``per_topology`` in
+    topology order, ``slots`` and ``topologies`` are the two lengths, and each
+    average and std is a ratio of counters.  ``REPORTED`` names the figures a
+    report row carries, in column order.
+    """
+
     levels: int
-    totals: Counters = field(default_factory=Counters)
-    slot_series: list[SlotMetrics] = field(default_factory=list)
-    per_topology: list[Counters] = field(default_factory=list)
+    slot_series: list[SlotMetrics]
+    per_topology: list[Counters]
+
+    REPORTED: ClassVar[tuple[str, ...]] = (
+        "avg_success_ratio", "std_success_ratio", "avg_search_latency_ms", "std_search_latency_ms",
+        "avg_prediction_error", "std_prediction_error", "avg_resolve_messages",
+        "avg_backup_neighbors_per_level", "topologies", "slots",
+    )
 
     @property
-    def runs(self) -> int:
+    def totals(self) -> Counters:
+        return Counters.sum_of(self.per_topology)
+
+    @property
+    def slots(self) -> int:
+        return len(self.slot_series)
+
+    @property
+    def topologies(self) -> int:
         return len(self.per_topology)
 
     @property
@@ -602,31 +630,22 @@ def run_topology(
     except CellFailure as exc:
         raise CellFailure(f"{exc} (topology {topology_index})") from exc
 
-    runs = []
-    for slot_series in zip(*per_slot):
-        totals = Counters()
-        for sm in slot_series:
-            totals.add(sm)
-        runs.append(RunMetrics(
-            slots=cfg.slots, levels=state.levels, totals=totals,
-            slot_series=list(slot_series), per_topology=[totals],
-        ))
-    return runs
+    return [
+        RunMetrics(levels=state.levels, slot_series=list(series), per_topology=[Counters.sum_of(series)])
+        for series in zip(*per_slot)
+    ]
 
 
 def aggregate(runs: list[RunMetrics]) -> RunMetrics:
-    """Merge topology runs; totals add up, slot series merge index-wise."""
+    """Merge topology runs; per-topology counters concatenate, slot series add index-wise."""
     if not runs:
         raise ValueError("nothing to aggregate")
     slots = runs[0].slots
     levels = runs[0].levels
     if any(r.slots != slots or r.levels != levels for r in runs):
         raise ValueError("runs must share slot count and level count")
-    merged = RunMetrics(slots=slots, levels=levels)
-    merged.slot_series = [SlotMetrics(slot_index=i) for i in range(slots)]
+    slot_series = [SlotMetrics(slot_index=i) for i in range(slots)]
     for r in runs:
-        merged.totals.add(r.totals)
-        merged.per_topology.extend(r.per_topology)
-        for tgt, sm in zip(merged.slot_series, r.slot_series):
+        for tgt, sm in zip(slot_series, r.slot_series):
             tgt.add(sm)
-    return merged
+    return RunMetrics(levels, slot_series, [t for r in runs for t in r.per_topology])

@@ -73,7 +73,21 @@ def test_flags_win_over_file(tmp_path):
     path.write_text("slots = 4\nbackup-size = 8, 40  # two sizes\n", encoding="utf-8")
     spec = _from_flags(["--config", str(path), "--slots", "6"])
     assert spec.base.slots == 6
-    assert spec.backup_sizes == [8, 40]
+    assert spec.sweep["backup_size"] == [8, 40]
+
+
+def test_cells_nest_stabilizer_outermost_and_backup_size_fastest(tmp_path):
+    stabilizers, predictors, sizes = ["kademlia", "interlaced"], ["lifetime", "dbg3"], [40, 8]
+    expected = [(s, p, b) for s in stabilizers for p in predictors for b in sizes]
+    argv = ["--capacity", "16", "--slots", "2", "--topologies", "1", "--search-cap", "5",
+            "--workers", "1", "--format", "csv", "--out", str(tmp_path),
+            "--stabilizer", ",".join(stabilizers), "--predictor", ",".join(predictors),
+            "--backup-size", ",".join(map(str, sizes))]
+    cells = _from_flags(argv).combinations()
+    assert [(c.stabilizer, c.predictor, c.backup_size) for c in cells] == expected
+    assert cli.main(["run", *argv]) == 0
+    rows = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [tuple(row.split(",")[:3]) for row in rows] == [(s, p, str(b)) for s, p, b in expected]
 
 
 def test_every_sweep_value_is_checked():

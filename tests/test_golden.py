@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from skipchurn import cli
+from skipchurn.bench import run_predictor_bench
+from skipchurn.predictors import PREDICTOR_KINDS
 
 RESULTS = ("results.csv", "results.json")
 
@@ -57,6 +59,10 @@ GOLDEN = {
         "results.csv": "4c676ddc32038e2c34ecf16d71c86dabfb02be3aaaf4d96fa3d136a52047354a",
         "results.json": "dffc5d6fa75cca6ee4e6594a99268df7ce2ba4b1bc69ce3ea5118090c1f9f70c",
     },
+    "stabilizer_sweep_stale": {
+        "results.csv": "e7d8766c5c2b17ad075aa11787c9b0898d5529f357c41914f660226350315537",
+        "results.json": "59901acffc2b2922c8c3faa3757f459efd6748c0c96828fc6229ef125995b28a",
+    },
     "predictor_sweep": {
         "results.csv": "19122232dc70c9759d2bfb2c7a3181b42fa6128bb6af8cb89f1ae2e413640ae8",
         "results.json": "f6ab0e4516eea9037b9a6214d7f05bbd6f7f0cd3d87e08915f3ff5fd2aeddac4",
@@ -91,6 +97,11 @@ def test_stabilizer_sweep_over_three_topologies(tmp_path):
     assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep"]
 
 
+def test_stabilizer_sweep_with_stale_rejoin(tmp_path):
+    assert cli.main(STABILIZER_SWEEP + ["--rejoin", "stale", "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep_stale"]
+
+
 def test_predictor_sweep_from_config_file(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(_config_file(tmp_path)), "--out", str(out)]) == 0
@@ -119,3 +130,13 @@ def test_predictor_table_with_two_workers(tmp_path):
 def test_predictor_table_under_other_churn(tmp_path, churn):
     assert cli.main(PREDICTOR_TABLE + PREDICTOR_TABLE_CHURN[churn] + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, ["predictor_errors.csv"]) == GOLDEN[f"predictor_table_{churn}"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predictor_table_wide_end_totals(workers):
+    # predictor_errors.csv has no wide-end column, so these sums are pinned here.
+    args = cli.build_parser().parse_args(PREDICTOR_TABLE)
+    config = cli.parse_config(None, cli._overrides_from_args(args)).base
+    result = run_predictor_bench(config, PREDICTOR_KINDS, workers)
+    assert result.right_size_sum == 6396.0
+    assert result.right_size_samples == 2048
