@@ -1,65 +1,10 @@
-"""Skip Graph overlay simulator with churn stabilization and availability prediction."""
+"""Skip Graph overlay simulator with churn stabilization and availability prediction.
 
-from .analytics import (
-    candidate_probability,
-    effective_probability,
-    estimate_backup_size,
-    estimate_search_path_bound,
-    expected_failure_path,
-    expected_online,
-    failure_probability,
-)
-from .churn import ChurnModel
-from .engine import RunMetrics, SimConfig, aggregate, run_search, run_topology
-from .overlay import (
-    Direction,
-    LookupTable,
-    NodeIdentity,
-    SearchMessage,
-    TopologySnapshot,
-    assign_name_ids,
-    common_prefix_length,
-    generate_topology,
-    ideal_search_oracle,
-    join_node,
-    route_step,
-)
-from .predictors import Dbg, SlidingWindowDbg, make_predictor, solve_stationary
-from .stabilizers import BackupTable, DksPointers, KademliaBuckets, kademlia_capacity
+The package root exports nothing.  Callers import the submodules:
+``skipchurn.cli`` for the ``run``, ``predict-bench`` and ``analyze`` commands,
+and ``skipchurn.engine``, ``skipchurn.overlay``, ``skipchurn.stabilizers``,
+``skipchurn.predictors``, ``skipchurn.churn``, ``skipchurn.bench`` and
+``skipchurn.analytics`` for their parts.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChurnModel",
-    "Dbg",
-    "Direction",
-    "LookupTable",
-    "NodeIdentity",
-    "RunMetrics",
-    "SearchMessage",
-    "SimConfig",
-    "SlidingWindowDbg",
-    "TopologySnapshot",
-    "BackupTable",
-    "DksPointers",
-    "KademliaBuckets",
-    "aggregate",
-    "assign_name_ids",
-    "candidate_probability",
-    "common_prefix_length",
-    "effective_probability",
-    "estimate_backup_size",
-    "estimate_search_path_bound",
-    "expected_failure_path",
-    "expected_online",
-    "failure_probability",
-    "generate_topology",
-    "ideal_search_oracle",
-    "join_node",
-    "kademlia_capacity",
-    "make_predictor",
-    "route_step",
-    "run_search",
-    "run_topology",
-    "solve_stationary",
-]

@@ -29,18 +29,6 @@ def candidate_probability(n: int) -> float:
     return float(inner.sum() / (n * n))
 
 
-def candidate_probability_quadratic(n: int) -> float:
-    """Literal double-sum evaluation, kept as the oracle for the reduced form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0.0
-    for x in range(0, n + 1):
-        denom = n - x + 1
-        for t in range(x, n + 1):
-            total += (t - x) / denom
-    return total / (n * n)
-
-
 def effective_probability(p: float, q: float) -> float:
     """Candidate probability discounted by the uniform online probability."""
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:

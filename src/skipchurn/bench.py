@@ -34,7 +34,7 @@ class PredictorBenchResult:
     error_sums: dict[str, float] = field(default_factory=dict)
     samples: int = 0
     per_topology_errors: dict[str, list[float]] = field(default_factory=dict)
-    right_size_sum: float = 0.0
+    right_size_sum: int = 0
     right_size_samples: int = 0
 
     def mean_error(self, kind: str) -> float:
@@ -55,7 +55,7 @@ class PredictorBenchResult:
         return rows
 
 
-def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
+def _bench_one_topology(args) -> tuple[dict[str, float], int, int, int]:
     config, kinds, topo_index = args
     capacity, slots = config.capacity, config.slots
     rng = np.random.default_rng([config.seed, topo_index, 2])
@@ -63,7 +63,7 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
     churn = ChurnProcess(config.churn, capacity)
     layers = {k: PredictorLayer(k, capacity, config.max_state_size, config.pred_error_mode) for k in kinds}
     err = {k: 0.0 for k in kinds}
-    right_sum = 0.0
+    right_sum = right_samples = 0
     for slot in range(slots):
         arrivals = churn.arrive(rng)
         for k, layer in layers.items():
@@ -71,10 +71,10 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, float, int]:
                 layer.catch_up(i, slot)
             layer.feed_online(churn.online, slot)
             err[k] = layer.error_sum(churn.online, err[k])
-        if "swdbg" in layers:
-            right_sum += layers["swdbg"].right_size_sum()
+            size_sum, samples = layer.wide_end_sample()
+            right_sum += size_sum
+            right_samples += samples
         churn.depart()
-    right_samples = slots * capacity if "swdbg" in layers else 0
     return err, slots * capacity, right_sum, right_samples
 
 

@@ -7,7 +7,8 @@ that ``ChurnModel.kind`` is ``churn-kind`` and ``SimConfig.pred_error_mode`` is
 ``pred-error``.  ``workers``, ``out`` and ``format`` configure the run itself.
 The sweep keys are the keys of the fields in ``engine.SWEEP_FIELDS``
 (``stabilizer``, ``predictor``, ``backup-size``); they and ``format`` take
-comma-separated lists.  ``search-cap none`` removes the per-slot search cap.
+comma-separated lists of distinct values.  ``search-cap none`` removes the
+per-slot search cap.
 
 The ``run`` subcommand executes the sweep, one cell per combination of the
 sweep values, ``analyze`` prints the closed-form chain as JSON, and
@@ -122,8 +123,12 @@ def parse_value(key: str, raw: str):
 
 
 def _read_config_file(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"config file not readable: {path}: {exc}") from exc
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith(";"):
             continue
@@ -148,17 +153,17 @@ def parse_config(
     """
     values = {**DEFAULTS, **(defaults or {})}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        values.update(_read_config_file(p))
+        values.update(_read_config_file(Path(path)))
     for key, val in (overrides or {}).items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = val
 
-    if not all(values[key] for key in SWEEP_KEYS):
-        raise ConfigError("sweep lists must be non-empty")
+    for key in _LIST_KEYS:
+        if not values[key]:
+            raise ConfigError(f"{key} needs at least one value")
+        if len(set(values[key])) < len(values[key]):
+            raise ConfigError(f"{key} lists a value twice: {','.join(map(str, values[key]))}")
     for f in values["format"]:
         if f not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {f!r}")
@@ -338,7 +343,7 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     print(f"{'predictor':<{width}}  mean_error  std_across_topologies")
     for kind, mean, std in rows:
         print(f"{kind:<{width}}  {mean:10.4f}  {std:.4f}")
-    if "swdbg" in kinds:
+    if result.right_size_samples:
         print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
     if spec.out_dir is not None:
         path = spec.out_dir / "predictor_errors.csv"

@@ -55,7 +55,7 @@ from .overlay import (
     join_node,
     route_step,
 )
-from .predictors import DEFAULT_MAX_STATE_SIZE, PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
+from .predictors import DEFAULT_MAX_STATE_SIZE, PRED_ERROR_MODES, PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
 from .stabilizers import STABILIZER_KINDS, make_stabilizer
 
 DEFAULT_SEARCH_CAP = 2000
@@ -100,7 +100,7 @@ class SimConfig:
             raise ConfigError("search-cap must be >= 0")
         if self.rejoin not in ("fresh", "stale"):
             raise ConfigError(f"unknown rejoin mode: {self.rejoin}")
-        if self.pred_error_mode not in ("window", "instant"):
+        if self.pred_error_mode not in PRED_ERROR_MODES:
             raise ConfigError(f"unknown pred-error mode: {self.pred_error_mode}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -219,10 +219,6 @@ class RunMetrics:
     @property
     def avg_backup_neighbors_per_level(self) -> float:
         return _ratio(self.totals.backup_entries_sum, self.totals.backup_samples) / self.levels
-
-    @property
-    def avg_right_state_size(self) -> float:
-        return _ratio(self.totals.right_size_sum, self.totals.right_size_samples)
 
     def _weighted_std(self, num: str, den: str) -> float:
         """Across-topology std of num/den, each topology weighted by its den."""
@@ -573,15 +569,11 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     scores = {}
     for layer in state.layers:
         layer.feed_online(up, slot)
-        right = layer.right_size_sum() if layer.kind == "swdbg" else 0
-        scores[layer] = (layer.error_sum(up, 0.0), right)
+        scores[layer] = (layer.error_sum(up, 0.0), *layer.wide_end_sample())
     online_index = [state.nodes[nid].index for nid in online]
     for cell, metrics in zip(state.cells, series):
-        metrics.sum_prediction_error, right = scores[cell.layer]
+        metrics.sum_prediction_error, metrics.right_size_sum, metrics.right_size_samples = scores[cell.layer]
         metrics.prediction_samples = n
-        if cell.layer.kind == "swdbg":
-            metrics.right_size_sum = right
-            metrics.right_size_samples = n
         if cell.config.stabilizer != "none":
             stabilizers = cell.stabilizers
             metrics.backup_entries_sum = sum(stabilizers[i].total_entries() for i in online_index)

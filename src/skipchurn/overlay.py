@@ -56,16 +56,6 @@ class LookupTable:
 
     levels: list[list[Optional[NodeIdentity]]]
 
-    @classmethod
-    def empty(cls, height: int) -> "LookupTable":
-        return cls(levels=[[None, None] for _ in range(height)])
-
-    def neighbor(self, level: int, direction: Direction) -> Optional[NodeIdentity]:
-        return self.levels[level][direction]
-
-    def set_neighbor(self, level: int, direction: Direction, ref: Optional[NodeIdentity]) -> None:
-        self.levels[level][direction] = ref
-
     def neighbor_num_ids(self) -> set[int]:
         return {ref.num_id for pair in self.levels for ref in pair if ref is not None}
 
@@ -105,7 +95,6 @@ class TopologySnapshot:
 
     capacity: int
     nodes: list[NodeIdentity]
-    rng_seed: int
 
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.capacity):
@@ -137,20 +126,8 @@ class TopologySnapshot:
         return [self._prefix_groups[lvl][ident.name_bits >> (length - lvl)] for lvl in range(length)]
 
 
-def common_prefix_length(a: str, b: str) -> int:
-    """Number of leading bits shared by two equal-length name IDs."""
-    if len(a) != len(b):
-        raise ValueError("name IDs must have equal length")
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return n
-
-
 def cpl_ints(a_bits: int, b_bits: int, length: int) -> int:
-    """common_prefix_length on integer-encoded name IDs (hot path)."""
+    """Number of leading bits shared by two ``length``-bit integer name IDs (hot path)."""
     x = a_bits ^ b_bits
     if x == 0:
         return length
@@ -216,7 +193,7 @@ def generate_topology(capacity: int, seed: int) -> TopologySnapshot:
         NodeIdentity(num_id=n, name_bits=name, coords=c)
         for n, name, c in zip(num_ids, names, coords)
     ]
-    return TopologySnapshot(capacity=capacity, nodes=nodes, rng_seed=seed)
+    return TopologySnapshot(capacity=capacity, nodes=nodes)
 
 
 def join_node(
@@ -263,17 +240,3 @@ def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Opt
         return nb if node_num_id < nb.num_id <= target else None
     return nb if target <= nb.num_id < node_num_id else None
 
-
-def ideal_search_oracle(online_num_ids: Sequence[int], target: int) -> int:
-    """Ground truth for a search: greatest ID <= target, else the smallest ID.
-
-    ``online_num_ids`` must be sorted ascending and non-empty.
-    """
-    if not online_num_ids:
-        raise ValueError("no online nodes")
-    pos = bisect_left(online_num_ids, target)
-    if pos < len(online_num_ids) and online_num_ids[pos] == target:
-        return online_num_ids[pos]
-    if pos == 0:
-        return online_num_ids[0]
-    return online_num_ids[pos - 1]

@@ -46,6 +46,9 @@ PREDICTOR_KINDS = ("swdbg", "dbg1", "dbg2", "dbg3", "dbg4", "lifetime", "ludp")
 # Kinds whose estimate counts the messages a node answers, so it depends on
 # the overlay's traffic and not on churn alone.
 TRAFFIC_FED_KINDS = ("ludp",)
+# How SW-DBG scores each chain of its window: against the online fraction of
+# the chain's own recent bits, or against the latest bit.
+PRED_ERROR_MODES = ("window", "instant")
 
 DEFAULT_MAX_STATE_SIZE = 8
 
@@ -60,46 +63,6 @@ def _stationary_core(P: np.ndarray) -> np.ndarray:
     rhs = np.zeros(m)
     rhs[-1] = 1.0
     return np.linalg.solve(A, rhs)
-
-
-def solve_stationary(transition_matrix) -> np.ndarray:
-    """Stationary distribution of an irreducible chain, by direct linear solve.
-
-    Raises ``ValueError("non-ergodic chain")`` when the positive-probability
-    graph is not strongly connected.  The result satisfies pi = pi P and
-    sums to 1 within an absolute residual of 1e-9.
-    """
-    P = np.asarray(transition_matrix, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("transition matrix must be square")
-    m = P.shape[0]
-    rows = P.sum(axis=1)
-    if not np.allclose(rows, 1.0, atol=1e-9):
-        raise ValueError("rows of the transition matrix must sum to 1")
-    adj = [np.flatnonzero(P[i] > 0.0).tolist() for i in range(m)]
-    radj = [[] for _ in range(m)]
-    for i in range(m):
-        for j in adj[i]:
-            radj[j].append(i)
-
-    def reachable(start, graph):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    if len(reachable(0, adj)) != m or len(reachable(0, radj)) != m:
-        raise ValueError("non-ergodic chain")
-    pi = _stationary_core(P)
-    residual = float(np.max(np.abs(pi @ P - pi)))
-    if residual > 1e-9 or abs(float(pi.sum()) - 1.0) > 1e-9:
-        raise ArithmeticError(f"stationary solve residual too large: {residual}")
-    return pi
 
 
 def _tarjan_sccs(nodes: list[int], succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
@@ -251,17 +214,6 @@ class Dbg:
         self._current: Optional[int] = None
         self._recent = 0
         self._plan: Optional[_ClassPlan] = None
-
-    @property
-    def current_state(self) -> Optional[int]:
-        return self._current
-
-    def transition_probability(self, state: int, bit: int) -> Optional[float]:
-        row = self._counts.get(state)
-        if not row:
-            return None
-        total = row[0] + row[1]
-        return row[bit] / total if total > 0 else None
 
     def _warm_fraction(self) -> float:
         return self.ones_seen / self.bits_seen if self.bits_seen else 0.0
@@ -455,7 +407,7 @@ class SlidingWindowDbg:
         max_state_size: int = DEFAULT_MAX_STATE_SIZE,
         error_mode: str = "window",
     ):
-        if error_mode not in ("window", "instant"):
+        if error_mode not in PRED_ERROR_MODES:
             raise ValueError(f"unknown error mode: {error_mode}")
         if max_state_size < 3:
             raise ValueError("max state size must allow the initial (1, 2, 3) window")
@@ -469,9 +421,6 @@ class SlidingWindowDbg:
     @property
     def prediction(self) -> float:
         return self.last_sop
-
-    def sizes(self) -> tuple[int, int, int]:
-        return (self.left.state_size, self.center.state_size, self.right.state_size)
 
     def _error(self, sop: float, dbg: Dbg, status: int) -> float:
         # every chain of the window holds the same newest bits and bit count
@@ -668,6 +617,9 @@ class PredictorLayer:
             total += abs(pred.prediction - (1 if up else 0))
         return total
 
-    def right_size_sum(self) -> int:
-        """Sum of the SW-DBG window's wide-end state sizes."""
-        return sum(pred.right.state_size for pred in self.predictors)
+    def wide_end_sample(self) -> tuple[int, int]:
+        """(sum of the SW-DBG windows' wide-end state sizes, nodes summed), or
+        (0, 0) for a kind without a window."""
+        if self.kind != "swdbg":
+            return 0, 0
+        return sum(pred.right.state_size for pred in self.predictors), len(self.predictors)

@@ -120,9 +120,6 @@ class BackupTable:
         self.max_size = max_size
         self._entries: dict[int, BackupEntry] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def _owner_score(self, e: BackupEntry) -> float:
         cpl = cpl_ints(self.owner.name_bits, e.name_bits, self.height)
         return _score(e.sop, cpl, abs(e.num_id - self.owner.num_id))
@@ -264,9 +261,6 @@ class KademliaBuckets:
         # never joins holds none.
         self.buckets: list[list[list[BackupEntry]]] = []
 
-    def bucket(self, level: int, direction: Direction) -> list[BackupEntry]:
-        return self.buckets[level][direction]
-
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
         lookup_ids = lookup.neighbor_num_ids()
@@ -313,6 +307,11 @@ class DksPointers:
     that next node requires asking the current tail, so no extension happens
     while the tail is offline, which is how runs of concurrent failures starve
     the list.
+
+    The tail ping is not in the contact trace that ``resolve`` returns, so it
+    adds no latency, no ``resolve_messages`` and no ``record_incoming`` to the
+    tail.  Whether to charge it is left to the next re-pin of the run outputs,
+    since charging it moves every DKS result.
     """
 
     def __init__(self, owner: NodeIdentity, level_groups: list[list[NodeIdentity]], max_size: int):

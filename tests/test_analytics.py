@@ -5,12 +5,21 @@ import pytest
 from skipchurn import cli
 from skipchurn.analytics import (
     candidate_probability,
-    candidate_probability_quadratic,
     effective_probability,
     estimate_backup_size,
     expected_failure_path,
     failure_probability,
 )
+
+
+def candidate_probability_quadratic(n):
+    """The literal double sum that ``candidate_probability`` reduces."""
+    total = 0.0
+    for x in range(0, n + 1):
+        denom = n - x + 1
+        for t in range(x, n + 1):
+            total += (t - x) / denom
+    return total / (n * n)
 
 
 def test_reduced_candidate_probability_matches_double_sum():

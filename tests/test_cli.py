@@ -99,6 +99,7 @@ def test_every_sweep_value_is_checked():
     ("colour = red\n", "unknown config key"),
     ("capacity = many\n", "invalid value for capacity"),
     ("format = xml\n", "format must be csv or json"),
+    ("format =\n", "format needs at least one value"),
 ])
 def test_bad_config_file_rejected(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
@@ -174,7 +175,13 @@ def test_predict_bench_honours_max_state_size_and_pred_error(capsys):
     (["--seed", "-1"], "seed must be >= 0"),
     (["--workers", "0"], "workers must be >= 1"),
     (["--workers", "-2"], "workers must be >= 1"),
-], ids=["swdbg-cap-2", "lifetime-cap-0", "seed-negative", "workers-0", "workers-negative"])
+    (["--config", "."], "config file not readable: .: "),
+    (["--format", ""], "format needs at least one value"),
+    (["--format", ","], "format needs at least one value"),
+    (["--backup-size", "8,8"], "backup-size lists a value twice: 8,8"),
+    (["--stabilizer", "dks,none,dks"], "stabilizer lists a value twice: dks,none,dks"),
+], ids=["swdbg-cap-2", "lifetime-cap-0", "seed-negative", "workers-0", "workers-negative",
+        "config-directory", "format-empty", "format-comma", "backup-size-repeated", "stabilizer-repeated"])
 def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out"
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]

@@ -12,13 +12,13 @@ from skipchurn.overlay import (
     SearchMessage,
     TopologySnapshot,
     assign_name_ids,
-    common_prefix_length,
     cpl_ints,
     generate_topology,
-    ideal_search_oracle,
     join_node,
     route_step,
 )
+
+from oracles import common_prefix_length
 
 
 def make_topology(pairs):
@@ -31,7 +31,7 @@ def make_topology(pairs):
     capacity = 1
     while capacity < n:
         capacity *= 2
-    return TopologySnapshot(capacity=max(2, capacity), nodes=nodes, rng_seed=0)
+    return TopologySnapshot(capacity=max(2, capacity), nodes=nodes)
 
 
 # A 10-node, 4-level overlay: six name IDs under the 0-prefix, four under 10
@@ -159,7 +159,7 @@ class TestGenerateTopology:
         topo = generate_topology(64, seed=8)
         shuffled = list(topo.nodes)
         random.Random(0).shuffle(shuffled)
-        snapshot = TopologySnapshot(capacity=64, nodes=shuffled, rng_seed=8)
+        snapshot = TopologySnapshot(capacity=64, nodes=shuffled)
         assert [n.num_id for n in snapshot.nodes] == sorted(n.num_id for n in shuffled)
         assert snapshot.nodes == topo.nodes
         for n in snapshot.nodes:
@@ -176,8 +176,8 @@ class TestJoin:
         topo = sample_topology()
         all_ids = sorted(n.num_id for n in topo.nodes)
         table = join_node(topo, 43, all_ids)
-        assert table.neighbor(0, Direction.LEFT).num_id == 41
-        assert table.neighbor(0, Direction.RIGHT).num_id == 50
+        assert table.levels[0][Direction.LEFT].num_id == 41
+        assert table.levels[0][Direction.RIGHT].num_id == 50
 
     def test_invariants_hold_for_every_node(self):
         topo = generate_topology(64, seed=9)
@@ -186,8 +186,8 @@ class TestJoin:
         for ident in topo.nodes:
             table = join_node(topo, ident.num_id, ids)
             for lvl in range(length):
-                left = table.neighbor(lvl, Direction.LEFT)
-                right = table.neighbor(lvl, Direction.RIGHT)
+                left = table.levels[lvl][Direction.LEFT]
+                right = table.levels[lvl][Direction.RIGHT]
                 if left is not None:
                     left_node = topo.node_by_num_id(left.num_id)
                     assert left is left_node  # the topology's own record
@@ -226,10 +226,14 @@ class TestJoin:
                 group = [i for i in online if i != joiner_id and cpl[i] >= lvl]
                 lefts = [i for i in group if i < joiner_id]
                 rights = [i for i in group if i > joiner_id]
-                left = table.neighbor(lvl, Direction.LEFT)
-                right = table.neighbor(lvl, Direction.RIGHT)
+                left = table.levels[lvl][Direction.LEFT]
+                right = table.levels[lvl][Direction.RIGHT]
                 assert (left.num_id if left else None) == (max(lefts) if lefts else None)
                 assert (right.num_id if right else None) == (min(rights) if rights else None)
+
+
+def empty_table(height):
+    return LookupTable([[None, None] for _ in range(height)])
 
 
 def _msg(target, level, direction):
@@ -238,19 +242,19 @@ def _msg(target, level, direction):
 
 class TestRouteStep:
     def test_forward_within_interval(self):
-        table = LookupTable.empty(2)
+        table = empty_table(2)
         neighbor = NodeIdentity(50, 0b10, (0.0, 0.0))
-        table.set_neighbor(1, Direction.RIGHT, neighbor)
+        table.levels[1][Direction.RIGHT] = neighbor
         assert route_step(43, table, _msg(59, 1, Direction.RIGHT)) is neighbor
 
     def test_overshoot_descends(self):
         # the level-1 neighbor lies past the target: no forward, the caller descends
-        table = LookupTable.empty(2)
-        table.set_neighbor(1, Direction.RIGHT, NodeIdentity(50, 0b10, (0.0, 0.0)))
+        table = empty_table(2)
+        table.levels[1][Direction.RIGHT] = NodeIdentity(50, 0b10, (0.0, 0.0))
         assert route_step(43, table, _msg(45, 1, Direction.RIGHT)) is None
 
     def test_level_zero_without_neighbor_terminates(self):
-        table = LookupTable.empty(2)
+        table = empty_table(2)
         assert route_step(43, table, _msg(45, 0, Direction.RIGHT)) is None
 
     # Explicit ids: pytest names an IntEnum member "1" on Python 3.11 and
@@ -262,7 +266,7 @@ class TestRouteStep:
     )
     def test_direction_against_target_raises(self, target, direction):
         with pytest.raises(ValueError, match="direction inconsistent"):
-            route_step(43, LookupTable.empty(2), _msg(target, 1, direction))
+            route_step(43, empty_table(2), _msg(target, 1, direction))
 
     def test_never_forwards_across_target(self):
         rng = np.random.default_rng(21)
@@ -277,7 +281,7 @@ class TestRouteStep:
             direction = Direction.RIGHT if target > nid else Direction.LEFT
             lvl = int(rng.integers(0, topo.name_length))
             got = route_step(nid, table, _msg(target, lvl, direction))
-            level_nb = table.neighbor(lvl, direction)
+            level_nb = table.levels[lvl][direction]
             if got is None:
                 assert level_nb is None or not (
                     nid < level_nb.num_id <= target or target <= level_nb.num_id < nid
@@ -289,17 +293,3 @@ class TestRouteStep:
                 else:
                     assert target <= got.num_id < nid
 
-
-class TestOracle:
-    def test_exact(self):
-        assert ideal_search_oracle([2, 13, 41], 41) == 41
-
-    def test_predecessor(self):
-        assert ideal_search_oracle([2, 13, 41], 40) == 13
-
-    def test_below_minimum_returns_smallest(self):
-        assert ideal_search_oracle([13, 41], 2) == 13
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no online nodes"):
-            ideal_search_oracle([], 5)

@@ -17,7 +17,6 @@ from skipchurn.predictors import (
     lifetime_availability,
     ludp_online_probability,
     make_predictor,
-    solve_stationary,
 )
 
 
@@ -26,6 +25,20 @@ def feed(dbg, bits):
     for b in bits:
         out = dbg.update(b)
     return out
+
+
+def transition_probability(dbg, state, bit):
+    """Empirical probability of ``bit`` after ``state``; None for a state never left."""
+    row = dbg._counts.get(state)
+    if not row:
+        return None
+    total = row[0] + row[1]
+    return row[bit] / total if total > 0 else None
+
+
+def sizes(window):
+    """The state sizes of a sliding window's three chains, narrow end first."""
+    return (window.left.state_size, window.center.state_size, window.right.state_size)
 
 
 def cycle_sop_oracle(pattern, state_size, steps=30000):
@@ -66,8 +79,8 @@ class TestDbgUpdate:
         d = Dbg(3)
         feed(d, rng.integers(0, 2, 500).tolist())
         for state in range(8):
-            p0 = d.transition_probability(state, 0)
-            p1 = d.transition_probability(state, 1)
+            p0 = transition_probability(d, state, 0)
+            p1 = transition_probability(d, state, 1)
             if p0 is not None:
                 assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
@@ -82,22 +95,24 @@ class TestDbgUpdate:
 
 
 class TestSolveStationary:
+    """``_stationary_core``, the one stationary solve, on irreducible chains."""
+
     def test_uniform_chain(self):
         P = np.full((4, 4), 0.25)
-        pi = solve_stationary(P)
+        pi = _stationary_core(P)
         assert pi == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_two_state_closed_form(self):
         a, b = 0.3, 0.2
         P = np.array([[1 - a, a], [b, 1 - b]])
-        pi = solve_stationary(P)
+        pi = _stationary_core(P)
         assert pi[1] == pytest.approx(a / (a + b), abs=1e-12)
 
     def test_matches_chain_walk(self):
         rng = np.random.default_rng(11)
         P = rng.random((4, 4)) + 0.05
         P /= P.sum(axis=1, keepdims=True)
-        pi = solve_stationary(P)
+        pi = _stationary_core(P)
         # Monte-Carlo oracle: frequency of state visits along a long walk
         steps = 1_000_000
         states = np.zeros(steps, dtype=np.int64)
@@ -114,12 +129,7 @@ class TestSolveStationary:
         rng = np.random.default_rng(2)
         P = rng.random((6, 6)) + 0.01
         P /= P.sum(axis=1, keepdims=True)
-        assert solve_stationary(P).sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_non_ergodic_rejected(self):
-        P = np.array([[1.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="non-ergodic"):
-            solve_stationary(P)
+        assert _stationary_core(P).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def reference_sop(dbg):
@@ -247,7 +257,7 @@ class TestCachedPlan:
                 if d.state_size > 1:
                     d = d.shrink()
             else:
-                fed = d.current_state is not None
+                fed = d._current is not None
                 got = d.update(op)
                 if fed:
                     assert got == reference_sop(d)
@@ -310,11 +320,11 @@ class TestEnlargeShrink:
     def test_enlarge_copies_probabilities_to_extensions(self):
         d = Dbg(1)
         feed(d, [0, 0, 1, 0, 0, 1, 0, 1, 0, 0])
-        p = d.transition_probability(0, 1)
+        p = transition_probability(d, 0, 1)
         e = d.enlarge()
         assert e.state_size == 2
-        assert e.transition_probability(0b00, 1) == pytest.approx(p)
-        assert e.transition_probability(0b01, 1) == pytest.approx(p)
+        assert transition_probability(e, 0b00, 1) == pytest.approx(p)
+        assert transition_probability(e, 0b01, 1) == pytest.approx(p)
 
     def test_enlarge_respects_cap(self):
         d = Dbg(3, max_state_size=3)
@@ -329,8 +339,8 @@ class TestEnlargeShrink:
         d._recent = 0b10
         d._current = 0b10
         s = d.shrink()
-        assert s.current_state == 0
-        assert s.transition_probability(1, 1) == pytest.approx(0.4)
+        assert s._current == 0
+        assert transition_probability(s, 1, 1) == pytest.approx(0.4)
         assert sum(s._counts[1]) == pytest.approx(20.0)
 
     def test_shrink_below_one_rejected(self):
@@ -346,20 +356,20 @@ class TestEnlargeShrink:
         assert back.state_size == d.state_size
         for state in range(1 << k):
             for bit in (0, 1):
-                p0 = d.transition_probability(state, bit)
-                p1 = back.transition_probability(state, bit)
+                p0 = transition_probability(d, state, bit)
+                p1 = transition_probability(back, state, bit)
                 if p0 is None:
                     assert p1 is None
                 else:
                     assert p1 == pytest.approx(p0, abs=1e-12)
-        assert back.current_state == d.current_state
+        assert back._current == d._current
 
 
 class TestSlidingWindow:
     def test_first_update_keeps_initial_sizes(self):
         w = SlidingWindowDbg()
         w.update(1)
-        assert w.sizes() == (1, 2, 3)
+        assert sizes(w) == (1, 2, 3)
 
     def test_worked_error_example(self):
         # each chain has seen the bits 1, 0, 1 (newest last)
@@ -382,7 +392,7 @@ class TestSlidingWindow:
         for b in rng.integers(0, 2, 300).tolist():
             w.update(b)
             fed.append(b)
-            windows.add(w.sizes())
+            windows.add(sizes(w))
             want = int("".join(map(str, fed[-6:])), 2)
             for d in (w.left, w.center, w.right):
                 assert (d._recent, d.bits_seen) == (want, len(fed))
@@ -403,7 +413,7 @@ class TestSlidingWindow:
         for b in rng.integers(0, 2, 400).tolist():
             got = w.update(b)
             assert 0.0 <= got <= 1.0
-            left, center, right = w.sizes()
+            left, center, right = sizes(w)
             assert center == left + 1 and right == center + 1
             assert left >= 1
 
@@ -463,7 +473,7 @@ class TestOfflineReplay:
             gap.update(0)
         got = gap.update(1)
         assert got == pytest.approx(direct.last_sop)
-        assert gap.sizes() == direct.sizes()
+        assert sizes(gap) == sizes(direct)
 
     @pytest.mark.parametrize("kind", ["swdbg", "dbg3", "lifetime"])
     def test_layer_catches_up_on_return_only(self, kind):

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,45 @@ def test_engine_imports_only_the_stabilizer_kinds_and_factory():
         elif isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names if alias.name.endswith("stabilizers")}
     assert found == {"STABILIZER_KINDS", "make_stabilizer"}
+
+
+def _definitions(tree: ast.Module):
+    """Every top-level function and class of a module, and every method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _uses(node: ast.AST) -> list[str]:
+    """Names read under ``node``: identifiers, attribute names and string constants.
+
+    Strings count because figures such as ``RunMetrics.REPORTED`` name the
+    properties that ``getattr`` reads.
+    """
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.append(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.append(sub.value)
+    return found
+
+
+def test_every_definition_is_reached_from_the_package():
+    # Code that only tests reach belongs in tests/: each function, class and
+    # method must be named somewhere in the package outside its own body.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    used = Counter(name for tree in trees.values() for name in _uses(tree))
+    unreached = []
+    for module, tree in trees.items():
+        for node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] <= _uses(node).count(name):
+                unreached.append(f"{module}:{node.lineno} {name}")
+    assert unreached == [], "defined but never used in the package: " + ", ".join(unreached)

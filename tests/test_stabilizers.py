@@ -11,7 +11,6 @@ from skipchurn.overlay import (
     NodeIdentity,
     PiggybackEntry,
     SearchMessage,
-    common_prefix_length,
     generate_topology,
 )
 from skipchurn.stabilizers import (
@@ -25,6 +24,8 @@ from skipchurn.stabilizers import (
     kademlia_capacity,
     make_stabilizer,
 )
+
+from oracles import common_prefix_length
 
 OWNER = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0.5, 0.5))
 HEIGHT = 4
@@ -51,8 +52,8 @@ def msg(target, level=0, direction=Direction.RIGHT, visited=()):
     return m
 
 
-def empty_lookup():
-    return LookupTable.empty(HEIGHT)
+def empty_lookup(height=HEIGHT):
+    return LookupTable([[None, None] for _ in range(height)])
 
 
 def always_online(_):
@@ -104,14 +105,14 @@ class TestBackupUpdate:
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         lookup = empty_lookup()
-        lookup.set_neighbor(0, Direction.RIGHT, NodeIdentity(106, 0b0001, (0.0, 0.0)))
+        lookup.levels[0][Direction.RIGHT] = NodeIdentity(106, 0b0001, (0.0, 0.0))
         table.update(lookup, [entry(106, "0001")])
-        assert len(table) == 0
+        assert table.total_entries() == 0
 
     def test_self_not_inserted(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(100, "1000")])
-        assert len(table) == 0
+        assert table.total_entries() == 0
 
     def test_placement_by_prefix_level_and_direction(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
@@ -135,7 +136,7 @@ class TestBackupUpdate:
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011", sop=0.2)])
         table.update(empty_lookup(), [entry(106, "1011", sop=0.9)])
-        assert len(table) == 1
+        assert table.total_entries() == 1
         assert table._entries[106].sop == 0.9
         assert members(table, 2, Direction.RIGHT) == {106}
 
@@ -145,14 +146,14 @@ class TestBackupUpdate:
         table.update(lookup, [entry(106, "1011", sop=0.9), entry(90, "0111", sop=0.9)])
         # prefix-0 entry scores zero and is dropped first
         table.update(lookup, [entry(110, "1001", sop=0.9)])
-        assert len(table) == 2
+        assert table.total_entries() == 2
         assert 90 not in table._entries
         assert {106, 110} <= set(table._entries)
 
     def test_zero_capacity_accepts_nothing(self):
         table = BackupTable(OWNER, HEIGHT, max_size=0)
         table.update(empty_lookup(), [entry(106, "1011")])
-        assert len(table) == 0
+        assert table.total_entries() == 0
 
     def test_eviction_matches_full_sort_oracle(self):
         rng = np.random.default_rng(8)
@@ -170,7 +171,7 @@ class TestBackupUpdate:
                 name = "".join(rng.choice(["0", "1"], size=4).tolist())
                 items.append(entry(nid, name, sop=float(rng.random())))
             table.update(lookup, items)
-            assert len(table) == size
+            assert table.total_entries() == size
             # oracle: worst = min score, ties to the farther then larger name
             def rank(e):
                 cpl = common_prefix_length(OWNER_NAME, name_of(e))
@@ -180,7 +181,7 @@ class TestBackupUpdate:
             expected_evict = min(table._entries.values(), key=rank).num_id
             newcomer = entry(1001, "1100", sop=0.5)
             table.update(lookup, [newcomer])
-            assert len(table) == size
+            assert table.total_entries() == size
             assert expected_evict not in table._entries
             assert 1001 in table._entries
 
@@ -198,7 +199,7 @@ class TestBackupUpdate:
             batch.append(entry(nid, name, sop=sop))
         for i in range(0, len(batch), 7):
             table.update(lookup, batch[i : i + 7])
-            assert len(table) <= 13
+            assert table.total_entries() <= 13
 
 
 def oracle_rank(num_id, name, sop):
@@ -330,7 +331,7 @@ class TestCachedScores:
                 assert e.name_bits == int(names[e.num_id], 2)
                 cpl = common_prefix_length(OWNER_NAME, names[e.num_id])
                 assert e.score == e.sop * cpl / abs(e.num_id - OWNER.num_id)
-            assert len(table) == len(model)
+            assert table.total_entries() == len(model)
 
 
 class TestBackupResolve:
@@ -438,20 +439,20 @@ class TestKademlia:
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
         buckets.reset(True)
-        lookup = LookupTable.empty(4)
+        lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011")])
         buckets.update(lookup, [entry(108, "1010")])
-        bucket = buckets.bucket(2, Direction.RIGHT)
+        bucket = buckets.buckets[2][Direction.RIGHT]
         assert [e.num_id for e in bucket] == [108]
 
     def test_reinsert_moves_to_head(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
         buckets.reset(True)
-        lookup = LookupTable.empty(4)
+        lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
         buckets.update(lookup, [entry(106, "1011")])
-        bucket = buckets.bucket(2, Direction.RIGHT)
+        bucket = buckets.buckets[2][Direction.RIGHT]
         assert [e.num_id for e in bucket] == [106, 108]
         assert len(bucket) == 2
 
@@ -459,12 +460,12 @@ class TestKademlia:
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)
         buckets.reset(True)
-        lookup = LookupTable.empty(4)
+        lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
         assert [t.num_id for t in trace] == [108, 106]
         assert got.num_id == 106
-        assert all(e.num_id != 108 for e in buckets.bucket(2, Direction.RIGHT))
+        assert all(e.num_id != 108 for e in buckets.buckets[2][Direction.RIGHT])
 
 
 def dks_fixture(max_size=8):
@@ -562,9 +563,8 @@ class TestLifecycle:
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
         table.reset(False)  # a stale rejoin keeps the table
-        assert len(table) == 2
+        assert table.total_entries() == 2
         table.reset(True)
-        assert len(table) == 0
         assert table.total_entries() == 0
 
     def test_reset_clears_buckets_only_when_fresh(self):
