@@ -5,6 +5,40 @@ The package root exports nothing.  Callers import the submodules:
 and ``skipchurn.engine``, ``skipchurn.overlay``, ``skipchurn.stabilizers``,
 ``skipchurn.predictors``, ``skipchurn.churn``, ``skipchurn.bench`` and
 ``skipchurn.analytics`` for their parts.
+
+BLAS runs on one thread.  OpenBLAS solves a system of 128 states or more to
+different bits with one thread than with several, so a result would depend on
+the machine's core count; the small SW-DBG solves also gain nothing from a
+second thread.  Importing the package therefore sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1, overriding the environment,
+which covers numpy imported later and spawned workers.  When numpy was
+imported first, the variables come too late, and the package sets the thread
+count of numpy's bundled OpenBLAS directly.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+
+def _pin_loaded_openblas() -> None:
+    """Set the thread count of the OpenBLAS that numpy already loaded to 1."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+if "numpy" in sys.modules:
+    _pin_loaded_openblas()

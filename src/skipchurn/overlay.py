@@ -52,12 +52,17 @@ class NodeIdentity:
 
 @dataclass
 class LookupTable:
-    """Per-level left/right neighbor pointers of one node, to registry records."""
+    """Per-level left/right neighbor pointers of one node, to registry records.
+
+    ``neighbor_ids`` is the set of the neighbors' numerical IDs, built once:
+    a join builds a new table, and nothing changes ``levels`` afterwards.
+    """
 
     levels: list[list[Optional[NodeIdentity]]]
+    neighbor_ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def neighbor_num_ids(self) -> set[int]:
-        return {ref.num_id for pair in self.levels for ref in pair if ref is not None}
+    def __post_init__(self) -> None:
+        self.neighbor_ids = frozenset(ref.num_id for pair in self.levels for ref in pair if ref is not None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -130,7 +130,7 @@ class BackupTable:
             return
         owner_id = self.owner.num_id
         entries = self._entries
-        lookup_ids = lookup.neighbor_num_ids()
+        lookup_ids = lookup.neighbor_ids
         for item in piggyback:
             num_id = item.num_id
             if num_id == owner_id or num_id in lookup_ids:
@@ -263,7 +263,7 @@ class KademliaBuckets:
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
-        lookup_ids = lookup.neighbor_num_ids()
+        lookup_ids = lookup.neighbor_ids
         for item in piggyback:
             if item.num_id == owner_id or item.num_id in lookup_ids:
                 continue

@@ -104,9 +104,9 @@ class TestBackupUpdate:
 
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
-        lookup = empty_lookup()
-        lookup.levels[0][Direction.RIGHT] = NodeIdentity(106, 0b0001, (0.0, 0.0))
-        table.update(lookup, [entry(106, "0001")])
+        levels = [[None, None] for _ in range(HEIGHT)]
+        levels[0][Direction.RIGHT] = NodeIdentity(106, 0b0001, (0.0, 0.0))
+        table.update(LookupTable(levels), [entry(106, "0001")])
         assert table.total_entries() == 0
 
     def test_self_not_inserted(self):
