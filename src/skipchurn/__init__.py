@@ -13,17 +13,21 @@ second thread.  Importing the package therefore sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1, overriding the environment,
 which covers numpy imported later and spawned workers.  When numpy was
 imported first, the variables come too late, and the package sets the thread
-count of numpy's bundled OpenBLAS directly.
+count of the OpenBLAS bundled in numpy's wheel directly; where numpy has no
+such library (a conda or distribution build, say), it warns that the thread
+count is unknown.
 """
 
 import os
 import sys
+import warnings
 
 __version__ = "0.1.0"
 
 
-def _pin_loaded_openblas() -> None:
-    """Set the thread count of the OpenBLAS that numpy already loaded to 1."""
+def _pin_loaded_openblas() -> bool:
+    """Set the thread count of the OpenBLAS that numpy already loaded to 1;
+    False if numpy bundles no OpenBLAS with that setter."""
     import ctypes
     import glob
 
@@ -36,9 +40,16 @@ def _pin_loaded_openblas() -> None:
             set_threads.argtypes = [ctypes.c_int]
             set_threads.restype = None
             set_threads(1)
+            return True
+    return False
 
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
-if "numpy" in sys.modules:
-    _pin_loaded_openblas()
+if "numpy" in sys.modules and not _pin_loaded_openblas():
+    warnings.warn(
+        "numpy was imported before skipchurn and its BLAS thread count could not be set; "
+        "results may depend on the core count unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS "
+        "and MKL_NUM_THREADS are 1 before numpy is imported",
+        RuntimeWarning,
+    )

@@ -67,7 +67,8 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, int, int]:
     for slot in range(slots):
         arrivals = churn.arrive(rng)
         for k, layer in layers.items():
-            layer.catch_up(arrivals, slot)
+            for i in arrivals:
+                layer.catch_up(i, slot)
             layer.feed_online(churn.online, slot)
             err[k] = layer.error_sum(churn.online, err[k])
             size_sum, samples = layer.wide_end_sample()

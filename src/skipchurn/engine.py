@@ -374,10 +374,10 @@ class SimulationState:
         self.online_ids: set[int] = set()
         self.slot_index = 0
 
-    def bring_online(self, indices: list[int], slot: int) -> None:
-        """Replay the slots the arriving nodes missed as offline bits, in every layer."""
+    def bring_online(self, index: int, slot: int) -> None:
+        """Replay the slots an arriving node missed as offline bits, in every layer."""
         for layer in self.layers:
-            layer.catch_up(indices, slot)
+            layer.catch_up(index, slot)
 
     def join(self, num_id: int) -> None:
         # Departing is a crash: a returning node rebuilds its lookup table
@@ -531,7 +531,8 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     arrivals = churn.arrive(rng)
     online = [nid for nid, up in zip(all_ids, churn.online) if up]
     state.online_ids = set(online)
-    state.bring_online(arrivals, slot)
+    for i in arrivals:
+        state.bring_online(i, slot)
     for i in arrivals:
         state.join(all_ids[i])
     n_o = len(online)

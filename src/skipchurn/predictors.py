@@ -22,19 +22,6 @@ floats.  A current state in a transient part takes the full path every time.
 A fixed-size chain behind the predictor interface solves lazily, when its
 ``prediction`` is read, not on every ``update``.
 
-Each estimate is written once.  It is a float when no linear solve is
-needed, else a generator that yields the systems it needs (each built
-directly as the matrix solved) and is sent their solutions.  One driver,
-``_run``, serves a single estimate, and ``_gather`` runs many side by side, so
-each round of solves covers every pending estimate: a slot's SW-DBG steps,
-the catch-up replays of all its arrivals in lockstep, or the fixed chains'
-estimates that ``error_sum`` reads.  ``_solve`` groups a round's systems by
-size and solves each group as stacked ``np.linalg.solve`` calls, split by a
-fixed byte limit so that large systems never pile up in memory.  A stacked
-solve runs the same LAPACK routine on each matrix as a single one, and the
-online mass is summed in the same order, so the estimates are the same floats
-however many nodes share a round.
-
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
@@ -66,93 +53,16 @@ PRED_ERROR_MODES = ("window", "instant")
 DEFAULT_MAX_STATE_SIZE = 8
 
 
-# Same-size systems are solved in stacks of at most this many bytes of matrix,
-# so a round with many 128- or 256-state systems holds only a few at once.
-_STACK_BYTES = 1 << 18
-
-
-def _solve(systems: list) -> list[list[float]]:
-    """The solution of each system, in order, as a list of floats.
-
-    A system is ``(m, diagonal, positions, values, rhs)``: the m x m matrix
-    with ``diagonal`` on its diagonal and ``values`` written over it at the
-    row-major ``positions``, and the right-hand side ``rhs`` (m floats).
-    Systems of one size share stacked ``np.linalg.solve`` calls, which run the
-    same LAPACK routine on each matrix as a single solve would.
-    """
-    by_size: dict[int, list[int]] = {}
-    for n, system in enumerate(systems):
-        by_size.setdefault(system[0], []).append(n)
-    solutions: list = [None] * len(systems)
-    for m, members in by_size.items():
-        cells = m * m
-        per_stack = max(1, _STACK_BYTES // (8 * cells))
-        for lo in range(0, len(members), per_stack):
-            chunk = members[lo : lo + per_stack]
-            k = len(chunk)
-            positions: list[int] = []
-            values: list[float] = []
-            lengths = []
-            for n in chunk:
-                _, _, pos, val, _ = systems[n]
-                positions += pos
-                values += val
-                lengths.append(len(pos))
-            a = np.zeros((k, cells))
-            a[:, :: m + 1] = np.array([systems[n][1] for n in chunk])[:, None]
-            offsets = np.repeat(np.arange(0, k * cells, cells), lengths)
-            a.reshape(-1)[offsets + np.array(positions, dtype=np.intp)] = values
-            b = np.array([systems[n][4] for n in chunk])
-            x = np.linalg.solve(a.reshape(k, m, m), b[:, :, None])
-            for n, xn in zip(chunk, x[:, :, 0].tolist()):
-                solutions[n] = xn
-    return solutions
-
-
-def _run(estimate):
-    """The value of one estimate, driving it through its rounds of solves.
-
-    An estimate is a float, or a generator that yields lists of systems, is
-    sent their solutions, and returns the float.
-    """
-    if isinstance(estimate, float):
-        return estimate
-    try:
-        systems = next(estimate)
-        while True:
-            systems = estimate.send(_solve(systems))
-    except StopIteration as done:
-        return done.value
-
-
-def _gather(estimates: list):
-    """Estimate generator running ``estimates`` side by side; returns their
-    values in order.
-
-    Each round yields the systems every unfinished generator is waiting on, as
-    one list, and hands each generator its own solutions.
-    """
-    results = list(estimates)
-    pending = []
-    for i, gen in enumerate(results):
-        if not isinstance(gen, float):
-            try:
-                pending.append((i, gen, next(gen)))
-            except StopIteration as done:
-                results[i] = done.value
-    while pending:
-        solutions = yield [system for _, _, systems in pending for system in systems]
-        waiting = []
-        at = 0
-        for i, gen, systems in pending:
-            n = len(systems)
-            try:
-                waiting.append((i, gen, gen.send(solutions[at : at + n])))
-            except StopIteration as done:
-                results[i] = done.value
-            at += n
-        pending = waiting
-    return results
+def _stationary_core(P: np.ndarray) -> np.ndarray:
+    """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P."""
+    m = P.shape[0]
+    if m == 1:
+        return np.ones(1)
+    A = P.T - np.eye(m)
+    A[-1, :] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    return np.linalg.solve(A, rhs)
 
 
 def _tarjan_sccs(nodes: list[int], succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
@@ -224,11 +134,12 @@ class _ClassPlan:
         self.online = [j for j, s in enumerate(comp) if s & 1]
 
 
-def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int):
-    """The stationary online mass of a terminal class under the current counts,
-    as an estimate: a float when a closed form holds, else ``_class_solve``.
+def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> float:
+    """Stationary online mass of a terminal class under the current counts.
 
-    Probabilities are ``count / (count0 + count1)``.
+    Probabilities are ``count / (count0 + count1)`` and the online mass is
+    summed as numpy scalars in Tarjan order, so a plan built once and reused
+    gives the same float as one built afresh.
     """
     idx = plan.index
     m = len(idx)
@@ -246,79 +157,17 @@ def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int):
         p_up = ra[1] / (ra[0] + ra[1])
         p_down = rb[0] / (rb[0] + rb[1])
         return p_up / (p_up + p_down)
-    return _class_solve(plan, counts, mask)
-
-
-def _class_solve(plan: _ClassPlan, counts: dict[int, list[float]], mask: int):
-    """Estimate generator of a class of three or more states.
-
-    The system is ``P.T - I`` with its last row set to ones, built in place,
-    and the online mass is summed in Tarjan order, so a plan built once and
-    reused gives the same float as one built afresh.
-    """
-    idx = plan.index
-    m = len(idx)
-    last = m - 1
-    positions = list(range(last * m, m * m))
-    values = [1.0] * m
+    P = np.zeros((m, m))
     for s, j in idx.items():
-        c0, c1 = counts[s]
-        total = c0 + c1
-        base = (s << 1) & mask
-        if c0 > 0.0:
-            i = idx[base]
-            if i != last:
-                positions.append(i * m + j)
-                values.append(c0 / total - 1.0 if i == j else c0 / total)
-        if c1 > 0.0:
-            i = idx[base | 1]
-            if i != last:
-                positions.append(i * m + j)
-                values.append(c1 / total - 1.0 if i == j else c1 / total)
-    (pi,) = yield [(m, -1.0, positions, values, [0.0] * last + [1.0])]
-    mass = 0.0
-    for j in plan.online:
-        mass += pi[j]
-    return mass
-
-
-def _transient_solve(cur: int, transient: list[int], comp_id: dict[int, int], sccs: list[list[int]],
-                     counts: dict[int, list[float]], mask: int):
-    """Estimate generator of a current state ``cur`` in a transient part.
-
-    The estimate is the online mass the walk from ``cur`` is absorbed into:
-    ``(I - Q) v = r``, where ``Q`` holds the transitions within the part and
-    ``r`` each state's one-step mass into every terminal class times that
-    class's online mass.  The classes are estimated first, side by side.
-    """
-    t_idx = {s: j for j, s in enumerate(transient)}
-    m = len(transient)
-    positions: list[int] = []
-    values: list[float] = []
-    exits = []
-    for s in transient:
-        j = t_idx[s]
         row = counts[s]
         total = row[0] + row[1]
         base = (s << 1) & mask
-        for t, c in ((base, row[0]), (base | 1, row[1])):
-            if c <= 0.0:
-                continue
-            p = c / total
-            if t in t_idx:
-                i = t_idx[t]
-                positions.append(j * m + i)
-                values.append(1.0 - p if i == j else -p)
-            else:
-                exits.append((j, p, comp_id[t]))
-    classes = list(dict.fromkeys(ci for _, _, ci in exits))
-    sops = yield from _gather([_class_sop(_ClassPlan(sccs[ci]), counts, mask) for ci in classes])
-    class_sop = dict(zip(classes, sops))
-    r = [0.0] * m
-    for j, p, ci in exits:
-        r[j] += p * class_sop[ci]
-    (v,) = yield [(m, 1.0, positions, values, r)]
-    return float(min(1.0, max(0.0, v[t_idx[cur]])))
+        if row[0] > 0.0:
+            P[j, idx[base]] = row[0] / total
+        if row[1] > 0.0:
+            P[j, idx[base | 1]] = row[1] / total
+    pi = _stationary_core(P)
+    return float(sum(pi[j] for j in plan.online))
 
 
 class Dbg:
@@ -402,19 +251,11 @@ class Dbg:
         Until ``state_size`` prior bits exist the estimate is the plain
         fraction of online bits seen so far.
         """
-        return _run(self._update(status))
-
-    def _update(self, status: int):
-        """``update`` as an estimate (see ``_run``)."""
         warm = self.observe(status)
-        return self._estimate() if warm is None else warm
+        return self.stationary_online_probability() if warm is None else warm
 
     def stationary_online_probability(self) -> float:
         """Long-run probability of an online slot under the observed chain."""
-        return _run(self._estimate())
-
-    def _estimate(self):
-        """``stationary_online_probability`` as an estimate (see ``_run``)."""
         if self._current is None:
             return self._warm_fraction()
         if self.ones_seen == self.bits_seen:
@@ -467,8 +308,31 @@ class Dbg:
         if terminal[cur_comp]:
             self._plan = plan = _ClassPlan(sccs[cur_comp])
             return _class_sop(plan, counts, mask)
+
         transient = [s for s in reach if not terminal[comp_id[s]]]
-        return _transient_solve(cur, transient, comp_id, sccs, counts, mask)
+        t_idx = {s: j for j, s in enumerate(transient)}
+        m = len(transient)
+        Q = np.zeros((m, m))
+        r = np.zeros(m)
+        sop_cache: dict[int, float] = {}
+        for s in transient:
+            j = t_idx[s]
+            row = counts[s]
+            total = row[0] + row[1]
+            base = (s << 1) & mask
+            for t, c in ((base, row[0]), (base | 1, row[1])):
+                if c <= 0.0:
+                    continue
+                p = c / total
+                if t in t_idx:
+                    Q[j, t_idx[t]] += p
+                else:
+                    ci = comp_id[t]
+                    if ci not in sop_cache:
+                        sop_cache[ci] = _class_sop(_ClassPlan(sccs[ci]), counts, mask)
+                    r[j] += p * sop_cache[ci]
+        values = np.linalg.solve(np.eye(m) - Q, r)
+        return float(min(1.0, max(0.0, values[t_idx[cur]])))
 
     def _seed_from_recent(self, recent: int) -> None:
         self._recent = recent
@@ -567,39 +431,33 @@ class SlidingWindowDbg:
         return abs(sop - frac)
 
     def update(self, status: int) -> float:
-        return _run(self._steps(status, 1))
-
-    def _steps(self, status: int, times: int):
-        """Estimate generator feeding ``status`` ``times`` times in turn, as
-        ``update`` does; returns the last estimate."""
         status = 1 if status else 0
-        for _ in range(times):
-            dbgs = [self.left, self.center, self.right]
-            sops = yield from _gather([d._update(status) for d in dbgs])
-            errs = [self._error(sops[i], dbgs[i], status) for i in range(3)]
+        dbgs = [self.left, self.center, self.right]
+        sops = [d.update(status) for d in dbgs]
+        errs = [self._error(sops[i], dbgs[i], status) for i in range(3)]
 
-            while errs[0] > errs[1] > errs[2]:
-                if dbgs[2].state_size + 1 > self.max_state_size:
-                    logger.debug("window enlarge refused at state size cap %d", self.max_state_size)
-                    break
-                grown = dbgs[2].enlarge()
-                dbgs = [dbgs[1], dbgs[2], grown]
-                (sop,) = yield from _gather([grown._estimate()])
-                sops = [sops[1], sops[2], sop]
-                errs = [errs[1], errs[2], self._error(sop, grown, status)]
+        while errs[0] > errs[1] > errs[2]:
+            if dbgs[2].state_size + 1 > self.max_state_size:
+                logger.debug("window enlarge refused at state size cap %d", self.max_state_size)
+                break
+            grown = dbgs[2].enlarge()
+            dbgs = [dbgs[1], dbgs[2], grown]
+            sop = grown.stationary_online_probability()
+            sops = [sops[1], sops[2], sop]
+            errs = [errs[1], errs[2], self._error(sop, grown, status)]
 
-            while errs[0] < errs[1] < errs[2]:
-                if dbgs[0].state_size == 1:
-                    break
-                shrunk = dbgs[0].shrink()
-                dbgs = [shrunk, dbgs[0], dbgs[1]]
-                (sop,) = yield from _gather([shrunk._estimate()])
-                sops = [sop, sops[0], sops[1]]
-                errs = [self._error(sop, shrunk, status), errs[0], errs[1]]
+        while errs[0] < errs[1] < errs[2]:
+            if dbgs[0].state_size == 1:
+                break
+            shrunk = dbgs[0].shrink()
+            dbgs = [shrunk, dbgs[0], dbgs[1]]
+            sop = shrunk.stationary_online_probability()
+            sops = [sop, sops[0], sops[1]]
+            errs = [self._error(sop, shrunk, status), errs[0], errs[1]]
 
-            self.left, self.center, self.right = dbgs
-            best = min(range(3), key=lambda i: errs[i])
-            self.last_sop = sops[best]
+        self.left, self.center, self.right = dbgs
+        best = min(range(3), key=lambda i: errs[i])
+        self.last_sop = sops[best]
         return self.last_sop
 
     def record_incoming(self) -> None:
@@ -725,10 +583,9 @@ class PredictorLayer:
     """One predictor of one kind per registry index, and the last slot fed to each.
 
     ``feed_online`` gives every online node its 1 for the slot;
-    ``catch_up`` replays the slots returning nodes missed as 0s.  Until its
+    ``catch_up`` replays the slots a returning node missed as 0s.  Until its
     catch-up an offline node keeps the prediction of its last online slot,
-    and ``error_sum`` scores that prediction.  SW-DBG steps, and the pending
-    fixed-chain estimates ``error_sum`` reads, run side by side across nodes.
+    and ``error_sum`` scores that prediction.
     """
 
     __slots__ = ("kind", "predictors", "last_fed")
@@ -739,43 +596,23 @@ class PredictorLayer:
         self.predictors = [make_predictor(kind, size, max_state_size, error_mode) for _ in range(size)]
         self.last_fed = [-1] * size
 
-    def _feed(self, status: int, runs: list[tuple]) -> None:
-        """Feed each predictor of the (predictor, times) pairs ``runs`` ``status``
-        that many times; SW-DBG windows step side by side."""
-        if self.kind == "swdbg":
-            _run(_gather([pred._steps(status, times) for pred, times in runs]))
-            return
-        for pred, times in runs:
-            for _ in range(times):
-                pred.update(status)
-
-    def catch_up(self, indices: list[int], slot: int) -> None:
-        """Feed each node in ``indices`` a 0 for each slot it missed before ``slot``."""
-        last_fed = self.last_fed
-        runs = []
-        for i in indices:
-            if last_fed[i] + 1 < slot:
-                runs.append((self.predictors[i], slot - 1 - last_fed[i]))
-            last_fed[i] = slot - 1
-        self._feed(0, runs)
+    def catch_up(self, index: int, slot: int) -> None:
+        """Feed node ``index`` a 0 for each slot it missed before ``slot``."""
+        pred = self.predictors[index]
+        for _ in range(self.last_fed[index] + 1, slot):
+            pred.update(0)
+        self.last_fed[index] = slot - 1
 
     def feed_online(self, online: list[bool], slot: int) -> None:
         """Feed every node online in ``slot`` its 1."""
         last_fed = self.last_fed
-        runs = []
         for i, (pred, up) in enumerate(zip(self.predictors, online)):
             if up:
-                runs.append((pred, 1))
+                pred.update(1)
                 last_fed[i] = slot
-        self._feed(1, runs)
 
     def error_sum(self, online: list[bool], total: float) -> float:
         """``total`` plus every node's |prediction - status|, in index order."""
-        if self.kind.startswith("dbg"):
-            pending = [pred for pred in self.predictors if pred._prediction is None]
-            estimates = _run(_gather([pred.dbg._estimate() for pred in pending]))
-            for pred, value in zip(pending, estimates):
-                pred._prediction = value
         for pred, up in zip(self.predictors, online):
             total += abs(pred.prediction - (1 if up else 0))
         return total
@@ -786,4 +623,3 @@ class PredictorLayer:
         if self.kind != "swdbg":
             return 0, 0
         return sum(pred.right.state_size for pred in self.predictors), len(self.predictors)
-

@@ -1,7 +1,4 @@
-"""Oracles that tests compare the package against: string-based name-ID
-arithmetic, and the dense stationary solve of an irreducible chain."""
-
-import numpy as np
+"""String-based oracles that tests compare the package's integer code against."""
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -14,16 +11,3 @@ def common_prefix_length(a: str, b: str) -> int:
             break
         n += 1
     return n
-
-
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P, one
-    dense ``P.T - I`` system at a time."""
-    m = P.shape[0]
-    if m == 1:
-        return np.ones(1)
-    A = P.T - np.eye(m)
-    A[-1, :] = 1.0
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    return np.linalg.solve(A, rhs)

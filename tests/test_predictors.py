@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from oracles import stationary_distribution
-from skipchurn import predictors
 from skipchurn.predictors import (
     Dbg,
+    _stationary_core,
     _tarjan_sccs,
     FixedDbgPredictor,
     LifetimePredictor,
@@ -100,25 +99,24 @@ class TestDbgUpdate:
 
 
 class TestSolveStationary:
-    """``stationary_distribution``, the dense solve ``reference_sop`` builds on,
-    on irreducible chains."""
+    """``_stationary_core``, the one stationary solve, on irreducible chains."""
 
     def test_uniform_chain(self):
         P = np.full((4, 4), 0.25)
-        pi = stationary_distribution(P)
+        pi = _stationary_core(P)
         assert pi == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_two_state_closed_form(self):
         a, b = 0.3, 0.2
         P = np.array([[1 - a, a], [b, 1 - b]])
-        pi = stationary_distribution(P)
+        pi = _stationary_core(P)
         assert pi[1] == pytest.approx(a / (a + b), abs=1e-12)
 
     def test_matches_chain_walk(self):
         rng = np.random.default_rng(11)
         P = rng.random((4, 4)) + 0.05
         P /= P.sum(axis=1, keepdims=True)
-        pi = stationary_distribution(P)
+        pi = _stationary_core(P)
         # Monte-Carlo oracle: frequency of state visits along a long walk
         steps = 1_000_000
         states = np.zeros(steps, dtype=np.int64)
@@ -135,7 +133,7 @@ class TestSolveStationary:
         rng = np.random.default_rng(2)
         P = rng.random((6, 6)) + 0.01
         P /= P.sum(axis=1, keepdims=True)
-        assert stationary_distribution(P).sum() == pytest.approx(1.0, abs=1e-9)
+        assert _stationary_core(P).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def reference_sop(dbg):
@@ -214,7 +212,7 @@ def reference_sop(dbg):
         for s in comp:
             for t, p in prob_edges[s]:
                 P[idx[s], idx[t]] = p
-        pi = stationary_distribution(P)
+        pi = _stationary_core(P)
         return float(sum(pi[idx[s]] for s in comp if s & 1))
 
     cur_comp = comp_id[cur]
@@ -289,66 +287,6 @@ class TestCachedPlan:
         assert d.shrink()._plan is None
 
 
-def replay_against_layer(kind, masks):
-    """Feed per-slot online masks through one ``PredictorLayer`` and, node by
-    node, through a predictor of its own that replays each missed slot with
-    ``update``.  After every slot the error sums and every prediction must be
-    the same floats."""
-    n = len(masks[0])
-    layer = PredictorLayer(kind, n)
-    refs = [make_predictor(kind, n) for _ in range(n)]
-    last_fed = [-1] * n
-    before = [False] * n
-    for slot, online in enumerate(masks):
-        layer.catch_up([i for i in range(n) if online[i] and not before[i]], slot)
-        layer.feed_online(online, slot)
-        got = layer.error_sum(online, 0.0)
-        want = 0.0
-        for i, (ref, up) in enumerate(zip(refs, online)):
-            if up:
-                for _ in range(last_fed[i] + 1, slot):
-                    ref.update(0)
-                ref.update(1)
-                last_fed[i] = slot
-            want += abs(ref.prediction - (1 if up else 0))
-        assert got == want
-        assert [p.prediction for p in layer.predictors] == [r.prediction for r in refs]
-        before = online
-
-
-online_masks = st_.integers(1, 5).flatmap(
-    lambda n: st_.lists(st_.lists(st_.booleans(), min_size=n, max_size=n), min_size=1, max_size=40)
-)
-
-
-class TestBatchedLayer:
-    """The layer solves many nodes' systems in stacks; each node must still get
-    the floats its own predictor computes alone."""
-
-    @pytest.mark.parametrize("kind", ["swdbg", "dbg1", "dbg2", "dbg3", "dbg4"])
-    @given(masks=online_masks)
-    @settings(max_examples=80, deadline=None)
-    def test_equals_per_node_replay(self, kind, masks):
-        replay_against_layer(kind, masks)
-
-    def test_large_chains_split_into_stacks(self, monkeypatch):
-        # SW-DBG windows on random bits soon hold chains of more than 64
-        # states; a small stack limit splits every size into several stacks
-        sizes = []
-        solve = predictors._solve
-
-        def spy(systems):
-            sizes.extend(system[0] for system in systems)
-            return solve(systems)
-
-        monkeypatch.setattr(predictors, "_solve", spy)
-        monkeypatch.setattr(predictors, "_STACK_BYTES", 8 * 16 * 16)
-        rng = np.random.default_rng(4)
-        replay_against_layer("swdbg", (rng.random((50, 6)) < 0.6).tolist())
-        assert max(sizes) > 64
-        assert any(sizes.count(m) > 1 for m in range(3, 17))
-
-
 BLAS_PROBE = """
 import sys
 if sys.argv[1] == "numpy-first":
@@ -372,28 +310,51 @@ rhs[-1] = 1.0
 print(np.linalg.solve(A, rhs).tobytes().hex(), dbg.stationary_online_probability().hex())
 """
 
+NO_OPENBLAS_PROBE = """
+import tempfile
+import warnings
+
+import numpy
+
+# numpy as if built without the wheel's bundled OpenBLAS
+numpy.__file__ = tempfile.mkdtemp() + "/numpy/__init__.py"
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import skipchurn
+print(*(w.category.__name__ for w in caught))
+"""
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_probe(probe, *args, threads=None):
+    """Run ``probe`` in a fresh interpreter with none of the BLAS thread
+    variables set, or with ``OPENBLAS_NUM_THREADS`` set to ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return run.stdout
+
 
 def test_blas_thread_count_does_not_change_the_bits():
     # OpenBLAS solves a 256-state system to other bits with two threads than
-    # with one; the package pins one thread, also when numpy came first
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = {}
-    for label, threads, order in (
-        ("one", "1", "package-first"),
-        ("two", "2", "package-first"),
-        ("unset", None, "package-first"),
-        ("numpy first, two", "2", "numpy-first"),
-    ):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = src
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        run = subprocess.run(
-            [sys.executable, "-c", BLAS_PROBE, order],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        outputs[label] = run.stdout
+    # with one; the package pins one thread, also when numpy came first and
+    # would otherwise start one thread per core
+    outputs = {
+        (threads, order): run_probe(BLAS_PROBE, order, threads=threads)
+        for threads in ("1", "2", None)
+        for order in ("package-first", "numpy-first")
+    }
     assert len(set(outputs.values())) == 1, outputs
+
+
+def test_warns_when_loaded_blas_cannot_be_pinned():
+    assert run_probe(NO_OPENBLAS_PROBE).split() == ["RuntimeWarning"]
 
 
 class TestLazyFixedPrediction:
@@ -604,11 +565,11 @@ class TestOfflineReplay:
             # away, node 0 keeps the prediction of its last online slot
             assert layer.predictors[0].prediction == kept
             assert layer.error_sum([False, False], 0.25) == 0.25 + kept + 0.0
-        layer.catch_up([0], 5)
+        layer.catch_up(0, 5)
         layer.feed_online([True, False], 5)
         assert layer.predictors[0].prediction == direct.prediction
         assert layer.last_fed == [5, -1]
-        layer.catch_up([0], 6)  # nothing missed
+        layer.catch_up(0, 6)  # nothing missed
         assert layer.predictors[0].prediction == direct.prediction
         assert layer.error_sum([True, False], 0.0) == abs(direct.prediction - 1)
 
