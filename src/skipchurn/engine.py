@@ -402,16 +402,18 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
 
     Until the message reaches the target, each step forwards to the eligible
     level neighbor (see :func:`route_step`).  A forward to an online neighbor
-    costs one round trip and extends the piggyback; one to an offline neighbor
-    costs a timeout and then consults the cell's stabilizer, whose contact
-    trace is charged per attempt (a timeout per offline candidate, one round
-    trip for the online one, which also carries the redirect).  With no
-    eligible neighbor, or no candidate, the search descends a level, or ends
-    at level 0 with the executor as result.  A search for its own initiator
-    succeeds at once with no hop and no latency.
+    costs one round trip; one to an offline neighbor costs a timeout and then
+    consults the cell's stabilizer, whose contact trace is charged per attempt
+    (a timeout per offline candidate, one round trip for the online one, which
+    also carries the redirect).  When the cell's stores read the search path,
+    each forward and redirect extends the piggyback and updates the
+    receiver's store.  With no eligible neighbor, or no candidate, the search
+    descends a level, or ends at level 0 with the executor as result.  A
+    search for its own initiator succeeds at once with no hop and no latency.
     """
     nodes = state.nodes
     stabilizers = cell.stabilizers
+    reads_path = stabilizers[0].reads_path
     predictors = cell.layer.predictors
     cfg = cell.config
     base_ms = cfg.rtt_base_ms
@@ -443,10 +445,11 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
             hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
             if online[nb_node.index]:
                 latency += hop_rtt
-                msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
                 predictors[nb_node.index].record_incoming()
-                stabilizers[nb_node.index].update(nb_node.lookup, msg.piggyback.values())
+                if reads_path:
+                    msg.add_piggyback(_piggyback_entry(current, predictors))
+                    stabilizers[nb_node.index].update(nb_node.lookup, msg.piggyback.values())
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
@@ -478,10 +481,11 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                     }
                 )
             if candidate is not None:
-                msg.add_piggyback(_piggyback_entry(current, predictors))
                 hops += 1
                 cand_node = nodes[candidate.num_id]
-                stabilizers[cand_node.index].update(cand_node.lookup, msg.piggyback.values())
+                if reads_path:
+                    msg.add_piggyback(_piggyback_entry(current, predictors))
+                    stabilizers[cand_node.index].update(cand_node.lookup, msg.piggyback.values())
                 if trace_hops is not None:
                     trace_hops.append(
                         {"from": current_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}

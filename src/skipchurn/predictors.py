@@ -13,14 +13,15 @@ terminal classes are reachable (possible after a state-size change) their
 stationary values are mixed by absorption probability.  A class consisting
 solely of online-ending or offline-ending states degenerates to 1 or 0.
 
-Each chain caches the plan of the terminal class its current state lies in
-(the class's Tarjan order and state positions) and drops it when a transition
-count goes from 0 to positive.  While the plan holds, an estimate skips the
-reach search and the SCC pass; the probabilities, the matrix and the solve are
-computed as on a fresh build, so cached and uncached estimates are the same
-floats.  A current state in a transient part takes the full path every time.
-A fixed-size chain behind the predictor interface solves lazily, when its
-``prediction`` is read, not on every ``update``.
+An estimate's structure (reach search, SCC pass, terminal test, transient
+order, member order of each terminal class) depends only on the state size,
+the set of transitions seen and the current state; one bounded memo shared by
+every chain keys it on those three.  Equal keys give the same insertion order
+into the reach set, hence the same Tarjan order and fill order of the solve,
+and the counts enter only in the probabilities, the matrix and the solve, so
+memoized and uncached estimates are the same floats.  A fixed-size chain
+behind the predictor interface solves lazily, when its ``prediction`` is
+read, not on every ``update``.
 
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
@@ -36,6 +37,8 @@ last prediction until that catch-up.
 from __future__ import annotations
 
 import logging
+from array import array
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -131,7 +134,7 @@ class _ClassPlan:
 
     def __init__(self, comp: list[int]):
         self.index = {s: j for j, s in enumerate(comp)}
-        self.online = [j for j, s in enumerate(comp) if s & 1]
+        self.online = tuple(j for j, s in enumerate(comp) if s & 1)
 
 
 def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> float:
@@ -170,6 +173,88 @@ def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> f
     return float(sum(pi[j] for j in plan.online))
 
 
+# Unbounded, the shape memo grows with every new edge set of a run.
+SHAPE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _chain_shape(mask: int, edges: int, cur: int):
+    """The structure of the estimate from ``cur`` (see ``Dbg._edges``): the
+    ``_ClassPlan`` of the terminal class holding ``cur``, or, for a transient
+    ``cur``, ``(place of cur, rows, classes)``.  ``rows`` holds three ints per
+    transient state in solve order: the state, then where its 0 and 1 edges
+    lead (a transient place, the transient count plus a place in ``classes``,
+    or -1 for an unseen edge).  ``classes`` holds the reached terminal
+    classes' members in Tarjan order, as tuples, most of them of one state;
+    ``rows`` is an int array, a fraction of the memory of a tuple."""
+    reach = {cur}
+    stack = [cur]
+    succ: dict[int, tuple[int, ...]] = {}
+    while stack:
+        s = stack.pop()
+        out = (edges >> (s << 1)) & 3
+        base = (s << 1) & mask
+        succ[s] = ((base,) if out & 1 else ()) + ((base | 1,) if out & 2 else ())
+        for t in succ[s]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    sccs = _tarjan_sccs(sorted(reach), succ)
+    comp_id = {}
+    for i, comp in enumerate(sccs):
+        for s in comp:
+            comp_id[s] = i
+    terminal = [all(comp_id[w] == i for s in comp for w in succ[s]) for i, comp in enumerate(sccs)]
+    if terminal[comp_id[cur]]:
+        return _ClassPlan(sccs[comp_id[cur]])
+    # the solve numbers transient states in the reach set's iteration order
+    transient = [s for s in reach if not terminal[comp_id[s]]]
+    t_idx = {s: j for j, s in enumerate(transient)}
+    m = len(transient)
+    class_at: dict[int, int] = {}
+    rows = []
+    for s in transient:
+        out = (edges >> (s << 1)) & 3
+        base = (s << 1) & mask
+        rows.append(s)
+        for b, t in enumerate((base, base | 1)):
+            if not out >> b & 1:
+                rows.append(-1)
+            elif t in t_idx:
+                rows.append(t_idx[t])
+            else:
+                rows.append(m + class_at.setdefault(comp_id[t], len(class_at)))
+    return t_idx[cur], array("i", rows), tuple(tuple(sccs[i]) for i in class_at)
+
+
+def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> float:
+    """Online mass reached from a transient state (a ``_chain_shape`` tuple):
+    the absorption solve over the transient states, each terminal class
+    weighted by its stationary online mass under the current counts."""
+    cur, rows, classes = shape
+    m = len(rows) // 3
+    Q = np.zeros((m, m))
+    r = np.zeros(m)
+    sops: list[Optional[float]] = [None] * len(classes)
+    it = iter(rows)
+    for j, (s, t0, t1) in enumerate(zip(it, it, it)):
+        row = counts[s]
+        total = row[0] + row[1]
+        for t, c in ((t0, row[0]), (t1, row[1])):
+            if t < 0:
+                continue
+            p = c / total
+            if t < m:
+                Q[j, t] += p
+            else:
+                v = sops[t - m]
+                if v is None:
+                    v = sops[t - m] = _class_sop(_ClassPlan(classes[t - m]), counts, mask)
+                r[j] += p * v
+    values = np.linalg.solve(np.eye(m) - Q, r)
+    return float(min(1.0, max(0.0, values[cur])))
+
+
 class Dbg:
     """Empirical De Bruijn graph over k-bit uptime histories.
 
@@ -177,12 +262,14 @@ class Dbg:
     averages their probabilities while preserving total transition mass, which
     is generally not representable with integers.
 
-    When the current state lies in a terminal class, the chain keeps that
-    class's plan (Tarjan order and state positions).  The plan stays valid
-    until a transition count goes from 0 to positive: without a new edge the
-    walk cannot leave a terminal class and the class's graph is unchanged, so
-    later estimates only recompute probabilities and the solve.  A chain made
-    by ``enlarge`` or ``shrink`` starts without a plan.
+    ``_edges`` has bit ``(s << 1) | b`` set when the count of bit ``b`` after
+    state ``s`` is positive; with the mask and the current state it keys the
+    shared shape memo (``_chain_shape``).  When the current state lies in a
+    terminal class, the chain keeps that class's plan, the memo's object,
+    until a transition count goes from 0 to positive, the only time
+    ``_edges`` changes: without a new edge the walk cannot leave a terminal
+    class.  A chain made by ``enlarge`` or ``shrink`` derives ``_edges`` from
+    its counts and starts without a plan.
 
     ``_recent`` holds the newest ``max_state_size + 1`` status bits, newest
     lowest; ``bits_seen`` is its length until it is full.
@@ -197,6 +284,7 @@ class Dbg:
         "_counts",
         "_current",
         "_recent",
+        "_edges",
         "_plan",
     )
 
@@ -213,6 +301,7 @@ class Dbg:
         self._counts: dict[int, list[float]] = {}
         self._current: Optional[int] = None
         self._recent = 0
+        self._edges = 0
         self._plan: Optional[_ClassPlan] = None
 
     def _warm_fraction(self) -> float:
@@ -240,6 +329,7 @@ class Dbg:
             row = [0.0, 0.0]
             self._counts[prev] = row
         if row[status] == 0.0:
+            self._edges |= 1 << ((prev << 1) | status)
             self._plan = None
         row[status] += 1.0
         self._current = ((prev << 1) & self._mask) | status
@@ -264,80 +354,24 @@ class Dbg:
             return 0.0
         mask = self._mask
         counts = self._counts
-        cur = self._current
         plan = self._plan
-        if plan is not None and cur in plan.index:
-            return _class_sop(plan, counts, mask)
-        reach = {cur}
-        stack = [cur]
-        while stack:
-            s = stack.pop()
-            row = counts.get(s)
-            if row is None:
-                continue
-            base = (s << 1) & mask
-            if row[0] > 0.0 and base not in reach:
-                reach.add(base)
-                stack.append(base)
-            t1 = base | 1
-            if row[1] > 0.0 and t1 not in reach:
-                reach.add(t1)
-                stack.append(t1)
-        if len(reach) == 1:
-            return float(cur & 1)
+        if plan is None or self._current not in plan.index:
+            shape = _chain_shape(mask, self._edges, self._current)
+            if type(shape) is _ClassPlan:
+                self._plan = plan = shape
+            else:
+                return _transient_sop(shape, counts, mask)
+        return _class_sop(plan, counts, mask)
 
-        succ: dict[int, tuple[int, ...]] = {}
-        for s in reach:
-            row = counts.get(s)
-            if row is None:
-                succ[s] = ()
-                continue
-            base = (s << 1) & mask
-            succ[s] = tuple(t for t, c in ((base, row[0]), (base | 1, row[1])) if c > 0.0)
-
-        sccs = _tarjan_sccs(sorted(reach), succ)
-        comp_id = {}
-        for i, comp in enumerate(sccs):
-            for s in comp:
-                comp_id[s] = i
-        terminal = [
-            all(comp_id[w] == i for s in comp for w in succ[s]) for i, comp in enumerate(sccs)
-        ]
-
-        cur_comp = comp_id[cur]
-        if terminal[cur_comp]:
-            self._plan = plan = _ClassPlan(sccs[cur_comp])
-            return _class_sop(plan, counts, mask)
-
-        transient = [s for s in reach if not terminal[comp_id[s]]]
-        t_idx = {s: j for j, s in enumerate(transient)}
-        m = len(transient)
-        Q = np.zeros((m, m))
-        r = np.zeros(m)
-        sop_cache: dict[int, float] = {}
-        for s in transient:
-            j = t_idx[s]
-            row = counts[s]
-            total = row[0] + row[1]
-            base = (s << 1) & mask
-            for t, c in ((base, row[0]), (base | 1, row[1])):
-                if c <= 0.0:
-                    continue
-                p = c / total
-                if t in t_idx:
-                    Q[j, t_idx[t]] += p
-                else:
-                    ci = comp_id[t]
-                    if ci not in sop_cache:
-                        sop_cache[ci] = _class_sop(_ClassPlan(sccs[ci]), counts, mask)
-                    r[j] += p * sop_cache[ci]
-        values = np.linalg.solve(np.eye(m) - Q, r)
-        return float(min(1.0, max(0.0, values[t_idx[cur]])))
-
-    def _seed_from_recent(self, recent: int) -> None:
-        self._recent = recent
+    def _seed_from_counts(self, parent: "Dbg") -> None:
+        """Take the parent's bit history, and the edges of the counts just set."""
+        self.bits_seen = parent.bits_seen
+        self.ones_seen = parent.ones_seen
+        self._recent = parent._recent
         if self.bits_seen >= self.state_size:
-            self._current = recent & self._mask
+            self._current = self._recent & self._mask
+        for s, row in self._counts.items():
+            self._edges |= (row[0] > 0.0) << (s << 1) | (row[1] > 0.0) << ((s << 1) | 1)
 
     def enlarge(self) -> "Dbg":
         """Copy into a chain one bit wider.
@@ -352,9 +386,7 @@ class Dbg:
         for s, row in self._counts.items():
             child._counts[s << 1] = [row[0], row[1]]
             child._counts[(s << 1) | 1] = [row[0], row[1]]
-        child.bits_seen = self.bits_seen
-        child.ones_seen = self.ones_seen
-        child._seed_from_recent(self._recent)
+        child._seed_from_counts(self)
         return child
 
     def shrink(self) -> "Dbg":
@@ -384,9 +416,7 @@ class Dbg:
             p0 = (r0[0] / t0 + r1[0] / t1) / 2.0
             p1 = (r0[1] / t0 + r1[1] / t1) / 2.0
             child._counts[m] = [p0 * mass, p1 * mass]
-        child.bits_seen = self.bits_seen
-        child.ones_seen = self.ones_seen
-        child._seed_from_recent(self._recent)
+        child._seed_from_counts(self)
         return child
 
 

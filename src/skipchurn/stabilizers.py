@@ -1,17 +1,20 @@
 """Timeout-failure recovery strategies.
 
 Every stabilizer is one node's store behind one protocol; the engine never
-asks which kind it holds.  ``update(lookup, piggyback)`` runs on each search
+asks which kind it holds.  ``reads_path`` declares whether the store reads the
+search path: the piggyback in ``update`` or the visited set in ``resolve``.
+For a store that does, ``update(lookup, piggyback)`` runs on each search
 message the node handles and feeds the piggybacked availability entries into
-the store.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
+the store; for one that does not, the engine builds neither and calls no
+``update``.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
 neighbor at the level and direction of ``msg``; it pings candidates from the
 store until one answers, returning that candidate together with the ordered
-contact trace (candidate, was_online) used for latency accounting.  A
-``None`` candidate tells the caller to descend a level, or to end the whole
-search when already at level 0.  ``reset(fresh)`` runs on every join, the
-first one included, and applies the store's own join rule; ``fresh`` is false
-when a returning node keeps its state (rejoin = stale).  ``total_entries()``
-counts what the store holds.
+contact trace (candidate, was_online) used for latency accounting.  A ``None``
+candidate tells the caller to descend a level, or to end the whole search when
+already at level 0.  ``reset(fresh)`` runs on every join, the first one
+included, and applies the store's own join rule; ``fresh`` is false when a
+returning node keeps its state (rejoin = stale).  ``total_entries()`` counts
+what the store holds.
 
 Strategies:
 
@@ -118,6 +121,7 @@ class BackupTable:
         self.owner = owner
         self.height = height
         self.max_size = max_size
+        self.reads_path = max_size > 0
         self._entries: dict[int, BackupEntry] = {}
 
     def _owner_score(self, e: BackupEntry) -> float:
@@ -251,6 +255,8 @@ def kademlia_capacity(b: int, levels: int) -> tuple[tuple[int, int], ...]:
 class KademliaBuckets:
     """Recency-ordered backup lists with per-bucket capacity."""
 
+    reads_path = True
+
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
         self.owner = owner
         self.height = height
@@ -314,6 +320,8 @@ class DksPointers:
     since charging it moves every DKS result.
     """
 
+    reads_path = False
+
     def __init__(self, owner: NodeIdentity, level_groups: list[list[NodeIdentity]], max_size: int):
         """``level_groups[level]`` is the numerically sorted list of all registry
         nodes whose name ID shares at least ``level`` prefix bits with the
@@ -344,10 +352,6 @@ class DksPointers:
             right = group[pos + 1 : pos + 1 + cap_right]
             self.lists.append([left, right])
             self._frontier.append([pos - len(left) - 1, pos + len(right) + 1])
-
-    def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
-        # Successor pointers ignore piggybacked availability information.
-        return
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         target = msg.target_num_id

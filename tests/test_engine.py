@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipchurn import cli
+from skipchurn import cli, engine
 from skipchurn.churn import ChurnModel
 from skipchurn.engine import ChurnProcess, SearchOutcome, SimConfig, SimulationState, run_search
 from skipchurn.overlay import generate_topology
-from skipchurn.stabilizers import STABILIZER_KINDS
+from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,6 +142,38 @@ def test_cells_that_ignore_b_or_the_predictor_search_alike(tmp_path):
     # differ from it and from each other, and timeouts reached the stores
     assert len(set().union(*signatures.values())) == 5
     assert resolves > 10_000
+
+
+def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, monkeypatch):
+    # dks ignores piggybacks and visited sets and none holds nothing, so their
+    # searches build no piggyback entry and call no update
+    calls = defaultdict(int)
+
+    def counting(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_search(*args):
+        outcome = search(*args)
+        calls["hop"] += outcome.hops
+        return outcome
+
+    search = engine.run_search
+    monkeypatch.setattr(engine, "run_search", counting_search)
+    monkeypatch.setattr(engine, "_piggyback_entry", counting("entry", engine._piggyback_entry))
+    # a dks store has no update, so a call would raise
+    for store in (BackupTable, KademliaBuckets):
+        monkeypatch.setattr(store, "update", counting("update", store.update))
+    for kind in STABILIZER_KINDS:
+        calls.clear()
+        argv = ORACLE_RUN + ["--stabilizer", kind, "--backup-size", "8", "--out", str(tmp_path / kind)]
+        assert cli.main(argv) == 0
+        hops = calls.pop("hop")
+        assert hops > 1000
+        # every hop of a path-reading store carries one entry and one update
+        assert calls == ({} if kind in ("dks", "none") else {"entry": hops, "update": hops})
 
 
 def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():

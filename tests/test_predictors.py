@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from skipchurn.predictors import (
+    SHAPE_MEMO_SIZE,
     Dbg,
+    _chain_shape,
     _stationary_core,
     _tarjan_sccs,
     FixedDbgPredictor,
@@ -248,24 +250,45 @@ chain_ops = st_.lists(
 )
 
 
+def made_chain(k, counts, current):
+    """A chain of state size ``k`` with the given counts and current state,
+    as if it had seen five online and five offline bits."""
+    d = Dbg(k)
+    d._counts = {s: list(row) for s, row in counts.items()}
+    d._edges = sum(1 << ((s << 1) | b) for s, row in counts.items() for b in (0, 1) if row[b] > 0.0)
+    d._current = current
+    d.bits_seen, d.ones_seen = 10, 5
+    return d
+
+
+# Counts with the edges 0 -> 1 and 1 -> 2; the tests add a row for state 2
+# with both edges.  At state size 2 these lead back to 0 and 1, one terminal
+# class {0, 1, 2}; at state size 3 they lead to the dead ends 4 and 5, and the
+# states 1 and 2 are transient.
+SHARED_EDGES = {0: (0.0, 1.0), 1: (1.0, 0.0)}
+
+
 class TestCachedPlan:
     @given(st_.integers(1, 4), st_.integers(4, 8), chain_ops)
     @settings(max_examples=300, deadline=None)
     def test_matches_uncached_reference_bitwise(self, k, cap, ops):
-        d = Dbg(k, max_state_size=cap)
-        for op in ops:
-            if op == "enlarge":
-                if d.state_size < cap:
-                    d = d.enlarge()
-            elif op == "shrink":
-                if d.state_size > 1:
-                    d = d.shrink()
-            else:
-                fed = d._current is not None
-                got = d.update(op)
-                if fed:
-                    assert got == reference_sop(d)
-            assert d.stationary_online_probability() == reference_sop(d)
+        # the ops run twice: on a cold memo, then on the memo the first run filled
+        _chain_shape.cache_clear()
+        for _ in ("cold", "warm"):
+            d = Dbg(k, max_state_size=cap)
+            for op in ops:
+                if op == "enlarge":
+                    if d.state_size < cap:
+                        d = d.enlarge()
+                elif op == "shrink":
+                    if d.state_size > 1:
+                        d = d.shrink()
+                else:
+                    fed = d._current is not None
+                    got = d.update(op)
+                    if fed:
+                        assert got == reference_sop(d)
+                assert d.stationary_online_probability() == reference_sop(d)
 
     def test_new_edge_drops_cached_plan(self):
         d = Dbg(2)
@@ -273,11 +296,34 @@ class TestCachedPlan:
         two_cycle = d.stationary_online_probability()
         assert d._plan is not None and sorted(d._plan.index) == [0b01, 0b10]
         assert d.update(1) == 1.0  # new edge 01 -> 11; 11 has no way out yet
-        assert d._plan is None
+        assert sorted(d._plan.index) == [0b11]  # a terminal class of its own
         got = d.update(0)  # new edge 11 -> 10 closes the class {01, 10, 11}
         assert got == reference_sop(d)
         assert got != two_cycle
         assert sorted(d._plan.index) == [0b01, 0b10, 0b11]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_chains_with_one_edge_set_and_other_counts_share_the_shape(self, k):
+        _chain_shape.cache_clear()
+        chains = [made_chain(k, {**SHARED_EDGES, 2: row}, 1) for row in ((1.0, 1.0), (3.0, 1.0))]
+        got = [d.stationary_online_probability() for d in chains]
+        assert got == [reference_sop(d) for d in chains]
+        assert got[0] != got[1]
+        info = _chain_shape.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        if k == 2:  # a terminal class's plan is the memo's one object, not a copy per chain
+            assert chains[0]._plan is not None and chains[0]._plan is chains[1]._plan
+
+    def test_equal_edge_bits_at_other_state_sizes_are_other_shapes(self):
+        _chain_shape.cache_clear()
+        narrow, wide = (made_chain(k, {**SHARED_EDGES, 2: (1.0, 1.0)}, 1) for k in (2, 3))
+        assert (narrow._edges, narrow._current) == (wide._edges, wide._current)
+        assert narrow.stationary_online_probability() == reference_sop(narrow) == pytest.approx(0.4)
+        assert wide.stationary_online_probability() == reference_sop(wide) == pytest.approx(0.5)
+        assert _chain_shape.cache_info().misses == 2
+
+    def test_the_shape_memo_is_bounded(self):
+        assert _chain_shape.cache_info().maxsize == SHAPE_MEMO_SIZE < float("inf")
 
     def test_resized_chain_starts_without_a_plan(self):
         d = Dbg(2)
