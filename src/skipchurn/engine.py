@@ -445,52 +445,42 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
             hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
             if online[nb_node.index]:
                 latency += hop_rtt
-                hops += 1
                 predictors[nb_node.index].record_incoming()
-                if reads_path:
-                    msg.add_piggyback(_piggyback_entry(current, predictors))
-                    stabilizers[nb_node.index].update(nb_node.lookup, msg.piggyback.values())
+                hop, kind = nb, "forward"
+            else:
+                # timeout failure on the lookup neighbor
+                latency += timeout_mult * hop_rtt
+                candidate, contact_trace = stabilizers[current.index].resolve(msg, state.online_ids.__contains__)
+                resolve_inv += 1
+                resolve_msgs += len(contact_trace)
+                for attempt in contact_trace:
+                    other = nodes[attempt.num_id]
+                    ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
+                    if attempt.online:
+                        latency += ping_rtt
+                        predictors[other.index].record_incoming()
+                    else:
+                        latency += timeout_mult * ping_rtt
                 if trace_hops is not None:
                     trace_hops.append(
-                        {"from": current_id, "to": nb.num_id, "level": msg.level, "kind": "forward"}
+                        {
+                            "from": current_id,
+                            "level": msg.level,
+                            "kind": "resolve",
+                            "failed_neighbor": nb.num_id,
+                            "contacts": [[a.num_id, a.online] for a in contact_trace],
+                        }
                     )
-                current, current_id = nb_node, nb.num_id
-                continue
-
-            # timeout failure on the lookup neighbor
-            latency += timeout_mult * hop_rtt
-            candidate, contact_trace = stabilizers[current.index].resolve(msg, state.online_ids.__contains__)
-            resolve_inv += 1
-            resolve_msgs += len(contact_trace)
-            for attempt in contact_trace:
-                other = nodes[attempt.num_id]
-                ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
-                if attempt.online:
-                    latency += ping_rtt
-                    predictors[other.index].record_incoming()
-                else:
-                    latency += timeout_mult * ping_rtt
-            if trace_hops is not None:
-                trace_hops.append(
-                    {
-                        "from": current_id,
-                        "level": msg.level,
-                        "kind": "resolve",
-                        "failed_neighbor": nb.num_id,
-                        "contacts": [[a.num_id, a.online] for a in contact_trace],
-                    }
-                )
-            if candidate is not None:
+                hop, kind = candidate, "redirect"
+            if hop is not None:
                 hops += 1
-                cand_node = nodes[candidate.num_id]
+                hop_node = nodes[hop.num_id]
                 if reads_path:
                     msg.add_piggyback(_piggyback_entry(current, predictors))
-                    stabilizers[cand_node.index].update(cand_node.lookup, msg.piggyback.values())
+                    stabilizers[hop_node.index].update(hop_node.lookup, msg.piggyback.values())
                 if trace_hops is not None:
-                    trace_hops.append(
-                        {"from": current_id, "to": candidate.num_id, "level": msg.level, "kind": "redirect"}
-                    )
-                current, current_id = cand_node, candidate.num_id
+                    trace_hops.append({"from": current_id, "to": hop.num_id, "level": msg.level, "kind": kind})
+                current, current_id = hop_node, hop.num_id
                 continue
         # no eligible neighbor, or no candidate: descend, or end at level 0
         if msg.level == 0:

@@ -1,8 +1,10 @@
 """Availability predictors.
 
-Every predictor consumes one status bit per time slot (1 online, 0 offline)
-and exposes ``prediction``, its current estimate of the node's availability
-probability in [0, 1].
+Every predictor kind follows one protocol.  ``update(bit)`` records one status
+bit per time slot (1 online, 0 offline) and returns nothing; ``prediction`` is
+the estimate of the node's availability probability in [0, 1] after the last
+bit, 0.0 before any; ``record_incoming()`` counts one message the node
+answers, which only ``ludp`` reads.
 
 The De Bruijn graph predictor keeps empirical transition counts between k-bit
 uptime histories and reports the stationary probability mass of the states
@@ -11,7 +13,8 @@ over the full state space, so the estimate is computed on the terminal
 strongly-connected class reachable from the current state; when several
 terminal classes are reachable (possible after a state-size change) their
 stationary values are mixed by absorption probability.  A class consisting
-solely of online-ending or offline-ending states degenerates to 1 or 0.
+solely of online-ending or offline-ending states degenerates to 1 or 0.  A
+chain solves lazily, when its ``prediction`` is read, not on every bit.
 
 An estimate's structure (reach search, SCC pass, terminal test, transient
 order, member order of each terminal class) depends only on the state size,
@@ -19,9 +22,7 @@ the set of transitions seen and the current state; one bounded memo shared by
 every chain keys it on those three.  Equal keys give the same insertion order
 into the reach set, hence the same Tarjan order and fill order of the solve,
 and the counts enter only in the probabilities, the matrix and the solve, so
-memoized and uncached estimates are the same floats.  A fixed-size chain
-behind the predictor interface solves lazily, when its ``prediction`` is
-read, not on every ``update``.
+memoized and uncached estimates are the same floats.
 
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
@@ -184,9 +185,10 @@ def _chain_shape(mask: int, edges: int, cur: int):
     ``cur``, ``(place of cur, rows, classes)``.  ``rows`` holds three ints per
     transient state in solve order: the state, then where its 0 and 1 edges
     lead (a transient place, the transient count plus a place in ``classes``,
-    or -1 for an unseen edge).  ``classes`` holds the reached terminal
-    classes' members in Tarjan order, as tuples, most of them of one state;
-    ``rows`` is an int array, a fraction of the memory of a tuple."""
+    or -1 for an unseen edge).  ``classes`` holds each reached terminal class
+    once: its online mass, 0.0 or 1.0, when all its members end alike (most
+    are single dead-end states), otherwise its ``_ClassPlan``; ``rows`` is an
+    int array, a fraction of the memory of a tuple."""
     reach = {cur}
     stack = [cur]
     succ: dict[int, tuple[int, ...]] = {}
@@ -224,7 +226,12 @@ def _chain_shape(mask: int, edges: int, cur: int):
                 rows.append(t_idx[t])
             else:
                 rows.append(m + class_at.setdefault(comp_id[t], len(class_at)))
-    return t_idx[cur], array("i", rows), tuple(tuple(sccs[i]) for i in class_at)
+    classes = []
+    for i in class_at:
+        comp = sccs[i]
+        ones = sum(s & 1 for s in comp)
+        classes.append(_ClassPlan(comp) if 0 < ones < len(comp) else 1.0 if ones else 0.0)
+    return t_idx[cur], array("i", rows), tuple(classes)
 
 
 def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> float:
@@ -233,9 +240,11 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
     weighted by its stationary online mass under the current counts."""
     cur, rows, classes = shape
     m = len(rows) // 3
-    Q = np.zeros((m, m))
+    # I - Q filled in place: each (j, t) is written at most once, so 1.0 - p
+    # and 0.0 - p are the bits that subtracting a filled Q would give
+    A = np.eye(m)
     r = np.zeros(m)
-    sops: list[Optional[float]] = [None] * len(classes)
+    sops = [c if type(c) is float else _class_sop(c, counts, mask) for c in classes]
     it = iter(rows)
     for j, (s, t0, t1) in enumerate(zip(it, it, it)):
         row = counts[s]
@@ -245,18 +254,16 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
                 continue
             p = c / total
             if t < m:
-                Q[j, t] += p
+                A[j, t] -= p
             else:
-                v = sops[t - m]
-                if v is None:
-                    v = sops[t - m] = _class_sop(_ClassPlan(classes[t - m]), counts, mask)
-                r[j] += p * v
-    values = np.linalg.solve(np.eye(m) - Q, r)
+                r[j] += p * sops[t - m]
+    values = np.linalg.solve(A, r)
     return float(min(1.0, max(0.0, values[cur])))
 
 
 class Dbg:
-    """Empirical De Bruijn graph over k-bit uptime histories.
+    """Empirical De Bruijn graph over k-bit uptime histories; the ``dbg1`` to
+    ``dbg4`` predictors are one chain each.
 
     Transition counts are kept as floats: merging two states during a shrink
     averages their probabilities while preserving total transition mass, which
@@ -270,6 +277,12 @@ class Dbg:
     ``_edges`` changes: without a new edge the walk cannot leave a terminal
     class.  A chain made by ``enlarge`` or ``shrink`` derives ``_edges`` from
     its counts and starts without a plan.
+
+    ``_prediction`` caches the estimate after the last bit: ``observe`` sets
+    it to the warm-up fraction while fewer than ``state_size`` bits preceded
+    the last one (the step that fills the warm-up window included), and
+    clears it otherwise, so ``prediction`` solves once when it is read.  A new
+    chain holds 0.0; one made by ``enlarge`` or ``shrink`` starts uncached.
 
     ``_recent`` holds the newest ``max_state_size + 1`` status bits, newest
     lowest; ``bits_seen`` is its length until it is full.
@@ -286,6 +299,7 @@ class Dbg:
         "_recent",
         "_edges",
         "_plan",
+        "_prediction",
     )
 
     def __init__(self, state_size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
@@ -303,18 +317,13 @@ class Dbg:
         self._recent = 0
         self._edges = 0
         self._plan: Optional[_ClassPlan] = None
+        self._prediction: Optional[float] = 0.0
 
     def _warm_fraction(self) -> float:
         return self.ones_seen / self.bits_seen if self.bits_seen else 0.0
 
-    def observe(self, status: int) -> Optional[float]:
-        """Record one status bit.
-
-        Returns the warm-up estimate, the plain fraction of online bits seen
-        so far, when fewer than ``state_size`` bits preceded this one (the
-        step that fills the warm-up window included); otherwise ``None``, and
-        the estimate is ``stationary_online_probability()``.
-        """
+    def observe(self, status: int) -> None:
+        """Record one status bit."""
         status = 1 if status else 0
         self.bits_seen += 1
         self.ones_seen += status
@@ -323,7 +332,8 @@ class Dbg:
         if prev is None:
             if self.bits_seen == self.state_size:
                 self._current = self._recent & self._mask
-            return self._warm_fraction()
+            self._prediction = self._warm_fraction()
+            return
         row = self._counts.get(prev)
         if row is None:
             row = [0.0, 0.0]
@@ -333,16 +343,20 @@ class Dbg:
             self._plan = None
         row[status] += 1.0
         self._current = ((prev << 1) & self._mask) | status
-        return None
+        self._prediction = None
 
-    def update(self, status: int) -> float:
-        """Feed one status bit; returns the updated availability estimate.
+    # A node's own chain is fed through ``update``, a window's chains through
+    # ``observe``, so a profile tells the two apart.
+    update = observe
 
-        Until ``state_size`` prior bits exist the estimate is the plain
-        fraction of online bits seen so far.
-        """
-        warm = self.observe(status)
-        return self.stationary_online_probability() if warm is None else warm
+    @property
+    def prediction(self) -> float:
+        if self._prediction is None:
+            self._prediction = self.stationary_online_probability()
+        return self._prediction
+
+    def record_incoming(self) -> None:
+        pass
 
     def stationary_online_probability(self) -> float:
         """Long-run probability of an online slot under the observed chain."""
@@ -364,10 +378,12 @@ class Dbg:
         return _class_sop(plan, counts, mask)
 
     def _seed_from_counts(self, parent: "Dbg") -> None:
-        """Take the parent's bit history, and the edges of the counts just set."""
+        """Take the parent's bit history, and the edges of the counts just set;
+        the estimate starts uncached."""
         self.bits_seen = parent.bits_seen
         self.ones_seen = parent.ones_seen
         self._recent = parent._recent
+        self._prediction = None
         if self.bits_seen >= self.state_size:
             self._current = self._recent & self._mask
         for s, row in self._counts.items():
@@ -429,7 +445,7 @@ class SlidingWindowDbg:
     or the gap to the latest status bit (``instant`` mode).  Strictly
     improving errors towards the wide end grow the window; strictly improving
     errors towards the narrow end shrink it, clamped at state size 1.  The
-    returned value is the estimate of the chain with the smallest error.
+    prediction is the estimate of the chain with the smallest error.
     """
 
     def __init__(
@@ -446,11 +462,11 @@ class SlidingWindowDbg:
         self.left = Dbg(1, max_state_size)
         self.center = Dbg(2, max_state_size)
         self.right = Dbg(3, max_state_size)
-        self.last_sop = 0.0
+        self._prediction = 0.0
 
     @property
     def prediction(self) -> float:
-        return self.last_sop
+        return self._prediction
 
     def _error(self, sop: float, dbg: Dbg, status: int) -> float:
         # every chain of the window holds the same newest bits and bit count
@@ -460,10 +476,12 @@ class SlidingWindowDbg:
         frac = (dbg._recent & ((1 << n) - 1)).bit_count() / n
         return abs(sop - frac)
 
-    def update(self, status: int) -> float:
+    def update(self, status: int) -> None:
         status = 1 if status else 0
         dbgs = [self.left, self.center, self.right]
-        sops = [d.update(status) for d in dbgs]
+        for d in dbgs:
+            d.observe(status)
+        sops = [d.prediction for d in dbgs]
         errs = [self._error(sops[i], dbgs[i], status) for i in range(3)]
 
         while errs[0] > errs[1] > errs[2]:
@@ -472,7 +490,7 @@ class SlidingWindowDbg:
                 break
             grown = dbgs[2].enlarge()
             dbgs = [dbgs[1], dbgs[2], grown]
-            sop = grown.stationary_online_probability()
+            sop = grown.prediction
             sops = [sops[1], sops[2], sop]
             errs = [errs[1], errs[2], self._error(sop, grown, status)]
 
@@ -481,43 +499,13 @@ class SlidingWindowDbg:
                 break
             shrunk = dbgs[0].shrink()
             dbgs = [shrunk, dbgs[0], dbgs[1]]
-            sop = shrunk.stationary_online_probability()
+            sop = shrunk.prediction
             sops = [sop, sops[0], sops[1]]
             errs = [self._error(sop, shrunk, status), errs[0], errs[1]]
 
         self.left, self.center, self.right = dbgs
         best = min(range(3), key=lambda i: errs[i])
-        self.last_sop = sops[best]
-        return self.last_sop
-
-    def record_incoming(self) -> None:
-        pass
-
-
-class FixedDbgPredictor:
-    """A single fixed-size De Bruijn chain behind the predictor interface.
-
-    ``update`` only records the bit and returns nothing; the stationary
-    estimate is computed when ``prediction`` is read, once per run of updates,
-    so replayed offline slots nobody reads cost no solve.  The value read
-    equals what ``Dbg.update`` would have returned for the last bit,
-    including the warm-up fraction on the step that fills the window.
-    """
-
-    __slots__ = ("dbg", "_prediction")
-
-    def __init__(self, state_size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
-        self.dbg = Dbg(state_size, max_state_size=max(state_size, max_state_size))
-        self._prediction: Optional[float] = 0.0
-
-    @property
-    def prediction(self) -> float:
-        if self._prediction is None:
-            self._prediction = self.dbg.stationary_online_probability()
-        return self._prediction
-
-    def update(self, status: int) -> None:
-        self._prediction = self.dbg.observe(status)
+        self._prediction = sops[best]
 
     def record_incoming(self) -> None:
         pass
@@ -536,13 +524,14 @@ class LifetimePredictor:
     def __init__(self):
         self.online_slots = 0
         self.elapsed_slots = 0
-        self.prediction = 0.0
 
-    def update(self, status: int) -> float:
+    @property
+    def prediction(self) -> float:
+        return lifetime_availability(self.online_slots, self.elapsed_slots)
+
+    def update(self, status: int) -> None:
         self.elapsed_slots += 1
         self.online_slots += 1 if status else 0
-        self.prediction = lifetime_availability(self.online_slots, self.elapsed_slots)
-        return self.prediction
 
     def record_incoming(self) -> None:
         pass
@@ -568,22 +557,19 @@ class LudpPredictor:
         self.age_slots = 0
         self.incoming = 0
         self.slot = 0
-        self.prediction = 0.0
 
-    def update(self, status: int) -> float:
+    @property
+    def prediction(self) -> float:
+        if self.slot == 0:
+            return 0.0
+        return ludp_online_probability(self.age_slots, self.incoming, self.slot, self.capacity)
+
+    def update(self, status: int) -> None:
         self.slot += 1
         self.age_slots += 1 if status else 0
-        self.prediction = ludp_online_probability(
-            self.age_slots, self.incoming, self.slot, self.capacity
-        )
-        return self.prediction
 
     def record_incoming(self) -> None:
         self.incoming += 1
-        if self.slot >= 1:
-            self.prediction = ludp_online_probability(
-                self.age_slots, self.incoming, self.slot, self.capacity
-            )
 
 
 def make_predictor(
@@ -592,21 +578,16 @@ def make_predictor(
     max_state_size: int = DEFAULT_MAX_STATE_SIZE,
     error_mode: str = "window",
 ):
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"unknown predictor kind: {kind}")
     if kind == "swdbg":
         return SlidingWindowDbg(max_state_size=max_state_size, error_mode=error_mode)
-    if kind.startswith("dbg"):
-        try:
-            size = int(kind[3:])
-        except ValueError:
-            raise ValueError(f"unknown predictor kind: {kind}") from None
-        if not 1 <= size <= 4:
-            raise ValueError(f"unknown predictor kind: {kind}")
-        return FixedDbgPredictor(size, max_state_size=max_state_size)
     if kind == "lifetime":
         return LifetimePredictor()
     if kind == "ludp":
         return LudpPredictor(capacity)
-    raise ValueError(f"unknown predictor kind: {kind}")
+    size = int(kind[3:])  # dbg1 to dbg4
+    return Dbg(size, max_state_size=max(size, max_state_size))
 
 
 class PredictorLayer:

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from skipchurn.predictors import (
+    PREDICTOR_KINDS,
     SHAPE_MEMO_SIZE,
     Dbg,
     _chain_shape,
+    _ClassPlan,
     _stationary_core,
     _tarjan_sccs,
-    FixedDbgPredictor,
     LifetimePredictor,
     LudpPredictor,
     PredictorLayer,
@@ -26,11 +27,11 @@ from skipchurn.predictors import (
 )
 
 
-def feed(dbg, bits):
-    out = None
+def feed(predictor, bits):
+    """Feed ``bits`` in order; the prediction after the last one."""
     for b in bits:
-        out = dbg.update(b)
-    return out
+        predictor.update(b)
+    return predictor.prediction
 
 
 def transition_probability(dbg, state, bit):
@@ -76,9 +77,9 @@ class TestDbgUpdate:
 
     def test_warm_up_returns_observed_fraction(self):
         d = Dbg(3)
-        assert d.update(1) == 1.0
-        assert d.update(0) == 0.5
-        assert d.update(1) == pytest.approx(2 / 3)
+        assert feed(d, [1]) == 1.0
+        assert feed(d, [0]) == 0.5
+        assert feed(d, [1]) == pytest.approx(2 / 3)
 
     def test_outgoing_probabilities_normalized(self):
         rng = np.random.default_rng(3)
@@ -276,18 +277,19 @@ class TestCachedPlan:
         _chain_shape.cache_clear()
         for _ in ("cold", "warm"):
             d = Dbg(k, max_state_size=cap)
+            expected = 0.0
             for op in ops:
-                if op == "enlarge":
-                    if d.state_size < cap:
-                        d = d.enlarge()
-                elif op == "shrink":
-                    if d.state_size > 1:
-                        d = d.shrink()
-                else:
-                    fed = d._current is not None
-                    got = d.update(op)
-                    if fed:
-                        assert got == reference_sop(d)
+                if op == "enlarge" and d.state_size < cap:
+                    d = d.enlarge()
+                    expected = reference_sop(d)
+                elif op == "shrink" and d.state_size > 1:
+                    d = d.shrink()
+                    expected = reference_sop(d)
+                elif op in (0, 1):
+                    warm = d._current is None
+                    d.update(op)
+                    expected = d._warm_fraction() if warm else reference_sop(d)
+                assert d.prediction == expected
                 assert d.stationary_online_probability() == reference_sop(d)
 
     def test_new_edge_drops_cached_plan(self):
@@ -295,9 +297,9 @@ class TestCachedPlan:
         feed(d, [0, 1, 0, 1, 0, 1])  # walks the 2-cycle 01 <-> 10
         two_cycle = d.stationary_online_probability()
         assert d._plan is not None and sorted(d._plan.index) == [0b01, 0b10]
-        assert d.update(1) == 1.0  # new edge 01 -> 11; 11 has no way out yet
+        assert feed(d, [1]) == 1.0  # new edge 01 -> 11; 11 has no way out yet
         assert sorted(d._plan.index) == [0b11]  # a terminal class of its own
-        got = d.update(0)  # new edge 11 -> 10 closes the class {01, 10, 11}
+        got = feed(d, [0])  # new edge 11 -> 10 closes the class {01, 10, 11}
         assert got == reference_sop(d)
         assert got != two_cycle
         assert sorted(d._plan.index) == [0b01, 0b10, 0b11]
@@ -322,6 +324,19 @@ class TestCachedPlan:
         assert wide.stationary_online_probability() == reference_sop(wide) == pytest.approx(0.5)
         assert _chain_shape.cache_info().misses == 2
 
+    def test_transient_shape_keeps_a_dead_end_as_its_mass_and_a_mixed_class_as_its_plan(self):
+        # state size 3: from 001 a 0 leads to 010, never left, and a 1 into
+        # the cycle 011 -> 110 -> 101, whose members end 1, 0 and 1
+        counts = {0b001: (1.0, 1.0), 0b011: (1.0, 0.0), 0b110: (0.0, 1.0), 0b101: (0.0, 1.0)}
+        d = made_chain(3, counts, 0b001)
+        _chain_shape.cache_clear()
+        place, rows, classes = _chain_shape(d._mask, d._edges, d._current)
+        assert (place, list(rows)) == (0, [0b001, 1, 2])
+        dead_end, cycle = classes
+        assert type(dead_end) is float and dead_end == 0.0
+        assert type(cycle) is _ClassPlan and sorted(cycle.index) == [0b011, 0b101, 0b110]
+        assert d.stationary_online_probability() == reference_sop(d) == pytest.approx(1 / 3)
+
     def test_the_shape_memo_is_bounded(self):
         assert _chain_shape.cache_info().maxsize == SHAPE_MEMO_SIZE < float("inf")
 
@@ -329,8 +344,8 @@ class TestCachedPlan:
         d = Dbg(2)
         feed(d, [0, 1, 1, 0, 1, 1, 0, 1])
         assert d._plan is not None
-        assert d.enlarge()._plan is None
-        assert d.shrink()._plan is None
+        for resized in (d.enlarge(), d.shrink()):
+            assert resized._plan is None and resized._prediction is None
 
 
 BLAS_PROBE = """
@@ -403,6 +418,15 @@ def test_warns_when_loaded_blas_cannot_be_pinned():
     assert run_probe(NO_OPENBLAS_PROBE).split() == ["RuntimeWarning"]
 
 
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+def test_every_kind_follows_the_predictor_protocol(kind):
+    pred = make_predictor(kind, 64)
+    assert {"update", "prediction", "record_incoming"} <= set(vars(type(pred)))
+    assert pred.prediction == 0.0
+    assert pred.update(1) is None
+    assert pred.record_incoming() is None
+
+
 class TestLazyFixedPrediction:
     @given(
         st_.integers(1, 4),
@@ -413,17 +437,17 @@ class TestLazyFixedPrediction:
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_equals_eager_update_bitwise(self, k, steps):
-        lazy = FixedDbgPredictor(k)
-        eager = Dbg(k)
+    def test_reads_the_uncached_estimate_or_the_warm_fraction(self, k, steps):
+        lazy = make_predictor(f"dbg{k}", 64)
         expected = 0.0
         assert lazy.prediction == expected
         for status, gap, read in steps:
             # an offline gap replayed as zeros before the status bit, as the
             # engine and the bench do when a node comes back
             for bit in [0] * gap + [status]:
+                warm = lazy._current is None
                 lazy.update(bit)
-                expected = eager.update(bit)
+                expected = lazy._warm_fraction() if warm else reference_sop(lazy)
                 if read:
                     assert lazy.prediction == expected
             assert lazy.prediction == expected
@@ -433,7 +457,7 @@ class TestLazyFixedPrediction:
         for b in (1, 0, 1):
             p.update(b)
         assert p.prediction == 2 / 3
-        assert p.dbg.stationary_online_probability() == 1.0
+        assert p.stationary_online_probability() == 1.0
 
 
 class TestEnlargeShrink:
@@ -520,10 +544,8 @@ class TestSlidingWindow:
 
     def test_periodic_trace_settles_near_duty_cycle(self):
         w = SlidingWindowDbg()
-        got = None
         for _ in range(40):
-            for b in (1, 1, 1, 0):
-                got = w.update(b)
+            got = feed(w, (1, 1, 1, 0))
         assert abs(got - 0.75) < 0.05
         assert w.center.state_size >= 3 or w.right.state_size >= 3
 
@@ -531,7 +553,7 @@ class TestSlidingWindow:
         rng = np.random.default_rng(23)
         w = SlidingWindowDbg()
         for b in rng.integers(0, 2, 400).tolist():
-            got = w.update(b)
+            got = feed(w, [b])
             assert 0.0 <= got <= 1.0
             left, center, right = sizes(w)
             assert center == left + 1 and right == center + 1
@@ -540,7 +562,7 @@ class TestSlidingWindow:
     def test_instant_error_mode(self):
         w = SlidingWindowDbg(error_mode="instant")
         for b in [1, 0, 1, 1, 0]:
-            got = w.update(b)
+            got = feed(w, [b])
             assert 0.0 <= got <= 1.0
 
     def test_size_capped_at_maximum(self):
@@ -591,8 +613,8 @@ class TestOfflineReplay:
             gap.update(b)
         for _ in range(3):
             gap.update(0)
-        got = gap.update(1)
-        assert got == pytest.approx(direct.last_sop)
+        got = feed(gap, [1])
+        assert got == pytest.approx(direct.prediction)
         assert sizes(gap) == sizes(direct)
 
     @pytest.mark.parametrize("kind", ["swdbg", "dbg3", "lifetime"])
@@ -623,13 +645,12 @@ class TestOfflineReplay:
 class TestFactory:
     def test_kinds(self):
         assert isinstance(make_predictor("swdbg", 64), SlidingWindowDbg)
-        assert isinstance(make_predictor("dbg3", 64), FixedDbgPredictor)
-        assert make_predictor("dbg3", 64).dbg.state_size == 3
+        assert isinstance(make_predictor("dbg3", 64), Dbg)
+        assert make_predictor("dbg3", 64).state_size == 3
         assert isinstance(make_predictor("lifetime", 64), LifetimePredictor)
         assert isinstance(make_predictor("ludp", 64), LudpPredictor)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_predictor("dbg9", 64)
-        with pytest.raises(ValueError):
-            make_predictor("markov", 64)
+        for kind in ("dbg9", "dbg0", "dbg", "markov"):
+            with pytest.raises(ValueError):
+                make_predictor(kind, 64)
