@@ -296,17 +296,6 @@ class ChurnProcess:
                     self.online[i] = False
 
 
-class NodeRuntime:
-    """The part of a registered node every cell shares: identity, index, lookup table."""
-
-    __slots__ = ("identity", "index", "lookup")
-
-    def __init__(self, identity: NodeIdentity, index: int):
-        self.identity = identity
-        self.index = index
-        self.lookup: Optional[LookupTable] = None
-
-
 @dataclass(slots=True)
 class Cell:
     """One sweep cell of a topology run: its config, stores and predictions.
@@ -337,10 +326,13 @@ def _shared_settings(cfg: SimConfig) -> tuple:
 class SimulationState:
     """Mutable state of one topology run, shared by all its cells.
 
-    ``churn``, the predictor layers and each cell's stabilizers are indexed by
-    position in ``all_ids``; ``online_ids`` is the set derived from ``churn``
-    once per slot, after arrivals.  ``config`` is the first cell's, and holds
-    every setting the cells share.
+    A node is its index in ``topology.nodes``, the one registry: ``churn``,
+    ``lookups`` (``None`` until the node's first join), the predictor layers
+    and each cell's stabilizers are lists by that index, and
+    ``topology.index_of`` turns the numerical IDs that searches, lookup tables
+    and stores speak in back into it.  ``online_ids`` is the set of online
+    numerical IDs, derived from ``churn`` once per slot, after arrivals.
+    ``config`` is the first cell's, and holds every setting the cells share.
     """
 
     def __init__(self, cells: Sequence[SimConfig], topology: TopologySnapshot, rng: np.random.Generator):
@@ -352,11 +344,9 @@ class SimulationState:
         self.config = config
         self.topology = topology
         self.rng = rng
-        self.levels = topology.name_length
         idents = topology.nodes
-        self.all_ids = [ident.num_id for ident in idents]
         self.churn = ChurnProcess(config.churn, len(idents))
-        self.nodes = {ident.num_id: NodeRuntime(ident, i) for i, ident in enumerate(idents)}
+        self.lookups: list[Optional[LookupTable]] = [None] * len(idents)
         self.layers: list[PredictorLayer] = []
         shared: dict[str, PredictorLayer] = {}
         self.cells: list[Cell] = []
@@ -379,26 +369,25 @@ class SimulationState:
         for layer in self.layers:
             layer.catch_up(index, slot)
 
-    def join(self, num_id: int) -> None:
+    def join(self, index: int) -> None:
         # Departing is a crash: a returning node rebuilds its lookup table
         # (kept under rejoin = stale).  Each cell's store applies its own join
         # rule to ``fresh`` on every join, the first one included.
-        node = self.nodes[num_id]
-        fresh = node.lookup is None or self.config.rejoin == "fresh"
+        fresh = self.lookups[index] is None or self.config.rejoin == "fresh"
         if fresh:
-            node.lookup = join_node(self.topology, num_id, self.online_ids)
+            self.lookups[index] = join_node(self.topology, self.topology.nodes[index], self.online_ids)
         for cell in self.cells:
-            cell.stabilizers[node.index].reset(fresh)
+            cell.stabilizers[index].reset(fresh)
 
 
-def _piggyback_entry(node: NodeRuntime, predictors: list) -> PiggybackEntry:
-    ident = node.identity
-    sop = min(1.0, max(0.0, predictors[node.index].prediction))
+def _piggyback_entry(ident: NodeIdentity, predictor) -> PiggybackEntry:
+    sop = min(1.0, max(0.0, predictor.prediction))
     return PiggybackEntry(ident.num_id, ident.name_bits, sop)
 
 
 def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) -> SearchOutcome:
-    """Route one search of ``cell`` for ``target`` starting at ``initiator``.
+    """Route one search of ``cell`` for ``target`` starting at ``initiator``,
+    both numerical IDs.
 
     Until the message reaches the target, each step forwards to the eligible
     level neighbor (see :func:`route_step`).  A forward to an online neighbor
@@ -411,7 +400,9 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     descends a level, or ends at level 0 with the executor as result.  A
     search for its own initiator succeeds at once with no hop and no latency.
     """
-    nodes = state.nodes
+    nodes = state.topology.nodes
+    index_of = state.topology.index_of
+    lookups = state.lookups
     stabilizers = cell.stabilizers
     reads_path = stabilizers[0].reads_path
     predictors = cell.layer.predictors
@@ -420,13 +411,14 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     per_unit = cfg.rtt_per_unit_ms
     timeout_mult = cfg.timeout_multiplier
     online = state.churn.online
-    current = nodes[initiator]
+    ping = state.online_ids.__contains__
+    current = index_of[initiator]
     current_id = initiator
     trace_hops: Optional[list] = [] if cell.trace_sink else None
 
     msg = SearchMessage(
         target_num_id=target,
-        level=state.levels - 1,
+        level=state.topology.name_length - 1,
         direction=Direction.RIGHT if target > initiator else Direction.LEFT,
     )
     latency = 0.0
@@ -439,26 +431,27 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
         step_guard -= 1
         if step_guard <= 0:
             raise RuntimeError("search did not terminate; routing invariant broken")
-        nb = route_step(current_id, current.lookup, msg)
+        nb = route_step(current_id, lookups[current], msg)
         if nb is not None:
-            nb_node = nodes[nb.num_id]
-            hop_rtt = rtt_ms(current.identity, nb_node.identity, base_ms, per_unit)
-            if online[nb_node.index]:
+            here = nodes[current]
+            hop_rtt = rtt_ms(here, nb, base_ms, per_unit)
+            hop = index_of[nb.num_id]
+            if online[hop]:
                 latency += hop_rtt
-                predictors[nb_node.index].record_incoming()
-                hop, kind = nb, "forward"
+                predictors[hop].record_incoming()
+                kind = "forward"
             else:
                 # timeout failure on the lookup neighbor
                 latency += timeout_mult * hop_rtt
-                candidate, contact_trace = stabilizers[current.index].resolve(msg, state.online_ids.__contains__)
+                candidate, contacts = stabilizers[current].resolve(msg, ping)
                 resolve_inv += 1
-                resolve_msgs += len(contact_trace)
-                for attempt in contact_trace:
-                    other = nodes[attempt.num_id]
-                    ping_rtt = rtt_ms(current.identity, other.identity, base_ms, per_unit)
-                    if attempt.online:
+                resolve_msgs += len(contacts)
+                for num_id, answered in contacts:
+                    other = index_of[num_id]
+                    ping_rtt = rtt_ms(here, nodes[other], base_ms, per_unit)
+                    if answered:
                         latency += ping_rtt
-                        predictors[other.index].record_incoming()
+                        predictors[other].record_incoming()
                     else:
                         latency += timeout_mult * ping_rtt
                 if trace_hops is not None:
@@ -468,19 +461,20 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                             "level": msg.level,
                             "kind": "resolve",
                             "failed_neighbor": nb.num_id,
-                            "contacts": [[a.num_id, a.online] for a in contact_trace],
+                            "contacts": [[num_id, answered] for num_id, answered in contacts],
                         }
                     )
-                hop, kind = candidate, "redirect"
+                hop = None if candidate is None else index_of[candidate]
+                kind = "redirect"
             if hop is not None:
                 hops += 1
-                hop_node = nodes[hop.num_id]
+                hop_id = nodes[hop].num_id
                 if reads_path:
-                    msg.add_piggyback(_piggyback_entry(current, predictors))
-                    stabilizers[hop_node.index].update(hop_node.lookup, msg.piggyback.values())
+                    msg.piggyback[current_id] = _piggyback_entry(here, predictors[current])
+                    stabilizers[hop].update(lookups[hop], msg.piggyback.values())
                 if trace_hops is not None:
-                    trace_hops.append({"from": current_id, "to": hop.num_id, "level": msg.level, "kind": kind})
-                current, current_id = hop_node, hop.num_id
+                    trace_hops.append({"from": current_id, "to": hop_id, "level": msg.level, "kind": kind})
+                current, current_id = hop, hop_id
                 continue
         # no eligible neighbor, or no candidate: descend, or end at level 0
         if msg.level == 0:
@@ -520,15 +514,16 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     cfg = state.config
     rng = state.rng
     churn = state.churn
-    all_ids = state.all_ids
+    nodes = state.topology.nodes
 
     arrivals = churn.arrive(rng)
-    online = [nid for nid, up in zip(all_ids, churn.online) if up]
+    up = churn.online
+    online = [ident.num_id for ident, on in zip(nodes, up) if on]
     state.online_ids = set(online)
     for i in arrivals:
         state.bring_online(i, slot)
     for i in arrivals:
-        state.join(all_ids[i])
+        state.join(i)
     n_o = len(online)
 
     pairs: list[tuple[int, int]] = []
@@ -556,21 +551,18 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
             raise CellFailure(f"combination {c.stabilizer}/{c.predictor}/b={c.backup_size} failed: {exc}") from exc
         series.append(metrics)
 
-    # end-of-slot status updates for every node online during this slot, then
+    # end-of-slot status updates for every node online during this slot
+    # (departures come last, so ``up`` is still the slot's status), then
     # prediction error sampled for every registered node
-    up = churn.online
-    n = len(all_ids)
     scores = {}
     for layer in state.layers:
         layer.feed_online(up, slot)
         scores[layer] = (layer.error_sum(up, 0.0), *layer.wide_end_sample())
-    online_index = [state.nodes[nid].index for nid in online]
     for cell, metrics in zip(state.cells, series):
         metrics.sum_prediction_error, metrics.right_size_sum, metrics.right_size_samples = scores[cell.layer]
-        metrics.prediction_samples = n
+        metrics.prediction_samples = len(nodes)
         if cell.config.stabilizer != "none":
-            stabilizers = cell.stabilizers
-            metrics.backup_entries_sum = sum(stabilizers[i].total_entries() for i in online_index)
+            metrics.backup_entries_sum = sum(s.total_entries() for s, on in zip(cell.stabilizers, up) if on)
             metrics.backup_samples = n_o
 
     churn.depart()
@@ -617,7 +609,7 @@ def run_topology(
         raise CellFailure(f"{exc} (topology {topology_index})") from exc
 
     return [
-        RunMetrics(levels=state.levels, slot_series=list(series), per_topology=[Counters.sum_of(series)])
+        RunMetrics(levels=topo.name_length, slot_series=list(series), per_topology=[Counters.sum_of(series)])
         for series in zip(*per_slot)
     ]
 

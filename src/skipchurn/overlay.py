@@ -86,17 +86,12 @@ class SearchMessage:
     direction: Direction
     piggyback: dict[int, PiggybackEntry] = field(default_factory=dict)
 
-    def add_piggyback(self, entry: PiggybackEntry) -> None:
-        self.piggyback[entry.num_id] = entry
-
-    def has_visited(self, num_id: int) -> bool:
-        return num_id in self.piggyback
-
 
 @dataclass
 class TopologySnapshot:
     """An immutable node registry, reproducible from (capacity, seed); ``nodes``
-    is kept in registry order (ascending ``num_id``) whatever order it came in."""
+    is kept in registry order (ascending ``num_id``) whatever order it came in,
+    and ``index_of`` maps a ``num_id`` to its position there."""
 
     capacity: int
     nodes: list[NodeIdentity]
@@ -105,7 +100,7 @@ class TopologySnapshot:
         if not _is_power_of_two(self.capacity):
             raise ConfigError(f"capacity must be a power of two, got {self.capacity}")
         self.nodes = sorted(self.nodes, key=attrgetter("num_id"))
-        self._by_num_id = {n.num_id: n for n in self.nodes}
+        self.index_of = {n.num_id: i for i, n in enumerate(self.nodes)}
         length = self.name_length
         # per level, prefix -> nodes with that prefix
         self._prefix_groups: list[dict[int, list[NodeIdentity]]] = [{} for _ in range(length)]
@@ -116,9 +111,6 @@ class TopologySnapshot:
     @property
     def name_length(self) -> int:
         return max(1, self.capacity.bit_length() - 1)
-
-    def node_by_num_id(self, num_id: int) -> NodeIdentity:
-        return self._by_num_id[num_id]
 
     def level_groups(self, ident: NodeIdentity) -> list[list[NodeIdentity]]:
         """Per level, every registered node sharing that many name-ID prefix bits
@@ -203,7 +195,7 @@ def generate_topology(capacity: int, seed: int) -> TopologySnapshot:
 
 def join_node(
     topology: TopologySnapshot,
-    num_id: int,
+    joiner: NodeIdentity,
     online: Container[int],
 ) -> LookupTable:
     """Build the lookup table a correct join would produce.
@@ -215,8 +207,8 @@ def join_node(
     itself is ignored; an empty online set yields an empty table.
     """
     levels: list[list[Optional[NodeIdentity]]] = []
-    for group in topology.level_groups(topology.node_by_num_id(num_id)):
-        pos = bisect_left(group, num_id, key=attrgetter("num_id"))
+    for group in topology.level_groups(joiner):
+        pos = bisect_left(group, joiner.num_id, key=attrgetter("num_id"))
         left = pos - 1
         while left >= 0 and group[left].num_id not in online:
             left -= 1

@@ -62,7 +62,9 @@ def _stationary_core(P: np.ndarray) -> np.ndarray:
     m = P.shape[0]
     if m == 1:
         return np.ones(1)
-    A = P.T - np.eye(m)
+    # P.T - I without building I: off the diagonal p - 0.0 is p, bit for bit
+    A = P.T.copy()
+    A.flat[:: m + 1] -= 1.0
     A[-1, :] = 1.0
     rhs = np.zeros(m)
     rhs[-1] = 1.0

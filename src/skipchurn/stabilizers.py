@@ -8,13 +8,14 @@ message the node handles and feeds the piggybacked availability entries into
 the store; for one that does not, the engine builds neither and calls no
 ``update``.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
 neighbor at the level and direction of ``msg``; it pings candidates from the
-store until one answers, returning that candidate together with the ordered
-contact trace (candidate, was_online) used for latency accounting.  A ``None``
-candidate tells the caller to descend a level, or to end the whole search when
-already at level 0.  ``reset(fresh)`` runs on every join, the first one
-included, and applies the store's own join rule; ``fresh`` is false when a
-returning node keeps its state (rejoin = stale).  ``total_entries()`` counts
-what the store holds.
+store until one answers and returns ``(candidate, contacts)``: the answering
+candidate's numerical ID, or ``None`` when none answered, and the ordered
+contacts as ``(num_id, was_online)`` pairs, used for latency accounting.  A
+candidate is always the last contact.  A ``None`` candidate tells the caller
+to descend a level, or to end the whole search when already at level 0.
+``reset(fresh)`` runs on every join, the first one included, and applies the
+store's own join rule; ``fresh`` is false when a returning node keeps its
+state (rejoin = stale).  ``total_entries()`` counts what the store holds.
 
 Strategies:
 
@@ -59,13 +60,7 @@ class BackupEntry:
     score: float = 0.0
 
 
-@dataclass(frozen=True)
-class ContactAttempt:
-    num_id: int
-    online: bool
-
-
-ResolveResult = tuple[Optional[BackupEntry], list[ContactAttempt]]
+ResolveResult = tuple[Optional[int], list[tuple[int, bool]]]
 
 
 def cand_check(num_id: int, msg: SearchMessage) -> bool:
@@ -73,17 +68,18 @@ def cand_check(num_id: int, msg: SearchMessage) -> bool:
     not already have handled it."""
     target = msg.target_num_id
     within = num_id <= target if msg.direction is Direction.RIGHT else num_id >= target
-    return within and not msg.has_visited(num_id)
+    return within and num_id not in msg.piggyback
 
 
-def _first_online(candidates: Iterable[BackupEntry], ping: PingFn, drop: Callable) -> ResolveResult:
-    """Ping ``candidates`` in order until one answers; ``drop`` each that does not."""
-    trace: list[ContactAttempt] = []
+def _first_online(candidates: Iterable, ping: PingFn, drop: Callable) -> ResolveResult:
+    """Ping ``candidates`` (entries with a ``num_id``) in order until one
+    answers; ``drop`` each that does not."""
+    trace: list[tuple[int, bool]] = []
     for e in candidates:
         online = ping(e.num_id)
-        trace.append(ContactAttempt(e.num_id, online))
+        trace.append((e.num_id, online))
         if online:
-            return e, trace
+            return e.num_id, trace
         drop(e)
     return None, trace
 
@@ -179,8 +175,8 @@ class BackupTable:
         least ``level``.  An entry holding the exact target is contacted
         first.  Remaining eligible entries are contacted best target-relative
         score first, then nearer to the target, then smaller name ID; offline
-        contacts are purged from the table.  Returns (candidate, trace); the
-        candidate is None when no online eligible entry exists.
+        contacts are purged from the table.  The candidate is None when no
+        online eligible entry exists.
         """
         if not self._entries:
             return None, []
@@ -253,7 +249,8 @@ def kademlia_capacity(b: int, levels: int) -> tuple[tuple[int, int], ...]:
 
 
 class KademliaBuckets:
-    """Recency-ordered backup lists with per-bucket capacity."""
+    """Recency-ordered backup lists with per-bucket capacity; a bucket holds
+    the piggybacked entries themselves, which are immutable."""
 
     reads_path = True
 
@@ -265,7 +262,7 @@ class KademliaBuckets:
         # Plain lists, built at each fresh join: a bucket holds a few entries,
         # an empty list is far smaller than an empty deque, and a node that
         # never joins holds none.
-        self.buckets: list[list[list[BackupEntry]]] = []
+        self.buckets: list[list[list[PiggybackEntry]]] = []
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
@@ -283,7 +280,7 @@ class KademliaBuckets:
                 if e.num_id == item.num_id:
                     del bucket[i]
                     break
-            bucket.insert(0, BackupEntry(item.num_id, item.name_bits, item.sop))
+            bucket.insert(0, item)
             del bucket[cap:]
 
     def reset(self, fresh: bool) -> None:
@@ -360,15 +357,15 @@ class DksPointers:
         right = direction is Direction.RIGHT
         pointers = self.lists[level][direction]
         group = self._groups[level]
-        trace: list[ContactAttempt] = []
+        trace: list[tuple[int, bool]] = []
         while pointers:
-            head = pointers[0]
-            if head.num_id > target if right else head.num_id < target:
+            head = pointers[0].num_id
+            if head > target if right else head < target:
                 return None, trace
-            online = ping(head.num_id)
-            trace.append(ContactAttempt(head.num_id, online))
+            online = ping(head)
+            trace.append((head, online))
             if online:
-                return BackupEntry(head.num_id, head.name_bits, 0.0), trace
+                return head, trace
             tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
             del pointers[0]
             if tail_online:

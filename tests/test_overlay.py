@@ -53,6 +53,11 @@ def sample_topology():
     )
 
 
+def node(topo, num_id):
+    """The registry record of ``num_id``."""
+    return topo.nodes[topo.index_of[num_id]]
+
+
 def name_str(name_bits, length):
     """A name ID as its bit string, for the string-based oracles."""
     return format(name_bits, f"0{length}b")
@@ -162,20 +167,22 @@ class TestGenerateTopology:
         snapshot = TopologySnapshot(capacity=64, nodes=shuffled)
         assert [n.num_id for n in snapshot.nodes] == sorted(n.num_id for n in shuffled)
         assert snapshot.nodes == topo.nodes
-        for n in snapshot.nodes:
+        for i, n in enumerate(snapshot.nodes):
+            assert snapshot.index_of[n.num_id] == i
             assert snapshot.level_groups(n)[0] == snapshot.nodes
+        assert len(snapshot.index_of) == 64
 
 
 class TestJoin:
     def test_sole_online_node_has_empty_table(self):
         topo = sample_topology()
-        table = join_node(topo, 43, [43])
+        table = join_node(topo, node(topo, 43), [43])
         assert all(ref is None for pair in table.levels for ref in pair)
 
     def test_level0_neighbors_are_numeric_adjacents(self):
         topo = sample_topology()
         all_ids = sorted(n.num_id for n in topo.nodes)
-        table = join_node(topo, 43, all_ids)
+        table = join_node(topo, node(topo, 43), all_ids)
         assert table.levels[0][Direction.LEFT].num_id == 41
         assert table.levels[0][Direction.RIGHT].num_id == 50
 
@@ -184,19 +191,19 @@ class TestJoin:
         ids = sorted(n.num_id for n in topo.nodes)
         length = topo.name_length
         for ident in topo.nodes:
-            table = join_node(topo, ident.num_id, ids)
+            table = join_node(topo, ident, ids)
             for lvl in range(length):
                 left = table.levels[lvl][Direction.LEFT]
                 right = table.levels[lvl][Direction.RIGHT]
                 if left is not None:
-                    left_node = topo.node_by_num_id(left.num_id)
+                    left_node = node(topo, left.num_id)
                     assert left is left_node  # the topology's own record
                     assert left.num_id < ident.num_id
                     assert common_prefix_length(
                         name_str(left_node.name_bits, length), name_str(ident.name_bits, length)
                     ) >= lvl
                 if right is not None:
-                    right_node = topo.node_by_num_id(right.num_id)
+                    right_node = node(topo, right.num_id)
                     assert right is right_node
                     assert right.num_id > ident.num_id
                     assert common_prefix_length(
@@ -216,10 +223,10 @@ class TestJoin:
         for joiner in topo.nodes:
             joiner_id = joiner.num_id
             online = {joiner_id} if online_set == "joiner" else drawn
-            table = join_node(topo, joiner_id, online)
+            table = join_node(topo, joiner, online)
             name = name_str(joiner.name_bits, length)
             cpl = {
-                i: common_prefix_length(name_str(topo.node_by_num_id(i).name_bits, length), name)
+                i: common_prefix_length(name_str(node(topo, i).name_bits, length), name)
                 for i in online
             }
             for lvl in range(length):
@@ -277,7 +284,7 @@ class TestRouteStep:
             target = int(rng.choice(ids))
             if nid == target:
                 continue
-            table = join_node(topo, nid, ids)
+            table = join_node(topo, node(topo, nid), ids)
             direction = Direction.RIGHT if target > nid else Direction.LEFT
             lvl = int(rng.integers(0, topo.name_length))
             got = route_step(nid, table, _msg(target, lvl, direction))

@@ -14,6 +14,7 @@ from skipchurn.overlay import (
     generate_topology,
 )
 from skipchurn.stabilizers import (
+    STABILIZER_KINDS,
     BackupEntry,
     BackupTable,
     DksPointers,
@@ -48,8 +49,13 @@ OWNER_NAME = name_of(OWNER)
 def msg(target, level=0, direction=Direction.RIGHT, visited=()):
     m = SearchMessage(target_num_id=target, level=level, direction=direction)
     for v in visited:
-        m.add_piggyback(entry(v, "0000"))
+        m.piggyback[v] = entry(v, "0000")
     return m
+
+
+def contacted(trace):
+    """The numerical IDs of a resolve's contacts, in contact order."""
+    return [nid for nid, _ in trace]
 
 
 def empty_lookup(height=HEIGHT):
@@ -69,7 +75,7 @@ def members(table, level, direction):
     """Ids a resolve at (level, direction) contacts when nobody answers, on a copy."""
     target = 10**6 if direction is Direction.RIGHT else 0
     _, trace = copy.deepcopy(table).resolve(msg(target, level, direction), lambda _: False)
-    return {t.num_id for t in trace}
+    return set(contacted(trace))
 
 
 class TestCandCheck:
@@ -319,13 +325,11 @@ class TestCachedScores:
                 m = SearchMessage(target_num_id=target, level=level, direction=direction)
                 got, trace = table.resolve(m, online.__contains__)
                 expected = resolve_oracle(model, names, target, level, direction, online)
-                assert [(t.num_id, t.online) for t in trace] == expected
-                assert (got.num_id if got else None) == (
-                    expected[-1][0] if expected and expected[-1][1] else None
-                )
-                for t in trace:
-                    if not t.online:
-                        del model[t.num_id]
+                assert trace == expected
+                assert got == (expected[-1][0] if expected and expected[-1][1] else None)
+                for nid, answered in trace:
+                    if not answered:
+                        del model[nid]
             assert {nid: e.sop for nid, e in table._entries.items()} == model
             for e in table._entries.values():
                 assert e.name_bits == int(names[e.num_id], 2)
@@ -343,14 +347,14 @@ class TestBackupResolve:
     def test_exact_target_returned_with_single_contact(self):
         table = self.make_table([entry(140, "1011"), entry(120, "1001")])
         got, trace = table.resolve(msg(140, 1), always_online)
-        assert got.num_id == 140
-        assert [t.num_id for t in trace] == [140]
+        assert got == 140
+        assert contacted(trace) == [140]
 
     def test_offline_exact_target_removed_then_fallback(self):
         table = self.make_table([entry(140, "1011"), entry(120, "1011")])
         got, trace = table.resolve(msg(140, 1), online_set({120}))
-        assert got.num_id == 120
-        assert [t.num_id for t in trace] == [140, 120]
+        assert got == 120
+        assert contacted(trace) == [140, 120]
         assert 140 not in table._entries
 
     def test_exact_target_is_contacted_only_from_its_side(self):
@@ -358,7 +362,7 @@ class TestBackupResolve:
         got, trace = table.resolve(msg(90), always_online)
         assert got is None and trace == []
         got, trace = table.resolve(msg(90, 0, Direction.LEFT), always_online)
-        assert got.num_id == 90 and [t.num_id for t in trace] == [90]
+        assert got == 90 and contacted(trace) == [90]
 
     def test_empty_set_returns_none(self):
         table = self.make_table([])
@@ -375,9 +379,9 @@ class TestBackupResolve:
         ]
         table = self.make_table(items)
         got, trace = table.resolve(msg(150, 1), online_set({120, 130}))
-        assert [t.num_id for t in trace][0] == 149
-        assert trace[0].online is False
-        assert got.num_id == 120
+        assert contacted(trace)[0] == 149
+        assert trace[0][1] is False
+        assert got == 120
         assert 149 not in table._entries
 
     def test_contact_order_non_increasing_in_score(self):
@@ -399,7 +403,7 @@ class TestBackupResolve:
             e = next(x for x in items if x.num_id == nid)
             cpl = common_prefix_length(OWNER_NAME, name_of(e))
             return e.sop * cpl / abs(e.num_id - target)
-        scores = [rscore(t.num_id) for t in trace]
+        scores = [rscore(nid) for nid in contacted(trace)]
         assert scores == sorted(scores, reverse=True)
 
     def test_resolution_uses_levels_at_and_above(self):
@@ -407,7 +411,7 @@ class TestBackupResolve:
         # rescue a level-1 failure
         table = self.make_table([entry(140, "1001"), entry(90, "0001")])
         got, _ = table.resolve(msg(150), always_online)
-        assert got.num_id == 140
+        assert got == 140
         got_left, _ = table.resolve(msg(80, 1, Direction.LEFT), always_online)
         assert got_left is None
 
@@ -463,15 +467,15 @@ class TestKademlia:
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
-        assert [t.num_id for t in trace] == [108, 106]
-        assert got.num_id == 106
+        assert contacted(trace) == [108, 106]
+        assert got == 106
         assert all(e.num_id != 108 for e in buckets.buckets[2][Direction.RIGHT])
 
 
 def dks_fixture(max_size=8):
     topo = TOPOLOGY
     ids = sorted(n.num_id for n in topo.nodes)
-    owner = topo.node_by_num_id(ids[5])
+    owner = topo.nodes[5]
     dks = make_stabilizer("dks", owner, topo, max_size)
     assert dks.total_entries() == 0  # filled at the first join
     dks.reset(True)
@@ -508,7 +512,7 @@ class TestDks:
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
         got, trace = dks.resolve(msg(target), always_online)
-        assert got.num_id == dks.lists[0][1][0].num_id if dks.lists[0][1] else got is None
+        assert got == (dks.lists[0][1][0].num_id if dks.lists[0][1] else None)
         assert len(trace) == 1
 
     def test_offline_head_shifts_window(self):
@@ -519,8 +523,8 @@ class TestDks:
         ping = online_set(set(ids) - {first})
         before = [n.num_id for n in dks.lists[0][1]]
         got, trace = dks.resolve(msg(target), ping)
-        assert [t.num_id for t in trace] == [first, second]
-        assert got.num_id == second
+        assert contacted(trace) == [first, second]
+        assert got == second
         after = [n.num_id for n in dks.lists[0][1]]
         assert first not in after
         assert len(after) == len(before)  # tail was extended
@@ -599,3 +603,35 @@ class TestLifecycle:
             stab.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
             got, trace = stab.resolve(msg(150), always_online)
             assert got is None and trace == []
+
+
+@pytest.mark.parametrize("kind", STABILIZER_KINDS)
+def test_every_kind_answers_resolve_in_num_ids(kind):
+    # resolve returns (num_id or None, [(num_id, was_online), ...]); a
+    # candidate is the last contact, and it answered
+    rng = np.random.default_rng(17)
+    height = TOPOLOGY.name_length
+    piggyback = [PiggybackEntry(n.num_id, n.name_bits, 0.5) for n in TOPOLOGY.nodes]
+    hits = 0
+    for owner in TOPOLOGY.nodes:
+        store = make_stabilizer(kind, owner, TOPOLOGY, 8)
+        store.reset(True)
+        if store.reads_path:
+            store.update(empty_lookup(height), piggyback)
+        online = {n.num_id for n in TOPOLOGY.nodes if rng.random() < 0.5}
+        for target in (n.num_id for n in TOPOLOGY.nodes if n is not owner):
+            direction = Direction.RIGHT if target > owner.num_id else Direction.LEFT
+            for level in range(height):
+                got, trace = store.resolve(msg(target, level, direction), online.__contains__)
+                assert type(trace) is list
+                for contact in trace:
+                    assert type(contact) is tuple and len(contact) == 2
+                    nid, answered = contact
+                    assert type(nid) is int and type(answered) is bool
+                    assert answered == (nid in online)
+                if got is None:
+                    assert not any(answered for _, answered in trace)
+                else:
+                    assert type(got) is int and trace[-1] == (got, True)
+                    hits += 1
+    assert (hits == 0) == (kind == "none")
