@@ -3,7 +3,8 @@
 A topology run advances every sweep cell (stabilizer x predictor x backup
 size) of one topology together, slot by slot.  Each slot:
 ``ChurnProcess.arrive`` draws the slot's churn; arrivals replay the status
-bits they missed while away and rebuild their lookup tables; a workload of
+bits they missed while away and build their lookup tables and stores anew,
+since a departure is a crash that keeps nothing; a workload of
 searches routes through the overlay with latency, timeout and piggyback
 accounting; nodes online during the slot feed their predictors; prediction
 error is sampled for every registered node, an offline one scored on its last
@@ -14,10 +15,11 @@ the churn, the search count and every (initiator, target) pair, each joiner's
 lookup table, and one ``PredictorLayer`` per predictor kind.  The registry is
 ``topology.nodes``.  One online set, built after arrivals, serves the joins and
 every ping of the slot, since departures come last.  Each ``Cell`` holds only
-what its config shapes: one stabilizer store per node, and for a kind fed by
-traffic (``ludp``) its own predictor layer.  The searches run once per cell,
-in cell order, between the joins and the predictor feed, so every cell routes
-against the same overlay and the same predictions as it would alone.
+what its config shapes: one stabilizer store per node, ``None`` until the
+node's first join, and for a kind fed by traffic (``ludp``) its own predictor
+layer.  The searches run once per cell, in cell order, between the joins and
+the predictor feed, so every cell routes against the same overlay and the same
+predictions as it would alone.
 
 ``ChurnProcess`` is the package's one churn law; ``predict-bench`` runs it
 without the overlay.  A run draws churn and searches from the stream
@@ -74,7 +76,6 @@ class SimConfig:
     rtt_per_unit_ms: float = 100.0
     search_cap: Optional[int] = DEFAULT_SEARCH_CAP
     seed: int = 1
-    rejoin: str = "fresh"
     pred_error_mode: str = "window"
     max_state_size: int = DEFAULT_MAX_STATE_SIZE
     churn: ChurnModel = field(default_factory=ChurnModel)
@@ -98,8 +99,6 @@ class SimConfig:
             raise ConfigError("rtt parameters must be >= 0")
         if self.search_cap is not None and self.search_cap < 0:
             raise ConfigError("search-cap must be >= 0")
-        if self.rejoin not in ("fresh", "stale"):
-            raise ConfigError(f"unknown rejoin mode: {self.rejoin}")
         if self.pred_error_mode not in PRED_ERROR_MODES:
             raise ConfigError(f"unknown pred-error mode: {self.pred_error_mode}")
         if self.seed < 0:
@@ -300,7 +299,8 @@ class ChurnProcess:
 class Cell:
     """One sweep cell of a topology run: its config, stores and predictions.
 
-    ``stabilizers`` and ``layer.predictors`` are indexed by registry position.
+    ``stabilizers`` and ``layer.predictors`` are indexed by registry position;
+    a store is ``None`` until its node's first join.
     Cells of one predictor kind share one ``PredictorLayer``, except kinds
     fed by traffic, whose layer is the cell's own.
     """
@@ -327,8 +327,8 @@ class SimulationState:
     """Mutable state of one topology run, shared by all its cells.
 
     A node is its index in ``topology.nodes``, the one registry: ``churn``,
-    ``lookups`` (``None`` until the node's first join), the predictor layers
-    and each cell's stabilizers are lists by that index, and
+    the predictor layers, ``lookups`` and each cell's stabilizers are lists by
+    that index, the last two ``None`` until the node's first join, and
     ``topology.index_of`` turns the numerical IDs that searches, lookup tables
     and stores speak in back into it.  ``online_ids`` is the set of online
     numerical IDs, derived from ``churn`` once per slot, after arrivals.
@@ -357,10 +357,7 @@ class SimulationState:
                 self.layers.append(layer)
                 if cfg.predictor not in TRAFFIC_FED_KINDS:
                     shared[cfg.predictor] = layer
-            stabilizers = [
-                make_stabilizer(cfg.stabilizer, ident, topology, cfg.backup_size) for ident in idents
-            ]
-            self.cells.append(Cell(cfg, stabilizers, layer))
+            self.cells.append(Cell(cfg, [None] * len(idents), layer))
         self.online_ids: set[int] = set()
         self.slot_index = 0
 
@@ -370,14 +367,16 @@ class SimulationState:
             layer.catch_up(index, slot)
 
     def join(self, index: int) -> None:
-        # Departing is a crash: a returning node rebuilds its lookup table
-        # (kept under rejoin = stale).  Each cell's store applies its own join
-        # rule to ``fresh`` on every join, the first one included.
-        fresh = self.lookups[index] is None or self.config.rejoin == "fresh"
-        if fresh:
-            self.lookups[index] = join_node(self.topology, self.topology.nodes[index], self.online_ids)
+        """Build the node's lookup table and each cell's store anew.
+
+        Departing is a crash, so a returning node joins like a new one.
+        """
+        topology = self.topology
+        ident = topology.nodes[index]
+        self.lookups[index] = join_node(topology, ident, self.online_ids)
         for cell in self.cells:
-            cell.stabilizers[index].reset(fresh)
+            cfg = cell.config
+            cell.stabilizers[index] = make_stabilizer(cfg.stabilizer, ident, topology, cfg.backup_size)
 
 
 def _piggyback_entry(ident: NodeIdentity, predictor) -> PiggybackEntry:
@@ -404,7 +403,6 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     index_of = state.topology.index_of
     lookups = state.lookups
     stabilizers = cell.stabilizers
-    reads_path = stabilizers[0].reads_path
     predictors = cell.layer.predictors
     cfg = cell.config
     base_ms = cfg.rtt_base_ms
@@ -414,6 +412,8 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     ping = state.online_ids.__contains__
     current = index_of[initiator]
     current_id = initiator
+    # a cell's stores are all of one kind, and an online initiator has joined
+    reads_path = stabilizers[current].reads_path
     trace_hops: Optional[list] = [] if cell.trace_sink else None
 
     msg = SearchMessage(

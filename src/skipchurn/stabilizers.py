@@ -1,11 +1,13 @@
 """Timeout-failure recovery strategies.
 
-Every stabilizer is one node's store behind one protocol; the engine never
-asks which kind it holds.  ``reads_path`` declares whether the store reads the
-search path: the piggyback in ``update`` or the visited set in ``resolve``.
-For a store that does, ``update(lookup, piggyback)`` runs on each search
-message the node handles and feeds the piggybacked availability entries into
-the store; for one that does not, the engine builds neither and calls no
+Every stabilizer is one node's store behind one protocol: ``reads_path``,
+``update``, ``resolve`` and ``total_entries``; the engine never asks which kind
+it holds.  A store is built when its node joins, a return included, since a
+departure is a crash that keeps nothing.  ``reads_path`` declares whether the
+store reads the search path: the piggyback in ``update`` or the visited set in
+``resolve``.  For a store that does, ``update(lookup, piggyback)`` runs on each
+search message the node handles and feeds the piggybacked availability entries
+into the store; for one that does not, the engine builds neither and calls no
 ``update``.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
 neighbor at the level and direction of ``msg``; it pings candidates from the
 store until one answers and returns ``(candidate, contacts)``: the answering
@@ -13,9 +15,7 @@ candidate's numerical ID, or ``None`` when none answered, and the ordered
 contacts as ``(num_id, was_online)`` pairs, used for latency accounting.  A
 candidate is always the last contact.  A ``None`` candidate tells the caller
 to descend a level, or to end the whole search when already at level 0.
-``reset(fresh)`` runs on every join, the first one included, and applies the
-store's own join rule; ``fresh`` is false when a returning node keeps its
-state (rejoin = stale).  ``total_entries()`` counts what the store holds.
+``total_entries()`` counts what the store holds.
 
 Strategies:
 
@@ -161,11 +161,6 @@ class BackupTable:
         del entries[worst.num_id]
         return worst
 
-    def reset(self, fresh: bool) -> None:
-        """A node joining fresh starts with an empty table; a stale one keeps it."""
-        if fresh:
-            self._entries.clear()
-
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """Pick an online routing candidate eligible at the level and side of ``msg``.
 
@@ -252,17 +247,15 @@ class KademliaBuckets:
     """Recency-ordered backup lists with per-bucket capacity; a bucket holds
     the piggybacked entries themselves, which are immutable."""
 
-    reads_path = True
-
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
         self.owner = owner
         self.height = height
         self.max_size = max_size
+        self.reads_path = max_size > 0
         self.capacities = kademlia_capacity(max_size, height)
-        # Plain lists, built at each fresh join: a bucket holds a few entries,
-        # an empty list is far smaller than an empty deque, and a node that
-        # never joins holds none.
-        self.buckets: list[list[list[PiggybackEntry]]] = []
+        # Plain lists: a bucket holds a few entries, and an empty list is far
+        # smaller than an empty deque.
+        self.buckets: list[list[list[PiggybackEntry]]] = [[[], []] for _ in range(height)]
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
@@ -283,10 +276,6 @@ class KademliaBuckets:
             bucket.insert(0, item)
             del bucket[cap:]
 
-    def reset(self, fresh: bool) -> None:
-        if fresh:
-            self.buckets = [[[], []] for _ in range(self.height)]
-
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """The exact target first, then a head-to-tail scan of the bucket."""
         bucket = self.buckets[msg.level][msg.direction]
@@ -302,9 +291,9 @@ class KademliaBuckets:
 class DksPointers:
     """Per-level lists of the immediately succeeding topology nodes.
 
-    Lists are refilled on every join, stale or fresh, from the owner's level
-    groups (:meth:`TopologySnapshot.level_groups`), ignoring online status,
-    and carry no availability information.  When a head fails it is
+    Lists are filled when the store is built, with the owner's nearest nodes
+    of each level group (:meth:`TopologySnapshot.level_groups`), ignoring
+    online status, and carry no availability information.  When a head fails it is
     dropped and the list is extended with the node beyond the current tail in
     the identifier space; the appended node may itself be offline.  Learning
     that next node requires asking the current tail, so no extension happens
@@ -329,20 +318,11 @@ class DksPointers:
         self.max_size = max_size
         self.capacities = kademlia_capacity(max_size, self.height)
         self._groups = level_groups
-        # per (level, slot): list of NodeIdentity plus the group frontier
-        # index; built at each join, so a node that never joins holds none
+        # per (level, slot): list of NodeIdentity plus the group frontier index
         self.lists: list[list[list[NodeIdentity]]] = []
         self._frontier: list[list[int]] = []
-
-    def reset(self, fresh: bool) -> None:
-        """Fill every list with the owner's nearest same-prefix-group nodes.
-
-        Successor lists are rebuilt on every join, so a stale rejoin does not
-        keep lists that failures have shrunk.
-        """
-        owner_id = self.owner.num_id
-        self.lists, self._frontier = [], []
-        for group, (cap_left, cap_right) in zip(self._groups, self.capacities):
+        owner_id = owner.num_id
+        for group, (cap_left, cap_right) in zip(level_groups, self.capacities):
             pos = bisect_left(group, owner_id, key=attrgetter("num_id"))
             left = group[max(0, pos - cap_left) : pos]
             left.reverse()

@@ -24,7 +24,6 @@ FIELD_SETTINGS = {
     "rtt_per_unit_ms": ("rtt-per-unit-ms", "50", 50.0),
     "search_cap": ("search-cap", "17", 17),
     "seed": ("seed", "9", 9),
-    "rejoin": ("rejoin", "stale", "stale"),
     "pred_error_mode": ("pred-error", "instant", "instant"),
     "max_state_size": ("max-state-size", "5", 5),
     "kind": ("churn-kind", "uniform", "uniform"),

@@ -11,8 +11,8 @@ import pytest
 from skipchurn import cli, engine
 from skipchurn.churn import ChurnModel
 from skipchurn.engine import ChurnProcess, SearchOutcome, SimConfig, SimulationState, run_search
-from skipchurn.overlay import generate_topology
-from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets
+from skipchurn.overlay import Direction, PiggybackEntry, SearchMessage, generate_topology, join_node
+from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets, make_stabilizer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +47,7 @@ def test_search_for_its_initiator_succeeds_at_once():
     records = []
     cell.trace_sink = records.append
     nid = topo.nodes[5].num_id
+    state.join(5)
     assert run_search(state, cell, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
     assert len(records) == 1
     assert records[0]["hops"] == [] and records[0]["success"] and records[0]["result"] == nid
@@ -94,8 +95,8 @@ def _rows(out: Path) -> list[dict]:
     return json.loads((out / "results.json").read_text(encoding="utf-8"))["rows"]
 
 
-@pytest.mark.parametrize("variant", [[], ["--rejoin", "stale"], ["--churn-kind", "uniform", "--uniform-q", "0.3"]],
-                         ids=["debian-fresh", "debian-stale", "uniform"])
+@pytest.mark.parametrize("variant", [[], ["--churn-kind", "uniform", "--uniform-q", "0.3"]],
+                         ids=["debian-fresh", "uniform"])
 def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, variant):
     # One run advances all 24 cells of a topology together over shared churn,
     # joins and predictions; each cell run on its own must give the same row.
@@ -145,8 +146,9 @@ def test_cells_that_ignore_b_or_the_predictor_search_alike(tmp_path):
 
 
 def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, monkeypatch):
-    # dks ignores piggybacks and visited sets and none holds nothing, so their
-    # searches build no piggyback entry and call no update
+    # dks ignores piggybacks and visited sets, and none and a kademlia store
+    # of b = 0 hold nothing, so their searches build no piggyback entry and
+    # call no update
     calls = defaultdict(int)
 
     def counting(kind, fn):
@@ -166,14 +168,15 @@ def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, mon
     # a dks store has no update, so a call would raise
     for store in (BackupTable, KademliaBuckets):
         monkeypatch.setattr(store, "update", counting("update", store.update))
-    for kind in STABILIZER_KINDS:
+    for kind, b in [(kind, 8) for kind in STABILIZER_KINDS] + [("kademlia", 0)]:
         calls.clear()
-        argv = ORACLE_RUN + ["--stabilizer", kind, "--backup-size", "8", "--out", str(tmp_path / kind)]
+        argv = ORACLE_RUN + ["--stabilizer", kind, "--backup-size", str(b), "--out", str(tmp_path / f"{kind}-{b}")]
         assert cli.main(argv) == 0
         hops = calls.pop("hop")
         assert hops > 1000
         # every hop of a path-reading store carries one entry and one update
-        assert calls == ({} if kind in ("dks", "none") else {"entry": hops, "update": hops})
+        reads = kind in ("interlaced", "kademlia") and b > 0
+        assert calls == ({"entry": hops, "update": hops} if reads else {})
 
 
 def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
@@ -185,11 +188,39 @@ def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
         layers.setdefault(cell.config.predictor, set()).add(id(cell.layer))
     assert {kind: len(ids) for kind, ids in layers.items()} == {"swdbg": 1, "dbg2": 1, "ludp": 4}
     assert len(state.layers) == 6
+    state.join(0)
     assert len({id(cell.stabilizers[0]) for cell in state.cells}) == len(cells)
 
 
+@pytest.mark.parametrize("kind", STABILIZER_KINDS)
+def test_a_returning_node_builds_its_lookup_table_and_store_anew(kind):
+    # Departing is a crash: whatever the store learned, or lost to failures,
+    # and whoever was online at the last join, a rejoin starts from scratch.
+    topo = generate_topology(16, seed=3)
+    state = SimulationState([SimConfig(capacity=16, stabilizer=kind, backup_size=8)], topo, np.random.default_rng(0))
+    cell = state.cells[0]
+    i = 5
+    ident = topo.nodes[i]
+    assert state.lookups[i] is None and cell.stabilizers[i] is None
+    state.online_ids = {n.num_id for n in topo.nodes}
+    state.join(i)
+    store, first_lookup = cell.stabilizers[i], state.lookups[i]
+    fresh = make_stabilizer(kind, ident, topo, 8).total_entries()
+    assert store.total_entries() == fresh
+    if store.reads_path:
+        store.update(first_lookup, [PiggybackEntry(n.num_id, n.name_bits, 0.5) for n in topo.nodes])
+    else:
+        store.resolve(SearchMessage(topo.nodes[-1].num_id, 0, Direction.RIGHT), lambda _: False)
+    assert (store.total_entries() != fresh) == (kind != "none")
+    state.online_ids = {n.num_id for n in topo.nodes[::2]}
+    state.join(i)
+    assert cell.stabilizers[i] is not store
+    assert cell.stabilizers[i].total_entries() == fresh
+    assert state.lookups[i] == join_node(topo, ident, state.online_ids) != first_lookup
+
+
 def test_cells_of_one_run_differ_only_in_the_sweep_axes():
-    cells = [SimConfig(capacity=16), SimConfig(capacity=16, rejoin="stale")]
+    cells = [SimConfig(capacity=16), SimConfig(capacity=16, seed=2)]
     with pytest.raises(ValueError, match="may differ only in"):
         SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
 

@@ -59,10 +59,6 @@ GOLDEN = {
         "results.csv": "4c676ddc32038e2c34ecf16d71c86dabfb02be3aaaf4d96fa3d136a52047354a",
         "results.json": "dffc5d6fa75cca6ee4e6594a99268df7ce2ba4b1bc69ce3ea5118090c1f9f70c",
     },
-    "stabilizer_sweep_stale": {
-        "results.csv": "e7d8766c5c2b17ad075aa11787c9b0898d5529f357c41914f660226350315537",
-        "results.json": "59901acffc2b2922c8c3faa3757f459efd6748c0c96828fc6229ef125995b28a",
-    },
     "predictor_sweep": {
         "results.csv": "19122232dc70c9759d2bfb2c7a3181b42fa6128bb6af8cb89f1ae2e413640ae8",
         "results.json": "f6ab0e4516eea9037b9a6214d7f05bbd6f7f0cd3d87e08915f3ff5fd2aeddac4",
@@ -95,11 +91,6 @@ def _config_file(tmp_path: Path) -> Path:
 def test_stabilizer_sweep_over_three_topologies(tmp_path):
     assert cli.main(STABILIZER_SWEEP + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep"]
-
-
-def test_stabilizer_sweep_with_stale_rejoin(tmp_path):
-    assert cli.main(STABILIZER_SWEEP + ["--rejoin", "stale", "--out", str(tmp_path)]) == 0
-    assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep_stale"]
 
 
 def test_predictor_sweep_from_config_file(tmp_path):

@@ -442,7 +442,6 @@ class TestKademlia:
     def test_insert_at_head_evict_tail(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
-        buckets.reset(True)
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011")])
         buckets.update(lookup, [entry(108, "1010")])
@@ -452,7 +451,6 @@ class TestKademlia:
     def test_reinsert_moves_to_head(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
-        buckets.reset(True)
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
         buckets.update(lookup, [entry(106, "1011")])
@@ -463,7 +461,6 @@ class TestKademlia:
     def test_resolve_scans_recency_order(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
         buckets = KademliaBuckets(owner, 4, max_size=16)
-        buckets.reset(True)
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1011")])
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
@@ -477,8 +474,6 @@ def dks_fixture(max_size=8):
     ids = sorted(n.num_id for n in topo.nodes)
     owner = topo.nodes[5]
     dks = make_stabilizer("dks", owner, topo, max_size)
-    assert dks.total_entries() == 0  # filled at the first join
-    dks.reset(True)
     return topo, ids, owner, dks
 
 
@@ -553,34 +548,8 @@ class TestDks:
         got, trace = dks.resolve(msg(target), always_online)
         assert got is None and trace == []
 
-    def test_rejoin_restores_windows(self):
-        topo, ids, owner, dks = dks_fixture()
-        target = ids[-1]
-        dks.resolve(msg(target), lambda _: False)
-        shrunk = dks.total_entries()
-        dks.reset(False)  # a stale rejoin refills the lists too
-        assert dks.total_entries() > shrunk
-
 
 class TestLifecycle:
-    def test_reset_clears_backup(self):
-        table = BackupTable(OWNER, HEIGHT, max_size=8)
-        table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        table.reset(False)  # a stale rejoin keeps the table
-        assert table.total_entries() == 2
-        table.reset(True)
-        assert table.total_entries() == 0
-
-    def test_reset_clears_buckets_only_when_fresh(self):
-        buckets = KademliaBuckets(OWNER, HEIGHT, max_size=16)
-        assert buckets.total_entries() == 0  # buckets are built at the first join
-        buckets.reset(True)
-        buckets.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        buckets.reset(False)
-        assert buckets.total_entries() == 2
-        buckets.reset(True)
-        assert buckets.total_entries() == 0
-
     def test_none_stabilizer_resolves_nothing(self):
         # none is a scored table that may hold nothing, whatever its budget
         stab = make_stabilizer("none", OWNER, TOPOLOGY, 40)
@@ -599,7 +568,7 @@ class TestLifecycle:
     def test_zero_budget_resolves_nothing(self):
         for kind in ("interlaced", "kademlia"):
             stab = make_stabilizer(kind, OWNER, TOPOLOGY, 0)
-            stab.reset(True)
+            assert not stab.reads_path
             stab.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
             got, trace = stab.resolve(msg(150), always_online)
             assert got is None and trace == []
@@ -615,7 +584,6 @@ def test_every_kind_answers_resolve_in_num_ids(kind):
     hits = 0
     for owner in TOPOLOGY.nodes:
         store = make_stabilizer(kind, owner, TOPOLOGY, 8)
-        store.reset(True)
         if store.reads_path:
             store.update(empty_lookup(height), piggyback)
         online = {n.num_id for n in TOPOLOGY.nodes if rng.random() < 0.5}
