@@ -8,15 +8,16 @@ since a departure is a crash that keeps nothing; a workload of
 searches routes through the overlay with latency, timeout and piggyback
 accounting; nodes online during the slot feed their predictors; prediction
 error is sampled for every registered node, an offline one scored on its last
-prediction; finally ``ChurnProcess.depart`` ends expired sessions silently.
+prediction; finally ``ChurnProcess.depart`` ends expired sessions silently,
+and every offline node's lookup table and stores are dropped.
 
 What cannot differ between cells runs once per slot, in ``SimulationState``:
 the churn, the search count and every (initiator, target) pair, each joiner's
 lookup table, and one ``PredictorLayer`` per predictor kind.  The registry is
 ``topology.nodes``.  One online set, built after arrivals, serves the joins and
 every ping of the slot, since departures come last.  Each ``Cell`` holds only
-what its config shapes: one stabilizer store per node, ``None`` until the
-node's first join, and for a kind fed by traffic (``ludp``) its own predictor
+what its config shapes: one stabilizer store per node, ``None`` while the
+node is offline, and for a kind fed by traffic (``ludp``) its own predictor
 layer.  The searches run once per cell, in cell order, between the joins and
 the predictor feed, so every cell routes against the same overlay and the same
 predictions as it would alone.
@@ -300,7 +301,7 @@ class Cell:
     """One sweep cell of a topology run: its config, stores and predictions.
 
     ``stabilizers`` and ``layer.predictors`` are indexed by registry position;
-    a store is ``None`` until its node's first join.
+    a store is ``None`` while its node is offline.
     Cells of one predictor kind share one ``PredictorLayer``, except kinds
     fed by traffic, whose layer is the cell's own.
     """
@@ -328,7 +329,7 @@ class SimulationState:
 
     A node is its index in ``topology.nodes``, the one registry: ``churn``,
     the predictor layers, ``lookups`` and each cell's stabilizers are lists by
-    that index, the last two ``None`` until the node's first join, and
+    that index, the last two ``None`` while the node is offline, and
     ``topology.index_of`` turns the numerical IDs that searches, lookup tables
     and stores speak in back into it.  ``online_ids`` is the set of online
     numerical IDs, derived from ``churn`` once per slot, after arrivals.
@@ -566,6 +567,12 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
             metrics.backup_samples = n_o
 
     churn.depart()
+    # a departure is a crash: nothing reads an offline node's table or stores
+    for i, on in enumerate(churn.online):
+        if not on and state.lookups[i] is not None:
+            state.lookups[i] = None
+            for cell in state.cells:
+                cell.stabilizers[i] = None
     state.slot_index += 1
     return series
 

@@ -19,7 +19,8 @@ to descend a level, or to end the whole search when already at level 0.
 
 Strategies:
 
-* scored backup table (``interlaced``): bounded set store; eviction drops the
+* scored backup table (``interlaced``): a bounded set of the piggybacked
+  entries, kept beside ``_order``, their eviction order; eviction drops the
   globally lowest-scored entry, resolution contacts candidates by score.
 * recency buckets (``kademlia``): per-level fixed-capacity lists, newest at
   the head, oldest evicted, contacted head first.
@@ -31,8 +32,7 @@ Strategies:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, insort
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -50,14 +50,6 @@ from .overlay import (
 STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
 
 PingFn = Callable[[int], bool]
-
-
-@dataclass(slots=True)
-class BackupEntry:
-    num_id: int
-    name_bits: int
-    sop: float
-    score: float = 0.0
 
 
 ResolveResult = tuple[Optional[int], list[tuple[int, bool]]]
@@ -98,17 +90,18 @@ def _score(sop: float, cpl: int, distance: int) -> float:
 class BackupTable:
     """Score-managed backup neighbors, at most ``max_size`` of them.
 
-    One dict keyed by numerical ID holds every entry.  An entry's side is
-    whether its numerical ID exceeds the owner's, and its level is its capped
-    common prefix with the owner (:func:`_entry_level`); both are derived
-    when needed, never stored.  A full table drops the entry whose
-    owner-relative score is minimal before accepting a new one; ties evict
-    the farther entry, then the larger name ID.
+    ``_entries`` maps numerical ID to the piggybacked entry itself, which is
+    immutable; a newer piggyback with another ``sop`` replaces it.  An entry's
+    side is whether its numerical ID exceeds the owner's, and its level is its
+    capped common prefix with the owner (:func:`_entry_level`); both are
+    derived when needed, never stored.
 
-    An entry's ``score`` is always its owner-relative score.  It is computed
-    when the entry is inserted and recomputed only when a piggybacked update
-    changes the entry's ``sop``; resolution ranks candidates by their
-    target-relative score without storing it.
+    ``_order`` is the eviction order: every entry's :meth:`_rank`, ascending.
+    A full table drops the first, the entry whose owner-relative score is
+    minimal, before accepting a new one; ties evict the farther entry, then
+    the larger name ID, then the left one.  A rank changes only with the
+    entry's ``sop``; resolution ranks candidates by their target-relative
+    score without storing it.
     """
 
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
@@ -118,11 +111,14 @@ class BackupTable:
         self.height = height
         self.max_size = max_size
         self.reads_path = max_size > 0
-        self._entries: dict[int, BackupEntry] = {}
+        self._entries: dict[int, PiggybackEntry] = {}
+        self._order: list[tuple[float, int, int, int]] = []
 
-    def _owner_score(self, e: BackupEntry) -> float:
+    def _rank(self, e: PiggybackEntry) -> tuple[float, int, int, int]:
+        """``(owner score, -distance, -name_bits, num_id)``; num_id makes it unique."""
+        distance = abs(e.num_id - self.owner.num_id)
         cpl = cpl_ints(self.owner.name_bits, e.name_bits, self.height)
-        return _score(e.sop, cpl, abs(e.num_id - self.owner.num_id))
+        return (_score(e.sop, cpl, distance), -distance, -e.name_bits, e.num_id)
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         """Insert piggybacked elements, skipping lookup neighbors and self."""
@@ -137,29 +133,22 @@ class BackupTable:
                 continue
             old = entries.get(num_id)
             if old is not None:
-                if old.sop != item.sop:
-                    old.sop = item.sop
-                    old.score = self._owner_score(old)
-                continue
-            if len(entries) >= self.max_size:
+                if old.sop == item.sop:
+                    continue
+                self._unrank(old)
+            elif len(entries) >= self.max_size:
                 self._evict_minimum()
-            entry = BackupEntry(num_id, item.name_bits, item.sop)
-            entry.score = self._owner_score(entry)
-            entries[num_id] = entry
+            entries[num_id] = item
+            insort(self._order, self._rank(item))
 
-    def _evict_minimum(self) -> BackupEntry:
-        entries = self._entries
-        if not entries:
+    def _unrank(self, e: PiggybackEntry) -> None:
+        order = self._order
+        del order[bisect_left(order, self._rank(e))]
+
+    def _evict_minimum(self) -> PiggybackEntry:
+        if not self._order:
             raise RuntimeError("eviction requested on an empty table")
-        low = min(map(attrgetter("score"), entries.values()))
-        owner_id = self.owner.num_id
-        # Equal distances sit on both sides of the owner; the left one goes.
-        worst = max(
-            (e for e in entries.values() if e.score == low),
-            key=lambda e: (abs(e.num_id - owner_id), e.name_bits, -e.num_id),
-        )
-        del entries[worst.num_id]
-        return worst
+        return self._entries.pop(self._order.pop(0)[3])
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """Pick an online routing candidate eligible at the level and side of ``msg``.
@@ -177,10 +166,11 @@ class BackupTable:
             return None, []
         return _first_online(self._candidates(msg), ping, self._drop)
 
-    def _drop(self, e: BackupEntry) -> None:
+    def _drop(self, e: PiggybackEntry) -> None:
         del self._entries[e.num_id]
+        self._unrank(e)
 
-    def _candidates(self, msg: SearchMessage) -> Iterator[BackupEntry]:
+    def _candidates(self, msg: SearchMessage) -> Iterator[PiggybackEntry]:
         """The eligible entries in contact order; ranked only if the exact target fails."""
         entries = self._entries
         target = msg.target_num_id

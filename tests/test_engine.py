@@ -219,6 +219,25 @@ def test_a_returning_node_builds_its_lookup_table_and_store_anew(kind):
     assert state.lookups[i] == join_node(topo, ident, state.online_ids) != first_lookup
 
 
+@pytest.mark.parametrize("churn", [ChurnModel(interarrival_mean_seconds=300.0), ChurnModel(kind="uniform", uniform_q=0.5)],
+                         ids=["debian", "uniform"])
+def test_a_node_holds_its_table_and_stores_exactly_while_online(churn):
+    # Departing is a crash: an offline node keeps no lookup table and no store.
+    cells = [SimConfig(capacity=32, search_cap=20, stabilizer=kind, backup_size=8, churn=churn)
+             for kind in STABILIZER_KINDS]
+    state = SimulationState(cells, generate_topology(32, seed=3), np.random.default_rng(5))
+    left = 0
+    for _ in range(12):
+        before = list(state.churn.online)
+        engine.run_slot(state)
+        online = state.churn.online
+        left += sum(b and not on for b, on in zip(before, online))
+        assert [lookup is not None for lookup in state.lookups] == online
+        for cell in state.cells:
+            assert [store is not None for store in cell.stabilizers] == online
+    assert left > 0 and 0 < sum(online) < len(online)
+
+
 def test_cells_of_one_run_differ_only_in_the_sweep_axes():
     cells = [SimConfig(capacity=16), SimConfig(capacity=16, seed=2)]
     with pytest.raises(ValueError, match="may differ only in"):

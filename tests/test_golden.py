@@ -27,6 +27,14 @@ STABILIZER_SWEEP = [
     "--stabilizer", "interlaced,kademlia,dks,none", "--predictor", "swdbg", "--backup-size", "8,40",
 ]
 
+# Tiny backup tables under heavy traffic: thousands of evictions per cell,
+# hundreds of them among entries of equal score.
+EVICTION_SWEEP = [
+    "run", "--capacity", "64", "--slots", "24", "--topologies", "2", "--search-cap", "40",
+    "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
+    "--stabilizer", "interlaced", "--predictor", "swdbg,lifetime", "--backup-size", "2,3",
+]
+
 PREDICTOR_SWEEP_CONFIG = """\
 # lifetime, LUDP and DBG-3 under uniform churn
 capacity = 64
@@ -58,6 +66,10 @@ GOLDEN = {
     "stabilizer_sweep": {
         "results.csv": "4c676ddc32038e2c34ecf16d71c86dabfb02be3aaaf4d96fa3d136a52047354a",
         "results.json": "dffc5d6fa75cca6ee4e6594a99268df7ce2ba4b1bc69ce3ea5118090c1f9f70c",
+    },
+    "eviction_sweep": {
+        "results.csv": "879e4c4c5fff62098fda637b0a348a82dc891eb0e38659dda0cb59a9a32aa935",
+        "results.json": "bc3d7c1038fcd61addf93dae8cf42970e06c1089a67f4629621ca15d9d36d7be",
     },
     "predictor_sweep": {
         "results.csv": "19122232dc70c9759d2bfb2c7a3181b42fa6128bb6af8cb89f1ae2e413640ae8",
@@ -91,6 +103,11 @@ def _config_file(tmp_path: Path) -> Path:
 def test_stabilizer_sweep_over_three_topologies(tmp_path):
     assert cli.main(STABILIZER_SWEEP + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, RESULTS) == GOLDEN["stabilizer_sweep"]
+
+
+def test_interlaced_sweep_with_heavy_eviction(tmp_path):
+    assert cli.main(EVICTION_SWEEP + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, RESULTS) == GOLDEN["eviction_sweep"]
 
 
 def test_predictor_sweep_from_config_file(tmp_path):

@@ -15,7 +15,6 @@ from skipchurn.overlay import (
 )
 from skipchurn.stabilizers import (
     STABILIZER_KINDS,
-    BackupEntry,
     BackupTable,
     DksPointers,
     KademliaBuckets,
@@ -97,8 +96,8 @@ class TestBackupUpdate:
     def test_scoring_substitution(self):
         # sop 0.8, shared prefix 3, numerical distance 6
         table = BackupTable(OWNER, HEIGHT, max_size=8)
-        e = BackupEntry(106, 0b1001, 0.8)
-        assert table._owner_score(e) == pytest.approx(0.8 * 3 / 6)
+        e = PiggybackEntry(106, 0b1001, 0.8)
+        assert table._rank(e)[0] == pytest.approx(0.8 * 3 / 6)
 
     def test_score_at_zero_distance_raises(self):
         with pytest.raises(ValueError, match="distance must be nonzero"):
@@ -331,11 +330,15 @@ class TestCachedScores:
                     if not answered:
                         del model[nid]
             assert {nid: e.sop for nid, e in table._entries.items()} == model
+            ranks = {r[3]: r for r in table._order}
+            assert len(ranks) == len(table._order)
             for e in table._entries.values():
                 assert e.name_bits == int(names[e.num_id], 2)
                 cpl = common_prefix_length(OWNER_NAME, names[e.num_id])
-                assert e.score == e.sop * cpl / abs(e.num_id - OWNER.num_id)
+                assert ranks[e.num_id][0] == e.sop * cpl / abs(e.num_id - OWNER.num_id)
             assert table.total_entries() == len(model)
+            # the index holds exactly the model's entries, in eviction order
+            assert [r[3] for r in table._order] == sorted(model, key=lambda n: oracle_rank(n, names[n], model[n]))
 
 
 class TestBackupResolve:
