@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import resource
 import signal
@@ -73,6 +74,14 @@ def measure(checkout: Path, out: Path) -> dict:
     }
 
 
+def _cpu_model() -> str:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return platform.processor()
+    return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), "")
+
+
 def _revision(checkout: Path) -> str:
     git = ["git", "-C", str(checkout)]
     rev = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True).stdout.strip()
@@ -93,8 +102,8 @@ def main(argv: list[str]) -> int:
     sides = dict(side.split("=", 1) for side in args.sides)
     record = {
         "task": "1024 nodes, 168 slots, one topology, four stabilizers in lockstep, b=40, swdbg, one worker",
-        "command": ["skipchurn"] + ARGV,
-        "host": {"platform": platform.platform(), "machine": platform.machine()},
+        "command": " ".join(["skipchurn"] + ARGV),
+        "host": {"platform": platform.platform(), "processor": _cpu_model(), "cpus": os.cpu_count()},
         "phase_totals": None,
         "phase_totals_note": "left out: the engine does not time its phases yet",
         "sides": {
