@@ -219,8 +219,10 @@ def test_a_returning_node_builds_its_lookup_table_and_store_anew(kind):
     assert state.lookups[i] == join_node(topo, ident, state.online_ids) != first_lookup
 
 
-@pytest.mark.parametrize("churn", [ChurnModel(interarrival_mean_seconds=300.0), ChurnModel(kind="uniform", uniform_q=0.5)],
-                         ids=["debian", "uniform"])
+@pytest.mark.parametrize(
+    "churn", [ChurnModel(interarrival_mean_seconds=300.0), ChurnModel(kind="uniform", uniform_q=0.5)],
+    ids=["debian", "uniform"],
+)
 def test_a_node_holds_its_table_and_stores_exactly_while_online(churn):
     # Departing is a crash: an offline node keeps no lookup table and no store.
     cells = [SimConfig(capacity=32, search_cap=20, stabilizer=kind, backup_size=8, churn=churn)
