@@ -1,15 +1,16 @@
 """Paper-scale timing of one topology, written as a ``BENCH_*.json`` record.
 
-    python scripts/bench_paper_cell.py --out BENCH_N.json --runs 2 parent=OLD_CHECKOUT change=NEW_CHECKOUT
+    python scripts/bench_paper_cell.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_N.json
 
 The task is fixed: 1024 nodes, 168 slots, one topology, the four stabilizers
-in lockstep, b=40, swdbg, one worker, seed 1.  Each run is one
-``skipchurn.cli.main`` call in a fresh interpreter that imports ``skipchurn``
-from the named checkout's ``src/``.  Runs alternate between the checkouts, so
-drift in the host's speed reaches every side alike.  A run records its wall
-and CPU time, peak RSS, a fixed reference loop timed about once a second
-while it runs (the host's speed at the time; the probes are subtracted from
-wall and CPU time), and the SHA-256 of ``results.json``.
+in lockstep, b=40, swdbg, one worker, seed 1.  Each run is one plain-mode
+``perfbench/child.py`` operation, which calls ``skipchurn.cli.main`` in a
+fresh interpreter that imports ``skipchurn`` from the checkout's ``src/``.
+The two checkouts alternate, ``RUNS`` runs each, so drift in the host's speed
+reaches both sides alike.  A run records what the child measures (wall and
+CPU time with the reference-loop probes subtracted, peak RSS), the median of
+its reference-loop samples (the host's speed at the time) and the SHA-256 of
+``results.json``.
 """
 
 from __future__ import annotations
@@ -19,59 +20,38 @@ import hashlib
 import json
 import os
 import platform
-import resource
-import signal
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+import numpy
 
 ARGV = [
     "run", "--capacity", "1024", "--slots", "168", "--topologies", "1",
     "--stabilizer", "interlaced,kademlia,dks,none", "--predictor", "swdbg", "--backup-size", "40",
     "--seed", "1", "--workers", "1",
 ]
-PROBE_INTERVAL_S = 1.0
+RUNS = 2
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
-def _reference() -> float:
-    """Seconds of the reference loop of ``perfbench/child.py``."""
-    t0 = time.perf_counter()
-    table: dict[int, int] = {}
-    acc = 0
-    for i in range(2500):
-        table[i & 1023] = i
-        acc += table.get((i * 7) & 1023, 0) % 13
-    return time.perf_counter() - t0
-
-
-def measure(checkout: Path, out: Path) -> dict:
-    """One run of the task in this process, from ``checkout``'s sources."""
-    sys.path.insert(0, str(checkout / "src"))
-    import skipchurn.cli as cli
-    import numpy
-
-    refs = [_reference()]
-    signal.signal(signal.SIGALRM, lambda signum, frame: refs.append(_reference()))
-    signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
-    w0, c0 = time.perf_counter(), time.process_time()
-    try:
-        rc = cli.main(ARGV + ["--out", str(out)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    probe_s = sum(refs[1:])
-    return {
-        "rc": rc,
-        "wall_s": time.perf_counter() - w0 - probe_s,
-        "cpu_s": time.process_time() - c0 - probe_s,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "reference_loop_ms": {"median": 1e3 * statistics.median(refs), "samples": len(refs)},
-        "results_json_sha256": hashlib.sha256((out / "results.json").read_bytes()).hexdigest(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
+def run_once(checkout: Path) -> dict:
+    """One run of the task from ``checkout``'s sources, as ``perfbench/child.py`` measures it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, result = Path(tmp) / "out", Path(tmp) / "result.json"
+        spec = {"root": str(checkout), "argv": ARGV + ["--out", str(out)], "mode": "plain",
+                "result": str(result)}
+        subprocess.run([sys.executable, str(CHILD), json.dumps(spec)], check=True,
+                       stdout=subprocess.DEVNULL)
+        run = json.loads(result.read_text(encoding="utf-8"))
+        digest = hashlib.sha256((out / "results.json").read_bytes()).hexdigest()
+    refs = run.pop("refs")
+    del run["t_ready"]
+    run["reference_loop_ms"] = {"median": 1e3 * statistics.median(refs), "samples": len(refs)}
+    run["results_json_sha256"] = digest
+    return run
 
 
 def _cpu_model() -> str:
@@ -90,32 +70,24 @@ def _revision(checkout: Path) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--measure"]:
-        checkout, out = argv[1:]
-        print(json.dumps(measure(Path(checkout).resolve(), Path(out))))
-        return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("sides", nargs="+", metavar="NAME=CHECKOUT")
-    parser.add_argument("--runs", type=int, default=2)
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    sides = dict(side.split("=", 1) for side in args.sides)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "task": "1024 nodes, 168 slots, one topology, four stabilizers in lockstep, b=40, swdbg, one worker",
         "command": " ".join(["skipchurn"] + ARGV),
-        "host": {"platform": platform.platform(), "processor": _cpu_model(), "cpus": os.cpu_count()},
+        "host": {"platform": platform.platform(), "processor": _cpu_model(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": numpy.__version__},
         "phase_totals": None,
         "phase_totals_note": "left out: the engine does not time its phases yet",
-        "sides": {
-            name: {"revision": _revision(Path(path)), "runs": []} for name, path in sides.items()
-        },
+        "sides": {name: {"revision": _revision(path), "runs": []} for name, path in sides.items()},
     }
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name, path in sides.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                cmd = [sys.executable, __file__, "--measure", path, tmp]
-                done = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            run = json.loads(done.stdout.splitlines()[-1])
+            run = run_once(path)
             record["sides"][name]["runs"].append(run)
             print(name, json.dumps(run), flush=True)
     digests = {run["results_json_sha256"] for side in record["sides"].values() for run in side["runs"]}
