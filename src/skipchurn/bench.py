@@ -8,10 +8,10 @@ Churn is drawn from the stream ``[seed, topology, 2]``, not the run's
 than ``run`` does.  No searches run, hence no messages: predictors that feed
 on incoming traffic receive none here.
 
-A bench reads ``capacity``, ``slots``, ``topologies``, ``seed``, ``churn``,
-``max_state_size`` and ``pred_error_mode`` from its ``SimConfig``; the kinds
-are passed on their own, so the config's ``predictor``, like its overlay and
-stabilizer settings, is not read.
+A bench reads ``capacity``, ``slots``, ``topologies``, ``seed`` and
+``churn`` from its ``SimConfig``; the kinds are passed on their own, so the
+config's ``predictor``, like its overlay and stabilizer settings, is not
+read.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, int, int]:
     rng = np.random.default_rng([config.seed, topo_index, 2])
     # churn only needs node count, not identities: registry indices 0..capacity-1
     churn = ChurnProcess(config.churn, capacity)
-    layers = {k: PredictorLayer(k, capacity, config.max_state_size, config.pred_error_mode) for k in kinds}
+    layers = {k: PredictorLayer(k, capacity) for k in kinds}
     err = {k: 0.0 for k in kinds}
     right_sum = right_samples = 0
     for slot in range(slots):
@@ -85,8 +85,7 @@ def run_predictor_bench(
 
     Deterministic for a fixed ``config``; the worker count does not affect the
     result.  ``workers`` processes share the topologies as in ``run``
-    (``engine.topology_map``).  The config's ``max_state_size`` and
-    ``pred_error_mode`` reach every predictor as in a run.
+    (``engine.topology_map``).
     """
     result = PredictorBenchResult(
         kinds=list(kinds),

@@ -3,16 +3,17 @@
 Configuration is flat ``key = value`` text; command-line flags ``--<key>``
 override file values.  The keys are the field names of ``SimConfig`` and
 ``ChurnModel`` with dashes for underscores, each typed by its default, except
-that ``ChurnModel.kind`` is ``churn-kind`` and ``SimConfig.pred_error_mode`` is
-``pred-error``.  ``workers``, ``out`` and ``format`` configure the run itself.
-The sweep keys are the keys of the fields in ``engine.SWEEP_FIELDS``
-(``stabilizer``, ``predictor``, ``backup-size``); they and ``format`` take
-comma-separated lists of distinct values.  ``search-cap none`` removes the
-per-slot search cap.
+that ``ChurnModel.kind`` is ``churn-kind``; the model's fixed numbers are
+constants, not keys (see ``SimConfig``).  ``workers`` and ``out`` configure
+the run itself.  The sweep keys are the keys of the fields in
+``engine.SWEEP_FIELDS`` (``stabilizer``, ``predictor``, ``backup-size``);
+they take comma-separated lists of distinct values.  ``search-cap none``
+removes the per-slot search cap.
 
 The ``run`` subcommand executes the sweep, one cell per combination of the
-sweep values, ``analyze`` prints the closed-form chain as JSON, and
-``predict-bench`` reproduces the predictor error table without the overlay.
+sweep values, and writes ``results.csv`` and ``results.json``; ``analyze``
+prints the closed-form chain as JSON, and ``predict-bench`` reproduces the
+predictor error table without the overlay.
 Report columns are the sweep fields, the figures ``RunMetrics.REPORTED`` and
 the seed.
 
@@ -49,7 +50,7 @@ from .predictors import PREDICTOR_KINDS
 DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 # Keys that are not their field's name with dashes for underscores.
-_RENAMED = {"kind": "churn-kind", "pred_error_mode": "pred-error"}
+_RENAMED = {"kind": "churn-kind"}
 
 
 def _key(name: str) -> str:
@@ -62,7 +63,6 @@ def _field_keys(cls) -> dict[str, str]:
 
 
 SWEEP_KEYS = {_key(name): name for name in SWEEP_FIELDS}
-_LIST_KEYS = (*SWEEP_KEYS, "format")
 _SIM_KEYS = _field_keys(SimConfig)
 _CHURN_KEYS = _field_keys(ChurnModel)
 
@@ -71,7 +71,7 @@ def _defaults() -> dict:
     values = {key: getattr(SimConfig, name) for key, name in _SIM_KEYS.items()}
     values.update({key: getattr(ChurnModel, name) for key, name in _CHURN_KEYS.items()})
     values.update({key: [values[key]] for key in SWEEP_KEYS})
-    values.update(workers=DEFAULT_WORKERS, out="results", format=["csv", "json"])
+    values.update(workers=DEFAULT_WORKERS, out="results")
     return values
 
 
@@ -85,7 +85,6 @@ class RunSpec:
     base: SimConfig
     sweep: dict[str, list]
     out_dir: Optional[Path]
-    formats: list[str]
     workers: int = DEFAULT_WORKERS
 
     def combinations(self) -> list[SimConfig]:
@@ -107,7 +106,7 @@ def report_row(cfg: SimConfig, metrics: RunMetrics) -> dict:
 def parse_value(key: str, raw: str):
     """The typed value of ``key`` from its text, as in a config file or flag."""
     default = DEFAULTS[key]
-    kind = type(default[0] if key in _LIST_KEYS else default)
+    kind = type(default[0] if key in SWEEP_KEYS else default)
 
     def one(text: str):
         if key == "search-cap" and text.lower() in ("none", "unlimited"):
@@ -117,7 +116,7 @@ def parse_value(key: str, raw: str):
         except ValueError:
             raise ConfigError(f"invalid value for {key}: {text!r}") from None
 
-    if key in _LIST_KEYS:
+    if key in SWEEP_KEYS:
         return [one(item.strip()) for item in raw.split(",") if item.strip()]
     return one(raw.strip())
 
@@ -159,14 +158,11 @@ def parse_config(
             raise ConfigError(f"unknown config key: {key}")
         values[key] = val
 
-    for key in _LIST_KEYS:
+    for key in SWEEP_KEYS:
         if not values[key]:
             raise ConfigError(f"{key} needs at least one value")
         if len(set(values[key])) < len(values[key]):
             raise ConfigError(f"{key} lists a value twice: {','.join(map(str, values[key]))}")
-    for f in values["format"]:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {f!r}")
     if values["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {values['workers']}")
     churn = ChurnModel(**{name: values[key] for key, name in _CHURN_KEYS.items()})
@@ -179,7 +175,6 @@ def parse_config(
         base=base,
         sweep={name: list(values[key]) for key, name in SWEEP_KEYS.items()},
         out_dir=None if values["out"] is None else Path(values["out"]),
-        formats=list(values["format"]),
         workers=values["workers"],
     )
     spec.combinations()  # SimConfig checks every sweep value, not only the first
@@ -257,26 +252,20 @@ def csv_text(columns: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def emit_reports(
-    results: list[tuple[SimConfig, RunMetrics]], formats: list[str], out_dir: Path
-) -> list[Path]:
+def emit_reports(results: list[tuple[SimConfig, RunMetrics]], out_dir: Path) -> list[Path]:
+    """Write ``results.csv`` and ``results.json``; returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     rows = [report_row(cfg, m) for cfg, m in results]
-    if "csv" in formats:
-        path = out_dir / "results.csv"
-        path.write_text(csv_text(CSV_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
-        written.append(path)
-    if "json" in formats:
-        doc = {"rows": [
-            {**row, "slot_series": [asdict(sm) for sm in m.slot_series]}
-            for row, (_, m) in zip(rows, results)
-        ]}
-        path = out_dir / "results.json"
-        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8")
-        written.append(path)
-    return written
+    csv_path = out_dir / "results.csv"
+    csv_path.write_text(csv_text(CSV_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
+    doc = {"rows": [
+        {**row, "slot_series": [asdict(sm) for sm in m.slot_series]}
+        for row, (_, m) in zip(rows, results)
+    ]}
+    json_path = out_dir / "results.json"
+    json_path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+    return [csv_path, json_path]
 
 
 def preflight_out_dir(out_dir: Path) -> None:
@@ -294,7 +283,7 @@ def preflight_out_dir(out_dir: Path) -> None:
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
     for key, default in DEFAULTS.items():
-        if key in _LIST_KEYS:
+        if key in SWEEP_KEYS:
             shown = "comma-separated list, default " + ",".join(map(str, default))
         else:
             shown = f"default {default}"
@@ -314,7 +303,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             results = run_experiments(spec, trace)
     else:
         results = run_experiments(spec)
-    written = emit_reports(results, spec.formats, spec.out_dir)
+    written = emit_reports(results, spec.out_dir)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0

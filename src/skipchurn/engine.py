@@ -58,27 +58,42 @@ from .overlay import (
     join_node,
     route_step,
 )
-from .predictors import DEFAULT_MAX_STATE_SIZE, PRED_ERROR_MODES, PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
+from .predictors import PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
 from .stabilizers import STABILIZER_KINDS, make_stabilizer
 
 DEFAULT_SEARCH_CAP = 2000
 
+# The latency model: a round trip is RTT_BASE_MS plus RTT_PER_UNIT_MS per unit
+# of unit-square distance, and a timeout waits TIMEOUT_MULTIPLIER round trips.
+RTT_BASE_MS = 10.0
+RTT_PER_UNIT_MS = 100.0
+TIMEOUT_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The settings of one sweep cell; a field is a value some experiment varies.
+
+    The model's fixed numbers are module constants beside the code that reads
+    them, since no experiment varies them:
+
+    - the latency model, here: ``RTT_BASE_MS``, ``RTT_PER_UNIT_MS`` and
+      ``TIMEOUT_MULTIPLIER``;
+    - the SW-DBG state-size cap, ``predictors.DEFAULT_MAX_STATE_SIZE``;
+    - the Debian session law the paper measured, ``churn.SESSION_SHAPE`` and
+      ``churn.SESSION_MEAN_HOURS``, with Poisson arrivals.  Their rate stays
+      a field of ``churn``, because the offline fraction it sets depends on
+      the capacity.
+    """
+
     capacity: int = 1024
     slots: int = 168
     topologies: int = 100
     backup_size: int = 40
     stabilizer: str = "interlaced"
     predictor: str = "swdbg"
-    timeout_multiplier: float = 2.0
-    rtt_base_ms: float = 10.0
-    rtt_per_unit_ms: float = 100.0
     search_cap: Optional[int] = DEFAULT_SEARCH_CAP
     seed: int = 1
-    pred_error_mode: str = "window"
-    max_state_size: int = DEFAULT_MAX_STATE_SIZE
     churn: ChurnModel = field(default_factory=ChurnModel)
 
     def __post_init__(self) -> None:
@@ -94,27 +109,15 @@ class SimConfig:
             raise ConfigError(f"unknown stabilizer: {self.stabilizer}")
         if self.predictor not in PREDICTOR_KINDS:
             raise ConfigError(f"unknown predictor: {self.predictor}")
-        if self.timeout_multiplier <= 0:
-            raise ConfigError("timeout-multiplier must be positive")
-        if self.rtt_base_ms < 0 or self.rtt_per_unit_ms < 0:
-            raise ConfigError("rtt parameters must be >= 0")
         if self.search_cap is not None and self.search_cap < 0:
             raise ConfigError("search-cap must be >= 0")
-        if self.pred_error_mode not in PRED_ERROR_MODES:
-            raise ConfigError(f"unknown pred-error mode: {self.pred_error_mode}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # SW-DBG starts from the (1, 2, 3) window.
-        least = 3 if self.predictor == "swdbg" else 1
-        if self.max_state_size < least:
-            raise ConfigError(
-                f"max-state-size must be >= {least} for {self.predictor}, got {self.max_state_size}"
-            )
 
 
-def rtt_ms(a: NodeIdentity, b: NodeIdentity, base_ms: float, per_unit_ms: float) -> float:
+def rtt_ms(a: NodeIdentity, b: NodeIdentity) -> float:
     """Synthetic symmetric round trip time from unit-square coordinates."""
-    return base_ms + per_unit_ms * math.hypot(a.coords[0] - b.coords[0], a.coords[1] - b.coords[1])
+    return RTT_BASE_MS + RTT_PER_UNIT_MS * math.hypot(a.coords[0] - b.coords[0], a.coords[1] - b.coords[1])
 
 
 @dataclass
@@ -281,7 +284,7 @@ class ChurnProcess:
         arrivals = sorted(offline[j] for j in picks.tolist())
         for i in arrivals:
             online[i] = True
-            self.session_left[i] = draw_session_length(model, rng)
+            self.session_left[i] = draw_session_length(rng)
         return arrivals
 
     def depart(self) -> None:
@@ -354,7 +357,7 @@ class SimulationState:
         for cfg in cells:
             layer = shared.get(cfg.predictor)
             if layer is None:
-                layer = PredictorLayer(cfg.predictor, len(idents), cfg.max_state_size, cfg.pred_error_mode)
+                layer = PredictorLayer(cfg.predictor, len(idents))
                 self.layers.append(layer)
                 if cfg.predictor not in TRAFFIC_FED_KINDS:
                     shared[cfg.predictor] = layer
@@ -405,10 +408,6 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     lookups = state.lookups
     stabilizers = cell.stabilizers
     predictors = cell.layer.predictors
-    cfg = cell.config
-    base_ms = cfg.rtt_base_ms
-    per_unit = cfg.rtt_per_unit_ms
-    timeout_mult = cfg.timeout_multiplier
     online = state.churn.online
     ping = state.online_ids.__contains__
     current = index_of[initiator]
@@ -426,7 +425,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     hops = 0
     resolve_inv = 0
     resolve_msgs = 0
-    step_guard = 40 * cfg.capacity + 100
+    step_guard = 40 * cell.config.capacity + 100
 
     while current_id != target:
         step_guard -= 1
@@ -435,7 +434,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
         nb = route_step(current_id, lookups[current], msg)
         if nb is not None:
             here = nodes[current]
-            hop_rtt = rtt_ms(here, nb, base_ms, per_unit)
+            hop_rtt = rtt_ms(here, nb)
             hop = index_of[nb.num_id]
             if online[hop]:
                 latency += hop_rtt
@@ -443,18 +442,18 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                 kind = "forward"
             else:
                 # timeout failure on the lookup neighbor
-                latency += timeout_mult * hop_rtt
+                latency += TIMEOUT_MULTIPLIER * hop_rtt
                 candidate, contacts = stabilizers[current].resolve(msg, ping)
                 resolve_inv += 1
                 resolve_msgs += len(contacts)
                 for num_id, answered in contacts:
                     other = index_of[num_id]
-                    ping_rtt = rtt_ms(here, nodes[other], base_ms, per_unit)
+                    ping_rtt = rtt_ms(here, nodes[other])
                     if answered:
                         latency += ping_rtt
                         predictors[other].record_incoming()
                     else:
-                        latency += timeout_mult * ping_rtt
+                        latency += TIMEOUT_MULTIPLIER * ping_rtt
                 if trace_hops is not None:
                     trace_hops.append(
                         {

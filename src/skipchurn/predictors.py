@@ -50,10 +50,7 @@ PREDICTOR_KINDS = ("swdbg", "dbg1", "dbg2", "dbg3", "dbg4", "lifetime", "ludp")
 # Kinds whose estimate counts the messages a node answers, so it depends on
 # the overlay's traffic and not on churn alone.
 TRAFFIC_FED_KINDS = ("ludp",)
-# How SW-DBG scores each chain of its window: against the online fraction of
-# the chain's own recent bits, or against the latest bit.
-PRED_ERROR_MODES = ("window", "instant")
-
+# The widest chain SW-DBG may grow to, and the state-size bound of every chain.
 DEFAULT_MAX_STATE_SIZE = 8
 
 
@@ -443,24 +440,16 @@ class SlidingWindowDbg:
 
     After feeding a status bit to all three chains, each chain's prediction
     error is the absolute gap between its stationary estimate and the online
-    fraction over its own state-size window of recent bits (``window`` mode)
-    or the gap to the latest status bit (``instant`` mode).  Strictly
+    fraction over its own state-size window of recent bits.  Strictly
     improving errors towards the wide end grow the window; strictly improving
     errors towards the narrow end shrink it, clamped at state size 1.  The
     prediction is the estimate of the chain with the smallest error.
     """
 
-    def __init__(
-        self,
-        max_state_size: int = DEFAULT_MAX_STATE_SIZE,
-        error_mode: str = "window",
-    ):
-        if error_mode not in PRED_ERROR_MODES:
-            raise ValueError(f"unknown error mode: {error_mode}")
+    def __init__(self, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
         if max_state_size < 3:
             raise ValueError("max state size must allow the initial (1, 2, 3) window")
         self.max_state_size = max_state_size
-        self.error_mode = error_mode
         self.left = Dbg(1, max_state_size)
         self.center = Dbg(2, max_state_size)
         self.right = Dbg(3, max_state_size)
@@ -470,10 +459,8 @@ class SlidingWindowDbg:
     def prediction(self) -> float:
         return self._prediction
 
-    def _error(self, sop: float, dbg: Dbg, status: int) -> float:
+    def _error(self, sop: float, dbg: Dbg) -> float:
         # every chain of the window holds the same newest bits and bit count
-        if self.error_mode == "instant":
-            return abs(status - sop)
         n = min(dbg.state_size, dbg.bits_seen)
         frac = (dbg._recent & ((1 << n) - 1)).bit_count() / n
         return abs(sop - frac)
@@ -484,7 +471,7 @@ class SlidingWindowDbg:
         for d in dbgs:
             d.observe(status)
         sops = [d.prediction for d in dbgs]
-        errs = [self._error(sops[i], dbgs[i], status) for i in range(3)]
+        errs = [self._error(sops[i], dbgs[i]) for i in range(3)]
 
         while errs[0] > errs[1] > errs[2]:
             if dbgs[2].state_size + 1 > self.max_state_size:
@@ -494,7 +481,7 @@ class SlidingWindowDbg:
             dbgs = [dbgs[1], dbgs[2], grown]
             sop = grown.prediction
             sops = [sops[1], sops[2], sop]
-            errs = [errs[1], errs[2], self._error(sop, grown, status)]
+            errs = [errs[1], errs[2], self._error(sop, grown)]
 
         while errs[0] < errs[1] < errs[2]:
             if dbgs[0].state_size == 1:
@@ -503,7 +490,7 @@ class SlidingWindowDbg:
             dbgs = [shrunk, dbgs[0], dbgs[1]]
             sop = shrunk.prediction
             sops = [sop, sops[0], sops[1]]
-            errs = [self._error(sop, shrunk, status), errs[0], errs[1]]
+            errs = [self._error(sop, shrunk), errs[0], errs[1]]
 
         self.left, self.center, self.right = dbgs
         best = min(range(3), key=lambda i: errs[i])
@@ -574,22 +561,17 @@ class LudpPredictor:
         self.incoming += 1
 
 
-def make_predictor(
-    kind: str,
-    capacity: int,
-    max_state_size: int = DEFAULT_MAX_STATE_SIZE,
-    error_mode: str = "window",
-):
+def make_predictor(kind: str, capacity: int):
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {kind}")
     if kind == "swdbg":
-        return SlidingWindowDbg(max_state_size=max_state_size, error_mode=error_mode)
+        return SlidingWindowDbg()
     if kind == "lifetime":
         return LifetimePredictor()
     if kind == "ludp":
         return LudpPredictor(capacity)
     size = int(kind[3:])  # dbg1 to dbg4
-    return Dbg(size, max_state_size=max(size, max_state_size))
+    return Dbg(size)
 
 
 class PredictorLayer:
@@ -603,10 +585,9 @@ class PredictorLayer:
 
     __slots__ = ("kind", "predictors", "last_fed")
 
-    def __init__(self, kind: str, size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE,
-                 error_mode: str = "window"):
+    def __init__(self, kind: str, size: int):
         self.kind = kind
-        self.predictors = [make_predictor(kind, size, max_state_size, error_mode) for _ in range(size)]
+        self.predictors = [make_predictor(kind, size) for _ in range(size)]
         self.last_fed = [-1] * size
 
     def catch_up(self, index: int, slot: int) -> None:

@@ -19,20 +19,16 @@ FIELD_SETTINGS = {
     "backup_size": ("backup-size", "7", 7),
     "stabilizer": ("stabilizer", "dks", "dks"),
     "predictor": ("predictor", "lifetime", "lifetime"),
-    "timeout_multiplier": ("timeout-multiplier", "3.5", 3.5),
-    "rtt_base_ms": ("rtt-base-ms", "1.5", 1.5),
-    "rtt_per_unit_ms": ("rtt-per-unit-ms", "50", 50.0),
     "search_cap": ("search-cap", "17", 17),
     "seed": ("seed", "9", 9),
-    "pred_error_mode": ("pred-error", "instant", "instant"),
-    "max_state_size": ("max-state-size", "5", 5),
     "kind": ("churn-kind", "uniform", "uniform"),
-    "session_shape": ("session-shape", "0.7", 0.7),
-    "session_mean_hours": ("session-mean-hours", "3", 3.0),
     "interarrival_mean_seconds": ("interarrival-mean-seconds", "20", 20.0),
     "uniform_q": ("uniform-q", "0.5", 0.5),
-    "arrival_process": ("arrival-process", "fixed", "fixed"),
 }
+
+# Settings that no experiment varied, now constants: no file key or flag sets them.
+REMOVED_KEYS = ("timeout-multiplier", "rtt-base-ms", "rtt-per-unit-ms", "pred-error", "max-state-size",
+                "session-shape", "session-mean-hours", "arrival-process", "format")
 
 
 def _from_file(tmp_path: Path, text: str, command: str = "run") -> cli.RunSpec:
@@ -79,7 +75,7 @@ def test_cells_nest_stabilizer_outermost_and_backup_size_fastest(tmp_path):
     stabilizers, predictors, sizes = ["kademlia", "interlaced"], ["lifetime", "dbg3"], [40, 8]
     expected = [(s, p, b) for s in stabilizers for p in predictors for b in sizes]
     argv = ["--capacity", "16", "--slots", "2", "--topologies", "1", "--search-cap", "5",
-            "--workers", "1", "--format", "csv", "--out", str(tmp_path),
+            "--workers", "1", "--out", str(tmp_path),
             "--stabilizer", ",".join(stabilizers), "--predictor", ",".join(predictors),
             "--backup-size", ",".join(map(str, sizes))]
     cells = _from_flags(argv).combinations()
@@ -97,12 +93,12 @@ def test_every_sweep_value_is_checked():
 @pytest.mark.parametrize("text, message", [
     ("colour = red\n", "unknown config key"),
     ("capacity = many\n", "invalid value for capacity"),
-    ("format = xml\n", "format must be csv or json"),
-    ("format =\n", "format needs at least one value"),
+    *((f"{key} = 1\n", "unknown config key") for key in REMOVED_KEYS),
 ])
 def test_bad_config_file_rejected(tmp_path, text, message):
-    with pytest.raises(ConfigError, match=message):
-        _from_file(tmp_path, text)
+    for command in ("run", "predict-bench"):
+        with pytest.raises(ConfigError, match=message):
+            _from_file(tmp_path, text, command)
 
 
 def _bench_rows(capsys, argv: list[str]) -> list[str]:
@@ -148,43 +144,25 @@ def test_predict_bench_rejects_trace(capsys):
     assert "--trace" in capsys.readouterr().err
 
 
-def test_predict_bench_honours_max_state_size_and_pred_error(capsys):
-    argv = ["predict-bench", "--capacity", "32", "--slots", "24", "--topologies", "1",
-            "--workers", "1", "--seed", "2", "--predictor", "swdbg,dbg4",
-            "--churn-kind", "uniform", "--uniform-q", "0.4"]
-
-    def table(*extra: str) -> list[str]:
-        assert cli.main([*argv, *extra]) == 0
-        return capsys.readouterr().out.splitlines()
-
-    default = table()
-    assert default[-1] != "mean wide-end state size: 3.00"
-    # a cap of 3 pins the window at (1, 2, 3); dbg4 keeps its own size
-    capped = table("--max-state-size", "3")
-    assert capped[-1] == "mean wide-end state size: 3.00"
-    assert [r for r in capped if r.startswith("dbg4")] == [r for r in default if r.startswith("dbg4")]
-    instant = table("--pred-error", "instant")
-    assert [r for r in instant if r.startswith("swdbg")] != [r for r in default if r.startswith("swdbg")]
-
-
 @pytest.mark.parametrize("command", ["run", "predict-bench"])
 @pytest.mark.parametrize("flags, message", [
-    (["--max-state-size", "2"], "max-state-size must be >= 3 for swdbg"),
-    (["--predictor", "lifetime", "--max-state-size", "0"], "max-state-size must be >= 1 for lifetime"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--workers", "0"], "workers must be >= 1"),
     (["--workers", "-2"], "workers must be >= 1"),
     (["--config", "."], "config file not readable: .: "),
-    (["--format", ""], "format needs at least one value"),
-    (["--format", ","], "format needs at least one value"),
     (["--backup-size", "8,8"], "backup-size lists a value twice: 8,8"),
     (["--stabilizer", "dks,none,dks"], "stabilizer lists a value twice: dks,none,dks"),
-], ids=["swdbg-cap-2", "lifetime-cap-0", "seed-negative", "workers-0", "workers-negative",
-        "config-directory", "format-empty", "format-comma", "backup-size-repeated", "stabilizer-repeated"])
+    *(([f"--{key}", "1"], f"unrecognized arguments: --{key} 1") for key in REMOVED_KEYS),
+], ids=["seed-negative", "workers-0", "workers-negative", "config-directory", "backup-size-repeated",
+        "stabilizer-repeated", *(f"{key}-removed" for key in REMOVED_KEYS)])
 def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out"
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]
-    assert cli.main([*argv, *flags]) == 2
+    try:
+        code = cli.main([*argv, *flags])
+    except SystemExit as exc:  # argparse rejects an unknown flag itself
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert message in err
     assert "topology" not in err
@@ -208,12 +186,8 @@ def test_uncreatable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert captured.err.count("\n") == 1
 
 
-def test_fixed_chain_accepts_a_cap_below_the_window():
-    assert _from_flags(["--predictor", "dbg3", "--max-state-size", "2"]).base.max_state_size == 2
-
-
 SMALL_RUN = ["run", "--capacity", "64", "--slots", "6", "--search-cap", "20",
-             "--interarrival-mean-seconds", "300", "--workers", "1", "--format", "json"]
+             "--interarrival-mean-seconds", "300", "--workers", "1"]
 
 
 def test_one_progress_line_per_finished_topology(tmp_path, capsys):

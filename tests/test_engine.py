@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from skipchurn import cli, engine
-from skipchurn.churn import ChurnModel
+from skipchurn.churn import SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, ChurnModel
 from skipchurn.engine import ChurnProcess, SearchOutcome, SimConfig, SimulationState, run_search
 from skipchurn.overlay import Direction, PiggybackEntry, SearchMessage, generate_topology, join_node
 from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets, make_stabilizer
@@ -27,7 +28,7 @@ def test_churn_free_run_succeeds_without_resolves(tmp_path):
         [sys.executable, "-O", "-m", "skipchurn.cli", "run",
          "--churn-kind", "uniform", "--uniform-q", "0", "--capacity", "64", "--slots", "4",
          "--topologies", "1", "--workers", "1", "--stabilizer", ",".join(STABILIZER_KINDS),
-         "--format", "json", "--out", str(tmp_path)],
+         "--out", str(tmp_path)],
         env=env, check=True, capture_output=True,
     )
     rows = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))["rows"]
@@ -64,7 +65,7 @@ def test_common_random_numbers_across_stabilizers_and_backup_sizes(tmp_path):
         "run", "--capacity", "64", "--slots", "12", "--topologies", "2", "--search-cap", "40",
         "--interarrival-mean-seconds", "300", "--seed", "4", "--workers", "1",
         "--stabilizer", ",".join(STABILIZER_KINDS), "--backup-size", "8,40",
-        "--predictor", "swdbg,dbg3", "--format", "json", "--out", str(tmp_path),
+        "--predictor", "swdbg,dbg3", "--out", str(tmp_path),
     ]
     assert cli.main(argv) == 0
     rows = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))["rows"]
@@ -87,7 +88,7 @@ def test_common_random_numbers_across_stabilizers_and_backup_sizes(tmp_path):
 # A 2-topology Debian sweep small enough to run every cell again on its own.
 ORACLE_RUN = [
     "run", "--capacity", "64", "--slots", "12", "--topologies", "2", "--search-cap", "40",
-    "--interarrival-mean-seconds", "300", "--seed", "6", "--workers", "1", "--format", "json",
+    "--interarrival-mean-seconds", "300", "--seed", "6", "--workers", "1",
 ]
 
 
@@ -246,6 +247,15 @@ def test_cells_of_one_run_differ_only_in_the_sweep_axes():
         SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
 
 
+def test_churn_constants_are_the_measured_debian_profile():
+    # No setting guards these any longer: sessions average 2.71 h, and
+    # arrivals come every 39.86 s, about 90.3 per one-hour slot.
+    assert SESSION_SCALE_HOURS * math.gamma(1.0 + 1.0 / SESSION_SHAPE) == pytest.approx(2.71, rel=1e-12)
+    hours = np.random.default_rng(1).weibull(SESSION_SHAPE, 200_000) * SESSION_SCALE_HOURS
+    assert float(hours.mean()) == pytest.approx(2.71, rel=0.01)
+    assert SLOT_SECONDS / ChurnModel().interarrival_mean_seconds == pytest.approx(90.3, abs=0.05)
+
+
 def _run_slots(process, rng, slots):
     """(online before, arrivals, online after arrive, online after depart) per slot."""
     out = []
@@ -258,11 +268,8 @@ def _run_slots(process, rng, slots):
     return out
 
 
-@pytest.mark.parametrize("arrival_process", ["poisson", "fixed"])
-def test_debian_session_stays_online_exactly_its_length(arrival_process):
-    process = ChurnProcess(
-        ChurnModel(arrival_process=arrival_process, interarrival_mean_seconds=600.0), 40
-    )
+def test_debian_session_stays_online_exactly_its_length():
+    process = ChurnProcess(ChurnModel(interarrival_mean_seconds=600.0), 40)
     rng = np.random.default_rng(11)
     slots = 60
     during, after, sessions = [], [], []  # sessions: (index, first slot, length)

@@ -55,11 +55,9 @@ PREDICTOR_TABLE = [
     "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
 ]
 
-# The same table under the other two churn laws: uniform redraws and a fixed
-# arrival count per slot.
+# The same table under the other churn law: uniform redraws.
 PREDICTOR_TABLE_CHURN = {
     "uniform": ["--churn-kind", "uniform", "--uniform-q", "0.3"],
-    "fixed": ["--arrival-process", "fixed"],
 }
 
 GOLDEN = {
@@ -83,9 +81,6 @@ GOLDEN = {
     },
     "predictor_table_uniform": {
         "predictor_errors.csv": "6eb359d43a596ab96f6c6da3053717fb2680d7938005574ec978c7771263a688",
-    },
-    "predictor_table_fixed": {
-        "predictor_errors.csv": "e40bb863963687046d410895ac68246fc5ab468971ba89da53f0f68cfcc88f4d",
     },
 }
 

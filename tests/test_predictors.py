@@ -522,9 +522,9 @@ class TestSlidingWindow:
         for d in chains.values():
             for b in (1, 0, 1):
                 d.observe(b)
-        err = w._error(0.2, chains[3], 1)
+        err = w._error(0.2, chains[3])
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
-        assert w._error(0.2, chains[2], 1) == pytest.approx(0.3, abs=1e-12)
+        assert w._error(0.2, chains[2]) == pytest.approx(0.3, abs=1e-12)
 
     def test_chains_share_the_recent_bits(self):
         # the window's error reads each chain's own history, which must
@@ -558,12 +558,6 @@ class TestSlidingWindow:
             left, center, right = sizes(w)
             assert center == left + 1 and right == center + 1
             assert left >= 1
-
-    def test_instant_error_mode(self):
-        w = SlidingWindowDbg(error_mode="instant")
-        for b in [1, 0, 1, 1, 0]:
-            got = feed(w, [b])
-            assert 0.0 <= got <= 1.0
 
     def test_size_capped_at_maximum(self):
         w = SlidingWindowDbg(max_state_size=4)
