@@ -25,7 +25,7 @@ import numpy as np
 # engine.ChurnProcess.
 from .churn import draw_arrival_count, draw_session_length  # noqa: F401
 from .engine import ChurnProcess, SimConfig, topology_map
-from .predictors import PREDICTOR_KINDS, PredictorLayer
+from .predictors import PredictorLayer
 
 
 @dataclass
@@ -79,7 +79,7 @@ def _bench_one_topology(args) -> tuple[dict[str, float], int, int, int]:
 
 
 def run_predictor_bench(
-    config: SimConfig, kinds: tuple[str, ...] = PREDICTOR_KINDS, workers: int = 1
+    config: SimConfig, kinds: tuple[str, ...], workers: int
 ) -> PredictorBenchResult:
     """Benchmark predictor kinds on shared churn traces.
 

@@ -7,8 +7,7 @@ that ``ChurnModel.kind`` is ``churn-kind``; the model's fixed numbers are
 constants, not keys (see ``SimConfig``).  ``workers`` and ``out`` configure
 the run itself.  The sweep keys are the keys of the fields in
 ``engine.SWEEP_FIELDS`` (``stabilizer``, ``predictor``, ``backup-size``);
-they take comma-separated lists of distinct values.  ``search-cap none``
-removes the per-slot search cap.
+they take comma-separated lists of distinct values.
 
 The ``run`` subcommand executes the sweep, one cell per combination of the
 sweep values, and writes ``results.csv`` and ``results.json``; ``analyze``
@@ -109,8 +108,6 @@ def parse_value(key: str, raw: str):
     kind = type(default[0] if key in SWEEP_KEYS else default)
 
     def one(text: str):
-        if key == "search-cap" and text.lower() in ("none", "unlimited"):
-            return None
         try:
             return kind(text)
         except ValueError:
@@ -129,7 +126,7 @@ def _read_config_file(path: Path) -> dict:
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith(";"):
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
@@ -348,19 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the experiment sweep")
+    p_run = sub.add_parser("run", help="execute the experiment sweep", allow_abbrev=False)
     _add_override_flags(p_run)
     p_run.add_argument("--trace", action="store_true", help="write per-search trace log")
     p_run.set_defaults(func=_cmd_run)
 
-    p_an = sub.add_parser("analyze", help="print the closed-form analysis chain")
+    p_an = sub.add_parser("analyze", help="print the closed-form analysis chain", allow_abbrev=False)
     p_an.add_argument("--n", type=int, required=True)
     p_an.add_argument("--q", type=float, required=True)
     p_an.add_argument("--b", type=int, default=None)
     p_an.add_argument("--target-e-f", type=float, default=None)
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_pb = sub.add_parser("predict-bench", help="predictor error table, no overlay")
+    p_pb = sub.add_parser("predict-bench", help="predictor error table, no overlay", allow_abbrev=False)
     _add_override_flags(p_pb)
     p_pb.set_defaults(func=_cmd_predict_bench)
 

@@ -79,7 +79,7 @@ class SimConfig:
 
     - the latency model, here: ``RTT_BASE_MS``, ``RTT_PER_UNIT_MS`` and
       ``TIMEOUT_MULTIPLIER``;
-    - the SW-DBG state-size cap, ``predictors.DEFAULT_MAX_STATE_SIZE``;
+    - the SW-DBG state-size cap, ``predictors.MAX_STATE_SIZE``;
     - the Debian session law the paper measured, ``churn.SESSION_SHAPE`` and
       ``churn.SESSION_MEAN_HOURS``, with Poisson arrivals.  Their rate stays
       a field of ``churn``, because the offline fraction it sets depends on
@@ -92,7 +92,7 @@ class SimConfig:
     backup_size: int = 40
     stabilizer: str = "interlaced"
     predictor: str = "swdbg"
-    search_cap: Optional[int] = DEFAULT_SEARCH_CAP
+    search_cap: int = DEFAULT_SEARCH_CAP
     seed: int = 1
     churn: ChurnModel = field(default_factory=ChurnModel)
 
@@ -109,7 +109,7 @@ class SimConfig:
             raise ConfigError(f"unknown stabilizer: {self.stabilizer}")
         if self.predictor not in PREDICTOR_KINDS:
             raise ConfigError(f"unknown predictor: {self.predictor}")
-        if self.search_cap is not None and self.search_cap < 0:
+        if self.search_cap < 0:
             raise ConfigError("search-cap must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -530,8 +530,7 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     if n_o >= 1:
         max_pairs = n_o * (n_o - 1) // 2
         count = int(rng.integers(0, max_pairs + 1)) if max_pairs > 0 else 0
-        if cfg.search_cap is not None:
-            count = min(count, cfg.search_cap)
+        count = min(count, cfg.search_cap)
         draw = rng.integers
         pairs = [(online[int(draw(n_o))], online[int(draw(n_o))]) for _ in range(count)]
 

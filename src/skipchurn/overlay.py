@@ -126,8 +126,6 @@ class TopologySnapshot:
 def cpl_ints(a_bits: int, b_bits: int, length: int) -> int:
     """Number of leading bits shared by two ``length``-bit integer name IDs (hot path)."""
     x = a_bits ^ b_bits
-    if x == 0:
-        return length
     return length - x.bit_length()
 
 
@@ -148,8 +146,6 @@ def assign_name_ids(coords: Sequence[tuple[float, float]]) -> list[int]:
             raise ConfigError("coordinates must lie in the unit square")
 
     names = [0] * count
-    if count == 1:
-        return names
 
     def split(indices: list[int], depth: int, prefix: int) -> None:
         if len(indices) == 1:

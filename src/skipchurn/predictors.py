@@ -37,28 +37,23 @@ last prediction until that catch-up.
 
 from __future__ import annotations
 
-import logging
 from array import array
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 PREDICTOR_KINDS = ("swdbg", "dbg1", "dbg2", "dbg3", "dbg4", "lifetime", "ludp")
 # Kinds whose estimate counts the messages a node answers, so it depends on
 # the overlay's traffic and not on churn alone.
 TRAFFIC_FED_KINDS = ("ludp",)
 # The widest chain SW-DBG may grow to, and the state-size bound of every chain.
-DEFAULT_MAX_STATE_SIZE = 8
+MAX_STATE_SIZE = 8
 
 
 def _stationary_core(P: np.ndarray) -> np.ndarray:
     """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P."""
     m = P.shape[0]
-    if m == 1:
-        return np.ones(1)
     # P.T - I without building I: off the diagonal p - 0.0 is p, bit for bit
     A = P.T.copy()
     A.flat[:: m + 1] -= 1.0
@@ -283,13 +278,12 @@ class Dbg:
     clears it otherwise, so ``prediction`` solves once when it is read.  A new
     chain holds 0.0; one made by ``enlarge`` or ``shrink`` starts uncached.
 
-    ``_recent`` holds the newest ``max_state_size + 1`` status bits, newest
+    ``_recent`` holds the newest ``MAX_STATE_SIZE + 1`` status bits, newest
     lowest; ``bits_seen`` is its length until it is full.
     """
 
     __slots__ = (
         "state_size",
-        "max_state_size",
         "bits_seen",
         "ones_seen",
         "_mask",
@@ -301,13 +295,10 @@ class Dbg:
         "_prediction",
     )
 
-    def __init__(self, state_size: int, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
-        if state_size < 1:
-            raise ValueError("state size must be >= 1")
-        if state_size > max_state_size:
-            raise ValueError("state size exceeds the configured cap")
+    def __init__(self, state_size: int):
+        if not 1 <= state_size <= MAX_STATE_SIZE:
+            raise ValueError(f"state size must be in 1..{MAX_STATE_SIZE}, got {state_size}")
         self.state_size = state_size
-        self.max_state_size = max_state_size
         self.bits_seen = 0
         self.ones_seen = 0
         self._mask = (1 << state_size) - 1
@@ -326,7 +317,7 @@ class Dbg:
         status = 1 if status else 0
         self.bits_seen += 1
         self.ones_seen += status
-        self._recent = ((self._recent << 1) | status) & ((2 << self.max_state_size) - 1)
+        self._recent = ((self._recent << 1) | status) & ((2 << MAX_STATE_SIZE) - 1)
         prev = self._current
         if prev is None:
             if self.bits_seen == self.state_size:
@@ -392,12 +383,9 @@ class Dbg:
         """Copy into a chain one bit wider.
 
         Every state maps to its two one-bit extensions; both inherit the
-        parent's transition counts.
+        parent's transition counts.  A chain at ``MAX_STATE_SIZE`` raises.
         """
-        k2 = self.state_size + 1
-        if k2 > self.max_state_size:
-            raise ValueError("state size cap exceeded")
-        child = Dbg(k2, max_state_size=self.max_state_size)
+        child = Dbg(self.state_size + 1)
         for s, row in self._counts.items():
             child._counts[s << 1] = [row[0], row[1]]
             child._counts[(s << 1) | 1] = [row[0], row[1]]
@@ -413,14 +401,11 @@ class Dbg:
         """
         if self.state_size <= 1:
             raise ValueError("cannot shrink below state size 1")
-        k2 = self.state_size - 1
-        child = Dbg(k2, max_state_size=self.max_state_size)
+        child = Dbg(self.state_size - 1)
         parents = {s >> 1 for s in self._counts}
         for m in parents:
             r0 = self._counts.get(m << 1)
             r1 = self._counts.get((m << 1) | 1)
-            if r0 is None and r1 is None:
-                continue
             if r0 is None or r1 is None:
                 src = r0 if r0 is not None else r1
                 child._counts[m] = [src[0], src[1]]
@@ -441,18 +426,16 @@ class SlidingWindowDbg:
     After feeding a status bit to all three chains, each chain's prediction
     error is the absolute gap between its stationary estimate and the online
     fraction over its own state-size window of recent bits.  Strictly
-    improving errors towards the wide end grow the window; strictly improving
-    errors towards the narrow end shrink it, clamped at state size 1.  The
-    prediction is the estimate of the chain with the smallest error.
+    improving errors towards the wide end grow the window, up to
+    ``MAX_STATE_SIZE``; strictly improving errors towards the narrow end
+    shrink it, clamped at state size 1.  The prediction is the estimate of
+    the chain with the smallest error.
     """
 
-    def __init__(self, max_state_size: int = DEFAULT_MAX_STATE_SIZE):
-        if max_state_size < 3:
-            raise ValueError("max state size must allow the initial (1, 2, 3) window")
-        self.max_state_size = max_state_size
-        self.left = Dbg(1, max_state_size)
-        self.center = Dbg(2, max_state_size)
-        self.right = Dbg(3, max_state_size)
+    def __init__(self):
+        self.left = Dbg(1)
+        self.center = Dbg(2)
+        self.right = Dbg(3)
         self._prediction = 0.0
 
     @property
@@ -474,8 +457,7 @@ class SlidingWindowDbg:
         errs = [self._error(sops[i], dbgs[i]) for i in range(3)]
 
         while errs[0] > errs[1] > errs[2]:
-            if dbgs[2].state_size + 1 > self.max_state_size:
-                logger.debug("window enlarge refused at state size cap %d", self.max_state_size)
+            if dbgs[2].state_size == MAX_STATE_SIZE:
                 break
             grown = dbgs[2].enlarge()
             dbgs = [dbgs[1], dbgs[2], grown]

@@ -1,4 +1,6 @@
+import importlib.util
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -59,8 +61,32 @@ def test_field_from_file_and_flag_agree(tmp_path, name):
 
 
 def test_search_cap_none_from_file_and_flag(tmp_path):
-    assert _from_file(tmp_path, "search-cap = none\n").base.search_cap is None
-    assert _from_flags(["--search-cap", "none"]).base.search_cap is None
+    # the cap is a count; one of at least capacity * (capacity - 1) // 2 never binds
+    with pytest.raises(ConfigError, match="invalid value for search-cap: 'none'"):
+        _from_file(tmp_path, "search-cap = none\n")
+    with pytest.raises(ConfigError, match="invalid value for search-cap: 'none'"):
+        _from_flags(["--search-cap", "none"])
+
+
+def _load(path: Path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, path.stem, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # The benchmark's command lines, read from its own files: a key, value
+    # spelling or flag abbreviation they use and the parser lost fails here.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # perfbench/run.py puts its folder first
+    root = Path(__file__).resolve().parent.parent
+    workloads = _load(root / "perfbench" / "run.py", monkeypatch).WORKLOADS
+    argvs = [[*wl.argv, "--seed", "1", "--workers", "1"] for wl in workloads.values()]
+    argvs.append(_load(root / "scripts" / "bench_paper_cell.py", monkeypatch).ARGV)
+    for argv in argvs:
+        args = cli.build_parser().parse_args([*argv, "--out", str(tmp_path)])
+        cli.parse_config(args.config, cli._overrides_from_args(args))
 
 
 def test_flags_win_over_file(tmp_path):
@@ -153,8 +179,11 @@ def test_predict_bench_rejects_trace(capsys):
     (["--backup-size", "8,8"], "backup-size lists a value twice: 8,8"),
     (["--stabilizer", "dks,none,dks"], "stabilizer lists a value twice: dks,none,dks"),
     *(([f"--{key}", "1"], f"unrecognized arguments: --{key} 1") for key in REMOVED_KEYS),
+    (["--inter", "300"], "unrecognized arguments: --inter 300"),
+    (["--unif", "0.5"], "unrecognized arguments: --unif 0.5"),
 ], ids=["seed-negative", "workers-0", "workers-negative", "config-directory", "backup-size-repeated",
-        "stabilizer-repeated", *(f"{key}-removed" for key in REMOVED_KEYS)])
+        "stabilizer-repeated", *(f"{key}-removed" for key in REMOVED_KEYS), "inter-abbreviated",
+        "unif-abbreviated"])
 def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out"
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]

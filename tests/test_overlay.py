@@ -88,6 +88,7 @@ class TestNameIds:
         names = name_strings(coords)
         assert all(len(n) == 6 for n in names)
         assert len(set(names)) == 64
+        assert assign_name_ids([(0.3, 0.7)]) == [0]  # one node: no split
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -130,6 +131,7 @@ class TestCommonPrefix:
             a = "".join(rng.choice(["0", "1"], size=8).tolist())
             b = "".join(rng.choice(["0", "1"], size=8).tolist())
             assert cpl_ints(int(a, 2), int(b, 2), 8) == common_prefix_length(a, b)
+            assert cpl_ints(int(a, 2), int(a, 2), 8) == 8
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from skipchurn.predictors import (
+    MAX_STATE_SIZE,
     PREDICTOR_KINDS,
     SHAPE_MEMO_SIZE,
     Dbg,
@@ -270,16 +271,16 @@ SHARED_EDGES = {0: (0.0, 1.0), 1: (1.0, 0.0)}
 
 
 class TestCachedPlan:
-    @given(st_.integers(1, 4), st_.integers(4, 8), chain_ops)
+    @given(st_.integers(1, 4), chain_ops)
     @settings(max_examples=300, deadline=None)
-    def test_matches_uncached_reference_bitwise(self, k, cap, ops):
+    def test_matches_uncached_reference_bitwise(self, k, ops):
         # the ops run twice: on a cold memo, then on the memo the first run filled
         _chain_shape.cache_clear()
         for _ in ("cold", "warm"):
-            d = Dbg(k, max_state_size=cap)
+            d = Dbg(k)
             expected = 0.0
             for op in ops:
-                if op == "enlarge" and d.state_size < cap:
+                if op == "enlarge" and d.state_size < MAX_STATE_SIZE:
                     d = d.enlarge()
                     expected = reference_sop(d)
                 elif op == "shrink" and d.state_size > 1:
@@ -357,7 +358,7 @@ import numpy as np
 from skipchurn.predictors import Dbg
 
 # a 256-state chain with every state seen: one terminal class of 256 states
-dbg = Dbg(8, max_state_size=8)
+dbg = Dbg(8)
 for bit in np.random.default_rng(9).integers(0, 2, 6000).tolist():
     dbg.observe(bit)
 P = np.zeros((256, 256))
@@ -471,9 +472,8 @@ class TestEnlargeShrink:
         assert transition_probability(e, 0b01, 1) == pytest.approx(p)
 
     def test_enlarge_respects_cap(self):
-        d = Dbg(3, max_state_size=3)
         with pytest.raises(ValueError):
-            d.enlarge()
+            Dbg(MAX_STATE_SIZE).enlarge()
 
     def test_shrink_merges_by_probability_mean(self):
         d = Dbg(2)
@@ -530,14 +530,14 @@ class TestSlidingWindow:
         # the window's error reads each chain's own history, which must
         # match the bits fed across every enlarge and shrink
         rng = np.random.default_rng(5)
-        w = SlidingWindowDbg(max_state_size=5)
+        w = SlidingWindowDbg()
         fed = []
         windows = set()
         for b in rng.integers(0, 2, 300).tolist():
             w.update(b)
             fed.append(b)
             windows.add(sizes(w))
-            want = int("".join(map(str, fed[-6:])), 2)
+            want = int("".join(map(str, fed[-(MAX_STATE_SIZE + 1):])), 2)
             for d in (w.left, w.center, w.right):
                 assert (d._recent, d.bits_seen) == (want, len(fed))
         assert len(windows) > 1
@@ -560,11 +560,14 @@ class TestSlidingWindow:
             assert left >= 1
 
     def test_size_capped_at_maximum(self):
-        w = SlidingWindowDbg(max_state_size=4)
-        rng = np.random.default_rng(5)
-        for b in rng.integers(0, 2, 300).tolist():
+        # seeded so the window reaches the cap and the enlarge refusal runs
+        w = SlidingWindowDbg()
+        widest = 0
+        for b in np.random.default_rng(5).integers(0, 2, 2000).tolist():
             w.update(b)
-            assert w.right.state_size <= 4
+            widest = max(widest, w.right.state_size)
+            assert w.right.state_size <= MAX_STATE_SIZE
+        assert widest == MAX_STATE_SIZE
 
 
 class TestBaselines:
