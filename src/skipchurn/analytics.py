@@ -67,20 +67,20 @@ def estimate_search_path_bound(online_count: int) -> int:
 
 
 def estimate_backup_size(n: int, q: float, target_e_f: float) -> int:
-    """Smallest b whose expected failure-free path reaches ``target_e_f``."""
+    """Smallest b up to 10**7 whose expected failure-free path reaches ``target_e_f``."""
     if q >= 1.0:
         raise ValueError("no online candidates possible")
-    if target_e_f <= 0:
-        raise ValueError("target path length must be positive")
+    if not 0 < target_e_f < math.inf:
+        raise ValueError(f"target path length must be positive and finite, got {target_e_f}")
     p_eff = effective_probability(candidate_probability(n), q)
+    # p_f falls as b grows: if b = 10**7 leaves the path short of the target, no b reaches it.
+    p_f = failure_probability(p_eff, 10**7)
+    if p_f > 0 and expected_failure_path(p_f) < target_e_f:
+        raise ValueError(f"no backup size up to 10,000,000 reaches target path length {target_e_f}")
     b = 0
-    while True:
-        e_f = expected_failure_path(failure_probability(p_eff, b))
-        if e_f >= target_e_f:
-            return b
+    while expected_failure_path(failure_probability(p_eff, b)) < target_e_f:
         b += 1
-        if b > 10_000_000:
-            raise ArithmeticError("backup size search did not converge")
+    return b
 
 
 def analysis_chain(n: int, q: float, b: int | None = None, target_e_f: float | None = None) -> dict:

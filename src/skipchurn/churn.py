@@ -33,8 +33,8 @@ class ChurnModel:
     def __post_init__(self) -> None:
         if self.kind not in CHURN_KINDS:
             raise ValueError(f"unknown churn kind: {self.kind}")
-        if self.interarrival_mean_seconds <= 0:
-            raise ValueError("interarrival mean must be positive")
+        if not self.interarrival_mean_seconds > 0:  # rejects NaN as well
+            raise ValueError(f"interarrival mean must be positive, got {self.interarrival_mean_seconds}")
         if not 0.0 <= self.uniform_q <= 1.0:
             raise ValueError("uniform failure probability must be in [0, 1]")
 

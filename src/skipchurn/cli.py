@@ -13,8 +13,8 @@ The ``run`` subcommand executes the sweep, one cell per combination of the
 sweep values, and writes ``results.csv`` and ``results.json``; ``analyze``
 prints the closed-form chain as JSON, and ``predict-bench`` reproduces the
 predictor error table without the overlay.
-Report columns are the sweep fields, the figures ``RunMetrics.REPORTED`` and
-the seed.
+Report columns are the sweep fields, the figures ``RunMetrics.figures`` returns
+and the seed.
 
 A sweep is one task per topology, each running every cell of the sweep in
 lockstep (see ``engine``); ``--workers`` processes share the tasks.  Each
@@ -41,8 +41,8 @@ from typing import Optional, TextIO
 
 from .analytics import analysis_chain
 from .churn import ChurnModel
-from .engine import SWEEP_FIELDS, CellFailure, RunMetrics, SimConfig, aggregate, run_topology, topology_map
-from .bench import run_predictor_bench
+from .engine import SWEEP_FIELDS, CellFailure, Counters, RunMetrics, SimConfig, aggregate, run_topology, topology_map
+from .bench import error_table, run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
 
@@ -94,12 +94,9 @@ class RunSpec:
         ]
 
 
-CSV_COLUMNS = [*SWEEP_FIELDS, *RunMetrics.REPORTED, "seed"]
-
-
 def report_row(cfg: SimConfig, metrics: RunMetrics) -> dict:
-    """One report row by column name: each figure from ``metrics``, the rest from ``cfg``."""
-    return {col: getattr(metrics if col in RunMetrics.REPORTED else cfg, col) for col in CSV_COLUMNS}
+    """One report row by column name: the sweep fields, each figure of ``metrics``, the seed."""
+    return {**{name: getattr(cfg, name) for name in SWEEP_FIELDS}, **metrics.figures(), "seed": cfg.seed}
 
 
 def parse_value(key: str, raw: str):
@@ -255,7 +252,7 @@ def emit_reports(results: list[tuple[SimConfig, RunMetrics]], out_dir: Path) -> 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [report_row(cfg, m) for cfg, m in results]
     csv_path = out_dir / "results.csv"
-    csv_path.write_text(csv_text(CSV_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
+    csv_path.write_text(csv_text(list(rows[0]), [row.values() for row in rows]), encoding="utf-8")
     doc = {"rows": [
         {**row, "slot_series": [asdict(sm) for sm in m.slot_series]}
         for row, (_, m) in zip(rows, results)
@@ -323,14 +320,15 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     if spec.out_dir is not None:
         preflight_out_dir(spec.out_dir)
     kinds = tuple(spec.sweep["predictor"])
-    result = run_predictor_bench(spec.base, kinds, spec.workers)
-    rows = result.table()
+    per_topology = run_predictor_bench(spec.base, kinds, spec.workers)
+    rows = error_table(per_topology)
     width = max(len(k) for k, _, _ in rows)
     print(f"{'predictor':<{width}}  mean_error  std_across_topologies")
     for kind, mean, std in rows:
         print(f"{kind:<{width}}  {mean:10.4f}  {std:.4f}")
-    if result.right_size_samples:
-        print(f"mean wide-end state size: {result.mean_right_state_size():.2f}")
+    total = Counters.sum_of(t for runs in per_topology.values() for t in runs)
+    if total.right_size_samples:
+        print(f"mean wide-end state size: {total.right_size_sum / total.right_size_samples:.2f}")
     if spec.out_dir is not None:
         path = spec.out_dir / "predictor_errors.csv"
         path.write_text(csv_text(["predictor", "mean_error", "std_across_topologies"], rows), encoding="utf-8")

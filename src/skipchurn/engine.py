@@ -26,7 +26,10 @@ predictions as it would alone.
 without the overlay.  A run draws churn and searches from the stream
 ``[seed, topology, 1]``, ``predict-bench`` from ``[seed, topology, 2]``, so
 the two score different churn realizations.  No stabilizer or predictor
-draws from the stream, so every cell sees the same draws.
+draws from the stream, so every cell sees the same draws.  ``Counters`` is
+the one per-topology result record: a run keeps one per topology and cell
+in the cell's ``RunMetrics``, and ``predict-bench`` one per topology and
+predictor kind.
 
 Topology runs are pure functions of (cells, topology index) and may execute
 in parallel; ``topology_map`` is the one rule for how ``run`` and
@@ -174,54 +177,38 @@ class RunMetrics:
     """One cell's topology runs: each topology's counters and the slot series.
 
     ``per_topology`` holds one ``Counters`` per topology run, in topology
-    order; ``slot_series`` holds each slot's counters summed over them.  Every
-    other figure is derived: ``totals`` is the sum of ``per_topology`` in
-    topology order, ``slots`` and ``topologies`` are the two lengths, and each
-    average and std is a ratio of counters.  ``REPORTED`` names the figures a
-    report row carries, in column order.
+    order; ``slot_series`` holds each slot's counters summed over them.
+    ``figures`` derives every report figure from them: each average in
+    ``FIGURES`` is the ratio of its two counters summed over the topologies in
+    topology order, each std weights the topologies by the denominator, and
+    ``topologies`` and ``slots`` are the two lengths.
     """
 
     levels: int
     slot_series: list[SlotMetrics]
     per_topology: list[Counters]
 
-    REPORTED: ClassVar[tuple[str, ...]] = (
-        "avg_success_ratio", "std_success_ratio", "avg_search_latency_ms", "std_search_latency_ms",
-        "avg_prediction_error", "std_prediction_error", "avg_resolve_messages",
-        "avg_backup_neighbors_per_level", "topologies", "slots",
-    )
+    # Each averaged figure: (numerator counter, denominator counter, whether
+    # its across-topology std is reported), in report column order.
+    FIGURES: ClassVar[dict[str, tuple[str, str, bool]]] = {
+        "success_ratio": ("searches_succeeded", "searches_initiated", True),
+        "search_latency_ms": ("sum_latency_ms", "searches_initiated", True),
+        "prediction_error": ("sum_prediction_error", "prediction_samples", True),
+        "resolve_messages": ("resolve_messages", "resolve_invocations", False),
+        "backup_neighbors_per_level": ("backup_entries_sum", "backup_samples", False),
+    }
 
-    @property
-    def totals(self) -> Counters:
-        return Counters.sum_of(self.per_topology)
-
-    @property
-    def slots(self) -> int:
-        return len(self.slot_series)
-
-    @property
-    def topologies(self) -> int:
-        return len(self.per_topology)
-
-    @property
-    def avg_success_ratio(self) -> float:
-        return _ratio(self.totals.searches_succeeded, self.totals.searches_initiated)
-
-    @property
-    def avg_search_latency_ms(self) -> float:
-        return _ratio(self.totals.sum_latency_ms, self.totals.searches_initiated)
-
-    @property
-    def avg_prediction_error(self) -> float:
-        return _ratio(self.totals.sum_prediction_error, self.totals.prediction_samples)
-
-    @property
-    def avg_resolve_messages(self) -> float:
-        return _ratio(self.totals.resolve_messages, self.totals.resolve_invocations)
-
-    @property
-    def avg_backup_neighbors_per_level(self) -> float:
-        return _ratio(self.totals.backup_entries_sum, self.totals.backup_samples) / self.levels
+    def figures(self) -> dict:
+        """Every report figure by column name, in column order."""
+        totals = Counters.sum_of(self.per_topology)
+        out = {}
+        for name, (num, den, std) in self.FIGURES.items():
+            out[f"avg_{name}"] = _ratio(getattr(totals, num), getattr(totals, den))
+            if std:
+                out[f"std_{name}"] = self._weighted_std(num, den)
+        out["avg_backup_neighbors_per_level"] /= self.levels
+        out.update(topologies=len(self.per_topology), slots=len(self.slot_series))
+        return out
 
     def _weighted_std(self, num: str, den: str) -> float:
         """Across-topology std of num/den, each topology weighted by its den."""
@@ -232,18 +219,6 @@ class RunMetrics:
         w = np.asarray([getattr(t, den) for t in runs], dtype=float)
         mean = float(np.average(v, weights=w))
         return float(math.sqrt(np.average((v - mean) ** 2, weights=w)))
-
-    @property
-    def std_success_ratio(self) -> float:
-        return self._weighted_std("searches_succeeded", "searches_initiated")
-
-    @property
-    def std_search_latency_ms(self) -> float:
-        return self._weighted_std("sum_latency_ms", "searches_initiated")
-
-    @property
-    def std_prediction_error(self) -> float:
-        return self._weighted_std("sum_prediction_error", "prediction_samples")
 
 
 class ChurnProcess:
@@ -623,9 +598,9 @@ def aggregate(runs: list[RunMetrics]) -> RunMetrics:
     """Merge topology runs; per-topology counters concatenate, slot series add index-wise."""
     if not runs:
         raise ValueError("nothing to aggregate")
-    slots = runs[0].slots
+    slots = len(runs[0].slot_series)
     levels = runs[0].levels
-    if any(r.slots != slots or r.levels != levels for r in runs):
+    if any(len(r.slot_series) != slots or r.levels != levels for r in runs):
         raise ValueError("runs must share slot count and level count")
     slot_series = [SlotMetrics(slot_index=i) for i in range(slots)]
     for r in runs:

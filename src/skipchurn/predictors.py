@@ -399,8 +399,6 @@ class Dbg:
         probabilities are the arithmetic mean of the sources' probabilities,
         rescaled so total transition mass is preserved.
         """
-        if self.state_size <= 1:
-            raise ValueError("cannot shrink below state size 1")
         child = Dbg(self.state_size - 1)
         parents = {s >> 1 for s in self._counts}
         for m in parents:

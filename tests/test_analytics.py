@@ -47,3 +47,15 @@ def test_analyze_prints_the_chain(capsys):
     assert chain["search_path_bound"] == 9
     assert chain["failure_probability"] == failure_probability(chain["effective_probability"], 10)
     assert chain["estimated_backup_size"] == estimate_backup_size(1024, 0.5, 12.0)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "0.9999999", "--target-e-f", "1000"],
+     "no backup size up to 10,000,000 reaches target path length 1000.0"),
+    (["--q", "0.5", "--target-e-f", "nan"], "target path length must be positive and finite, got nan"),
+    (["--q", "0.5", "--target-e-f", "inf"], "target path length must be positive and finite, got inf"),
+    (["--q", "0.5", "--target-e-f", "0"], "target path length must be positive and finite, got 0.0"),
+], ids=["unreachable", "nan", "inf", "zero"])
+def test_analyze_rejects_a_target_no_backup_size_reaches(capsys, flags, message):
+    assert cli.main(["analyze", "--n", "1024", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -11,7 +11,10 @@ import pytest
 
 from skipchurn import cli, engine
 from skipchurn.churn import SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, ChurnModel
-from skipchurn.engine import ChurnProcess, SearchOutcome, SimConfig, SimulationState, run_search
+from skipchurn.engine import (
+    SWEEP_FIELDS, ChurnProcess, Counters, RunMetrics, SearchOutcome, SimConfig, SimulationState, SlotMetrics,
+    run_search,
+)
 from skipchurn.overlay import Direction, PiggybackEntry, SearchMessage, generate_topology, join_node
 from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets, make_stabilizer
 
@@ -52,6 +55,37 @@ def test_search_for_its_initiator_succeeds_at_once():
     assert run_search(state, cell, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
     assert len(records) == 1
     assert records[0]["hops"] == [] and records[0]["success"] and records[0]["result"] == nid
+
+
+def test_run_figures_are_ratios_of_the_summed_counters(tmp_path):
+    # The second topology has no resolves and no backup samples, as in a none cell.
+    a = Counters(searches_initiated=10, searches_succeeded=7, sum_latency_ms=250.0, sum_prediction_error=3.5,
+                 prediction_samples=20, resolve_invocations=4, resolve_messages=9, backup_entries_sum=60,
+                 backup_samples=5)
+    b = Counters(searches_initiated=30, searches_succeeded=24, sum_latency_ms=900.0, sum_prediction_error=12.0,
+                 prediction_samples=40)
+    metrics = RunMetrics(levels=4, slot_series=[SlotMetrics(slot_index=i) for i in range(3)], per_topology=[a, b])
+
+    def weighted_std(v, w):
+        mean = (v[0] * w[0] + v[1] * w[1]) / (w[0] + w[1])
+        return math.sqrt((w[0] * (v[0] - mean) ** 2 + w[1] * (v[1] - mean) ** 2) / (w[0] + w[1]))
+
+    assert metrics.figures() == {
+        "avg_success_ratio": 31 / 40,
+        "std_success_ratio": pytest.approx(weighted_std([7 / 10, 24 / 30], [10, 30]), rel=1e-12),
+        "avg_search_latency_ms": 1150.0 / 40,
+        "std_search_latency_ms": pytest.approx(weighted_std([25.0, 30.0], [10, 30]), rel=1e-12),
+        "avg_prediction_error": 15.5 / 60,
+        "std_prediction_error": pytest.approx(weighted_std([3.5 / 20, 12.0 / 40], [20, 40]), rel=1e-12),
+        "avg_resolve_messages": 9 / 4,
+        "avg_backup_neighbors_per_level": 60 / 5 / 4,
+        "topologies": 2,
+        "slots": 3,
+    }
+    argv = ["run", "--capacity", "16", "--slots", "1", "--topologies", "1", "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    header = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
+    assert header == [*SWEEP_FIELDS, *metrics.figures(), "seed"]
 
 
 # Per-slot counters that depend only on churn, the search workload draws and

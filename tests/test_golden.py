@@ -17,6 +17,7 @@ import pytest
 
 from skipchurn import cli
 from skipchurn.bench import run_predictor_bench
+from skipchurn.engine import Counters
 from skipchurn.predictors import PREDICTOR_KINDS
 
 RESULTS = ("results.csv", "results.json")
@@ -140,6 +141,7 @@ def test_predictor_table_wide_end_totals(workers):
     # predictor_errors.csv has no wide-end column, so these sums are pinned here.
     args = cli.build_parser().parse_args(PREDICTOR_TABLE)
     config = cli.parse_config(None, cli._overrides_from_args(args)).base
-    result = run_predictor_bench(config, PREDICTOR_KINDS, workers)
-    assert result.right_size_sum == 6396.0
-    assert result.right_size_samples == 2048
+    per_topology = run_predictor_bench(config, PREDICTOR_KINDS, workers)
+    total = Counters.sum_of(t for runs in per_topology.values() for t in runs)
+    assert total.right_size_sum == 6396.0
+    assert total.right_size_samples == 2048

@@ -50,8 +50,8 @@ def _definitions(tree: ast.Module):
 def _uses(node: ast.AST) -> list[str]:
     """Names read under ``node``: identifiers, attribute names and string constants.
 
-    Strings count because figures such as ``RunMetrics.REPORTED`` name the
-    properties that ``getattr`` reads.
+    Strings count because a name that ``getattr`` reads, such as a counter
+    in ``RunMetrics.FIGURES``, is written as one.
     """
     found = []
     for sub in ast.walk(node):
