@@ -22,6 +22,9 @@ SESSION_MEAN_HOURS = 2.71
 # Scale chosen so the Weibull mean is exactly SESSION_MEAN_HOURS.
 SESSION_SCALE_HOURS = SESSION_MEAN_HOURS / math.gamma(1.0 + 1.0 / SESSION_SHAPE)
 DEFAULT_INTERARRIVAL_MEAN_SECONDS = 39.86
+# The largest per-slot arrival rate the model accepts: numpy's Poisson sampler
+# raises "lam value too large" on a rate above about 9.223e18.
+MAX_ARRIVAL_RATE = 9.2e18
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,11 @@ class ChurnModel:
             raise ValueError(f"unknown churn kind: {self.kind}")
         if not self.interarrival_mean_seconds > 0:  # rejects NaN as well
             raise ValueError(f"interarrival mean must be positive, got {self.interarrival_mean_seconds}")
+        if not SLOT_SECONDS / self.interarrival_mean_seconds <= MAX_ARRIVAL_RATE:  # rejects inf as well
+            raise ValueError(
+                f"interarrival mean must be at least {SLOT_SECONDS / MAX_ARRIVAL_RATE} seconds,"
+                f" got {self.interarrival_mean_seconds}"
+            )
         if not 0.0 <= self.uniform_q <= 1.0:
             raise ValueError("uniform failure probability must be in [0, 1]")
 

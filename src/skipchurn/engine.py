@@ -20,7 +20,10 @@ what its config shapes: one stabilizer store per node, ``None`` while the
 node is offline, and for a kind fed by traffic (``ludp``) its own predictor
 layer.  The searches run once per cell, in cell order, between the joins and
 the predictor feed, so every cell routes against the same overlay and the same
-predictions as it would alone.
+predictions as it would alone.  Predictions not fed by traffic therefore hold
+still through a slot's searches, and a cell builds each node's piggyback entry
+once per slot.  A search step is one :func:`route_step` call, which descends
+to the level it forwards at.
 
 ``ChurnProcess`` is the package's one churn law; ``predict-bench`` runs it
 without the overlay.  A run draws churn and searches from the stream
@@ -158,7 +161,7 @@ class SlotMetrics(Counters):
     slot_index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchOutcome:
     success: bool
     latency_ms: float
@@ -281,13 +284,16 @@ class Cell:
     ``stabilizers`` and ``layer.predictors`` are indexed by registry position;
     a store is ``None`` while its node is offline.
     Cells of one predictor kind share one ``PredictorLayer``, except kinds
-    fed by traffic, whose layer is the cell's own.
+    fed by traffic, whose layer is the cell's own.  ``entries`` holds the
+    piggyback entries built in the current slot, by registry position, for a
+    kind that traffic does not feed; ``run_slot`` empties it.
     """
 
     config: SimConfig
     stabilizers: list
     layer: PredictorLayer
     trace_sink: Optional[Callable[[dict], None]] = None
+    entries: dict[int, PiggybackEntry] = field(default_factory=dict)
 
 
 class CellFailure(RuntimeError):
@@ -368,15 +374,20 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     both numerical IDs.
 
     Until the message reaches the target, each step forwards to the eligible
-    level neighbor (see :func:`route_step`).  A forward to an online neighbor
-    costs one round trip; one to an offline neighbor costs a timeout and then
-    consults the cell's stabilizer, whose contact trace is charged per attempt
-    (a timeout per offline candidate, one round trip for the online one, which
-    also carries the redirect).  When the cell's stores read the search path,
-    each forward and redirect extends the piggyback and updates the
-    receiver's store.  With no eligible neighbor, or no candidate, the search
-    descends a level, or ends at level 0 with the executor as result.  A
-    search for its own initiator succeeds at once with no hop and no latency.
+    level neighbor, which :func:`route_step` finds by descending in one call.
+    A forward to an online neighbor costs one round trip; one to an offline
+    neighbor costs a timeout and then consults the cell's stabilizer, whose
+    contact trace is charged per attempt (a timeout per offline candidate,
+    one round trip for the online one, which also carries the redirect).
+    When the cell's stores read the search path, each forward and redirect
+    extends the piggyback with the sender's entry and updates the receiver's
+    store.  An entry of a kind that traffic does not feed is built once per
+    node and slot and then reused, since that prediction holds still while
+    the searches run; only a traffic-fed kind counts the messages a node
+    answers.  With no candidate the search descends a level; with no
+    eligible neighbor at any level, or no candidate at level 0, it ends with
+    the executor as result.  A search for its own initiator succeeds at once
+    with no hop and no latency.
     """
     nodes = state.topology.nodes
     index_of = state.topology.index_of
@@ -389,6 +400,10 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     current_id = initiator
     # a cell's stores are all of one kind, and an online initiator has joined
     reads_path = stabilizers[current].reads_path
+    traffic_fed = cell.layer.kind in TRAFFIC_FED_KINDS
+    # a traffic-fed entry changes from search to search, and within one
+    # search each node sends at most once
+    entries = {} if traffic_fed else cell.entries
     trace_hops: Optional[list] = [] if cell.trace_sink else None
 
     msg = SearchMessage(
@@ -407,54 +422,60 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
         if step_guard <= 0:
             raise RuntimeError("search did not terminate; routing invariant broken")
         nb = route_step(current_id, lookups[current], msg)
-        if nb is not None:
-            here = nodes[current]
-            hop_rtt = rtt_ms(here, nb)
-            hop = index_of[nb.num_id]
-            if online[hop]:
-                latency += hop_rtt
-                predictors[hop].record_incoming()
-                kind = "forward"
-            else:
-                # timeout failure on the lookup neighbor
-                latency += TIMEOUT_MULTIPLIER * hop_rtt
-                candidate, contacts = stabilizers[current].resolve(msg, ping)
-                resolve_inv += 1
-                resolve_msgs += len(contacts)
-                for num_id, answered in contacts:
-                    other = index_of[num_id]
-                    ping_rtt = rtt_ms(here, nodes[other])
-                    if answered:
-                        latency += ping_rtt
-                        predictors[other].record_incoming()
-                    else:
-                        latency += TIMEOUT_MULTIPLIER * ping_rtt
-                if trace_hops is not None:
-                    trace_hops.append(
-                        {
-                            "from": current_id,
-                            "level": msg.level,
-                            "kind": "resolve",
-                            "failed_neighbor": nb.num_id,
-                            "contacts": [[num_id, answered] for num_id, answered in contacts],
-                        }
-                    )
-                hop = None if candidate is None else index_of[candidate]
-                kind = "redirect"
-            if hop is not None:
-                hops += 1
-                hop_id = nodes[hop].num_id
-                if reads_path:
-                    msg.piggyback[current_id] = _piggyback_entry(here, predictors[current])
-                    stabilizers[hop].update(lookups[hop], msg.piggyback.values())
-                if trace_hops is not None:
-                    trace_hops.append({"from": current_id, "to": hop_id, "level": msg.level, "kind": kind})
-                current, current_id = hop, hop_id
-                continue
-        # no eligible neighbor, or no candidate: descend, or end at level 0
-        if msg.level == 0:
+        if nb is None:
             break
-        msg.level -= 1
+        here = nodes[current]
+        hop_rtt = rtt_ms(here, nb)
+        hop = index_of[nb.num_id]
+        if online[hop]:
+            latency += hop_rtt
+            if traffic_fed:
+                predictors[hop].record_incoming()
+            kind = "forward"
+        else:
+            # timeout failure on the lookup neighbor
+            latency += TIMEOUT_MULTIPLIER * hop_rtt
+            candidate, contacts = stabilizers[current].resolve(msg, ping)
+            resolve_inv += 1
+            resolve_msgs += len(contacts)
+            for num_id, answered in contacts:
+                other = index_of[num_id]
+                ping_rtt = rtt_ms(here, nodes[other])
+                if answered:
+                    latency += ping_rtt
+                    if traffic_fed:
+                        predictors[other].record_incoming()
+                else:
+                    latency += TIMEOUT_MULTIPLIER * ping_rtt
+            if trace_hops is not None:
+                trace_hops.append(
+                    {
+                        "from": current_id,
+                        "level": msg.level,
+                        "kind": "resolve",
+                        "failed_neighbor": nb.num_id,
+                        "contacts": [[num_id, answered] for num_id, answered in contacts],
+                    }
+                )
+            if candidate is None:
+                # no candidate: descend, or end at level 0
+                if msg.level == 0:
+                    break
+                msg.level -= 1
+                continue
+            hop = index_of[candidate]
+            kind = "redirect"
+        hops += 1
+        hop_id = nodes[hop].num_id
+        if reads_path:
+            entry = entries.get(current)
+            if entry is None:
+                entry = entries[current] = _piggyback_entry(here, predictors[current])
+            msg.piggyback[current_id] = entry
+            stabilizers[hop].update(lookups[hop], msg.piggyback.values())
+        if trace_hops is not None:
+            trace_hops.append({"from": current_id, "to": hop_id, "level": msg.level, "kind": kind})
+        current, current_id = hop, hop_id
 
     outcome = SearchOutcome(
         success=current_id == target,
@@ -511,6 +532,7 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
 
     series = []
     for cell in state.cells:
+        cell.entries.clear()
         metrics = SlotMetrics(slot_index=slot, online_count=n_o)
         try:
             for initiator, target in pairs:

@@ -216,20 +216,28 @@ def join_node(
 
 
 def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Optional[NodeIdentity]:
-    """The level neighbor a node other than the target forwards ``msg`` to.
+    """The level neighbor a node other than the target forwards ``msg`` to,
+    found by descending from ``msg.level`` in one call.
 
-    That is the neighbor at ``msg.level`` in the search direction when it lies
-    in (node, target] (right) or [target, node) (left); ``None`` when there is
-    no such neighbor, and the caller descends or ends the search.
+    At each level, from ``msg.level`` down, the candidate is the neighbor in
+    the search direction; it is eligible when it lies in (node, target]
+    (right) or [target, node) (left).  The first eligible one is returned
+    and ``msg.level`` is lowered to its level.  With none, the result is
+    ``None`` and ``msg.level`` is 0: the search ends at this node.
     """
     target = msg.target_num_id
-    right = msg.direction is Direction.RIGHT
+    side = msg.direction
+    right = side is Direction.RIGHT
     if (target > node_num_id) != right:
         raise ValueError("direction inconsistent with target")
-    nb = lookup.levels[msg.level][msg.direction]
-    if nb is None:
-        return None
-    if right:
-        return nb if node_num_id < nb.num_id <= target else None
-    return nb if target <= nb.num_id < node_num_id else None
-
+    levels = lookup.levels
+    level = msg.level
+    while True:
+        nb = levels[level][side]
+        if nb is not None and (node_num_id < nb.num_id <= target if right else target <= nb.num_id < node_num_id):
+            msg.level = level
+            return nb
+        if level == 0:
+            msg.level = 0
+            return None
+        level -= 1

@@ -4,7 +4,8 @@ Every predictor kind follows one protocol.  ``update(bit)`` records one status
 bit per time slot (1 online, 0 offline) and returns nothing; ``prediction`` is
 the estimate of the node's availability probability in [0, 1] after the last
 bit, 0.0 before any; ``record_incoming()`` counts one message the node
-answers, which only ``ludp`` reads.
+answers, which only ``ludp`` reads, so the engine calls it only for the kinds
+in ``TRAFFIC_FED_KINDS``.
 
 The De Bruijn graph predictor keeps empirical transition counts between k-bit
 uptime histories and reports the stationary probability mass of the states

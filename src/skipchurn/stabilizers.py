@@ -249,18 +249,26 @@ class KademliaBuckets:
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
+        owner_bits = self.owner.name_bits
+        height = self.height
         lookup_ids = lookup.neighbor_ids
+        capacities = self.capacities
+        buckets = self.buckets
         for item in piggyback:
-            if item.num_id == owner_id or item.num_id in lookup_ids:
+            num_id = item.num_id
+            if num_id == owner_id or num_id in lookup_ids:
                 continue
-            level = _entry_level(self.owner, item.name_bits, self.height)
-            slot = 1 if item.num_id > owner_id else 0
-            cap = self.capacities[level][slot]
+            # :func:`_entry_level`, inlined: the common prefix with the owner, capped
+            level = height - (owner_bits ^ item.name_bits).bit_length()
+            if level == height:
+                level -= 1
+            slot = 1 if num_id > owner_id else 0
+            cap = capacities[level][slot]
             if cap == 0:
                 continue
-            bucket = self.buckets[level][slot]
+            bucket = buckets[level][slot]
             for i, e in enumerate(bucket):
-                if e.num_id == item.num_id:
+                if e.num_id == num_id:
                     del bucket[i]
                     break
             bucket.insert(0, item)

@@ -1,4 +1,5 @@
-"""String-based oracles that tests compare the package's integer code against."""
+"""Plain restatements that tests compare the package's code against: string-based
+name-ID arithmetic, and routing one level at a time."""
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -11,3 +12,19 @@ def common_prefix_length(a: str, b: str) -> int:
             break
         n += 1
     return n
+
+
+def route_stepwise(node_num_id: int, levels, target: int, level: int):
+    """The forward of a search at ``node_num_id``, found as a loop that checks
+    one level and descends on no result: ``(neighbor, level)``, or ``(None, 0)``
+    when no level from ``level`` down has a neighbor strictly past the node and
+    not past the target in the target's direction."""
+    side = 1 if target > node_num_id else 0
+    lo, hi = (node_num_id + 1, target) if side else (target, node_num_id - 1)
+    while level > 0:
+        nb = levels[level][side]
+        if nb is not None and lo <= nb.num_id <= hi:
+            return nb, level
+        level -= 1
+    nb = levels[0][side]
+    return (nb, 0) if nb is not None and lo <= nb.num_id <= hi else (None, 0)

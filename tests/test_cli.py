@@ -182,9 +182,10 @@ def test_predict_bench_rejects_trace(capsys):
     (["--inter", "300"], "unrecognized arguments: --inter 300"),
     (["--unif", "0.5"], "unrecognized arguments: --unif 0.5"),
     (["--interarrival-mean-seconds", "nan"], "interarrival mean must be positive"),
+    (["--interarrival-mean-seconds", "1e-300"], "interarrival mean must be at least"),
 ], ids=["seed-negative", "workers-0", "workers-negative", "config-directory", "backup-size-repeated",
         "stabilizer-repeated", *(f"{key}-removed" for key in REMOVED_KEYS), "inter-abbreviated",
-        "unif-abbreviated", "interarrival-nan"])
+        "unif-abbreviated", "interarrival-nan", "interarrival-1e-300"])
 def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out"
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from skipchurn import cli, engine
-from skipchurn.churn import SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, ChurnModel
+from skipchurn.churn import (
+    MAX_ARRIVAL_RATE, SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, ChurnModel, draw_arrival_count,
+)
 from skipchurn.engine import (
     SWEEP_FIELDS, ChurnProcess, Counters, RunMetrics, SearchOutcome, SimConfig, SimulationState, SlotMetrics,
     run_search,
@@ -183,8 +185,13 @@ def test_cells_that_ignore_b_or_the_predictor_search_alike(tmp_path):
 def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, monkeypatch):
     # dks ignores piggybacks and visited sets, and none and a kademlia store
     # of b = 0 hold nothing, so their searches build no piggyback entry and
-    # call no update
+    # call no update.  A store that reads the path gets one update per hop.
+    # A swdbg prediction holds still while a slot's searches run, so each
+    # node's entry is built at most once per slot; a ludp prediction counts
+    # the messages its node answers, so a ludp entry is built for every hop.
     calls = defaultdict(int)
+    built = defaultdict(int)  # (slot run, sender) -> entries built
+    slots_run = [0]
 
     def counting(kind, fn):
         def wrapper(*args, **kwargs):
@@ -197,21 +204,42 @@ def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, mon
         calls["hop"] += outcome.hops
         return outcome
 
-    search = engine.run_search
+    def counting_slot(state):
+        slots_run[0] += 1
+        return slot(state)
+
+    def counting_entry(ident, predictor):
+        built[slots_run[0], ident.num_id] += 1
+        return entry(ident, predictor)
+
+    search, slot, entry = engine.run_search, engine.run_slot, engine._piggyback_entry
     monkeypatch.setattr(engine, "run_search", counting_search)
-    monkeypatch.setattr(engine, "_piggyback_entry", counting("entry", engine._piggyback_entry))
+    monkeypatch.setattr(engine, "run_slot", counting_slot)
+    monkeypatch.setattr(engine, "_piggyback_entry", counting_entry)
     # a dks store has no update, so a call would raise
     for store in (BackupTable, KademliaBuckets):
         monkeypatch.setattr(store, "update", counting("update", store.update))
-    for kind, b in [(kind, 8) for kind in STABILIZER_KINDS] + [("kademlia", 0)]:
+    cases = [(kind, 8, "swdbg") for kind in STABILIZER_KINDS] + [("kademlia", 0, "swdbg")]
+    cases += [(kind, 8, "ludp") for kind in ("interlaced", "kademlia")]
+    for kind, b, predictor in cases:
         calls.clear()
-        argv = ORACLE_RUN + ["--stabilizer", kind, "--backup-size", str(b), "--out", str(tmp_path / f"{kind}-{b}")]
+        built.clear()
+        argv = ORACLE_RUN + ["--stabilizer", kind, "--backup-size", str(b), "--predictor", predictor,
+                             "--out", str(tmp_path / f"{kind}-{b}-{predictor}")]
         assert cli.main(argv) == 0
         hops = calls.pop("hop")
         assert hops > 1000
-        # every hop of a path-reading store carries one entry and one update
-        reads = kind in ("interlaced", "kademlia") and b > 0
-        assert calls == ({"entry": hops, "update": hops} if reads else {})
+        entries = sum(built.values())
+        if not (kind in ("interlaced", "kademlia") and b > 0):
+            assert calls == {} and entries == 0
+            continue
+        # every hop of a path-reading store carries one update
+        assert calls == {"update": hops}
+        if predictor == "ludp":
+            assert entries == hops
+        else:
+            assert max(built.values()) == 1
+            assert entries < hops / 2
 
 
 def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
@@ -288,6 +316,17 @@ def test_churn_constants_are_the_measured_debian_profile():
     hours = np.random.default_rng(1).weibull(SESSION_SHAPE, 200_000) * SESSION_SCALE_HOURS
     assert float(hours.mean()) == pytest.approx(2.71, rel=0.01)
     assert SLOT_SECONDS / ChurnModel().interarrival_mean_seconds == pytest.approx(90.3, abs=0.05)
+
+
+def test_the_smallest_accepted_arrival_mean_draws():
+    # the bound is numpy's: the largest accepted rate draws, and a mean just
+    # below the smallest accepted one is refused before any draw
+    smallest = SLOT_SECONDS / MAX_ARRIVAL_RATE
+    assert draw_arrival_count(ChurnModel(interarrival_mean_seconds=smallest), np.random.default_rng(0)) > 0
+    with pytest.raises(ValueError, match="interarrival mean must be at least"):
+        ChurnModel(interarrival_mean_seconds=smallest * (1 - 1e-9))
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).poisson(MAX_ARRIVAL_RATE * 1.01)
 
 
 def _run_slots(process, rng, slots):

@@ -18,7 +18,7 @@ from skipchurn.overlay import (
     route_step,
 )
 
-from oracles import common_prefix_length
+from oracles import common_prefix_length, route_stepwise
 
 
 def make_topology(pairs):
@@ -254,13 +254,26 @@ class TestRouteStep:
         table = empty_table(2)
         neighbor = NodeIdentity(50, 0b10, (0.0, 0.0))
         table.levels[1][Direction.RIGHT] = neighbor
-        assert route_step(43, table, _msg(59, 1, Direction.RIGHT)) is neighbor
+        msg = _msg(59, 1, Direction.RIGHT)
+        assert route_step(43, table, msg) is neighbor
+        assert msg.level == 1
 
     def test_overshoot_descends(self):
-        # the level-1 neighbor lies past the target: no forward, the caller descends
+        # the level-1 neighbor lies past the target: the call descends and
+        # forwards to the level-0 neighbor, lowering the message's level
         table = empty_table(2)
         table.levels[1][Direction.RIGHT] = NodeIdentity(50, 0b10, (0.0, 0.0))
-        assert route_step(43, table, _msg(45, 1, Direction.RIGHT)) is None
+        near = table.levels[0][Direction.RIGHT] = NodeIdentity(44, 0b01, (0.0, 0.0))
+        msg = _msg(45, 1, Direction.RIGHT)
+        assert route_step(43, table, msg) is near
+        assert msg.level == 0
+
+    def test_overshoot_at_every_level_ends_at_level_zero(self):
+        table = empty_table(2)
+        table.levels[1][Direction.RIGHT] = NodeIdentity(50, 0b10, (0.0, 0.0))
+        msg = _msg(45, 1, Direction.RIGHT)
+        assert route_step(43, table, msg) is None
+        assert msg.level == 0
 
     def test_level_zero_without_neighbor_terminates(self):
         table = empty_table(2)
@@ -278,27 +291,32 @@ class TestRouteStep:
             route_step(43, empty_table(2), _msg(target, 1, direction))
 
     def test_never_forwards_across_target(self):
+        # one call reaches the neighbor and level that a descent of one level
+        # per step reaches, and that neighbor never lies past the target
         rng = np.random.default_rng(21)
         topo = generate_topology(64, seed=21)
         ids = sorted(n.num_id for n in topo.nodes)
+        outcomes = {"same level": 0, "descended": 0, "ended": 0}
         for _ in range(300):
             nid = int(rng.choice(ids))
             target = int(rng.choice(ids))
             if nid == target:
                 continue
-            table = join_node(topo, node(topo, nid), ids)
+            # half the nodes online, so that some levels overshoot or are empty
+            online = set(rng.choice(ids, size=len(ids) // 2, replace=False).tolist())
+            table = join_node(topo, node(topo, nid), online)
             direction = Direction.RIGHT if target > nid else Direction.LEFT
             lvl = int(rng.integers(0, topo.name_length))
-            got = route_step(nid, table, _msg(target, lvl, direction))
-            level_nb = table.levels[lvl][direction]
+            msg = _msg(target, lvl, direction)
+            got = route_step(nid, table, msg)
+            assert (got, msg.level) == route_stepwise(nid, table.levels, target, lvl)
             if got is None:
-                assert level_nb is None or not (
-                    nid < level_nb.num_id <= target or target <= level_nb.num_id < nid
-                )
+                outcomes["ended"] += 1
+                continue
+            outcomes["same level" if msg.level == lvl else "descended"] += 1
+            assert got is table.levels[msg.level][direction]
+            if direction is Direction.RIGHT:
+                assert nid < got.num_id <= target
             else:
-                assert got is level_nb
-                if direction is Direction.RIGHT:
-                    assert nid < got.num_id <= target
-                else:
-                    assert target <= got.num_id < nid
-
+                assert target <= got.num_id < nid
+        assert all(outcomes.values()), outcomes
