@@ -38,7 +38,7 @@ class ChurnModel:
             raise ValueError(f"unknown churn kind: {self.kind}")
         if not self.interarrival_mean_seconds > 0:  # rejects NaN as well
             raise ValueError(f"interarrival mean must be positive, got {self.interarrival_mean_seconds}")
-        if not SLOT_SECONDS / self.interarrival_mean_seconds <= MAX_ARRIVAL_RATE:  # rejects inf as well
+        if SLOT_SECONDS / self.interarrival_mean_seconds > MAX_ARRIVAL_RATE:
             raise ValueError(
                 f"interarrival mean must be at least {SLOT_SECONDS / MAX_ARRIVAL_RATE} seconds,"
                 f" got {self.interarrival_mean_seconds}"

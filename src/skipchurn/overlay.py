@@ -232,12 +232,11 @@ def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Opt
         raise ValueError("direction inconsistent with target")
     levels = lookup.levels
     level = msg.level
-    while True:
+    while level >= 0:
         nb = levels[level][side]
         if nb is not None and (node_num_id < nb.num_id <= target if right else target <= nb.num_id < node_num_id):
             msg.level = level
             return nb
-        if level == 0:
-            msg.level = 0
-            return None
         level -= 1
+    msg.level = 0
+    return None
