@@ -21,10 +21,8 @@ def route_stepwise(node_num_id: int, levels, target: int, level: int):
     not past the target in the target's direction."""
     side = 1 if target > node_num_id else 0
     lo, hi = (node_num_id + 1, target) if side else (target, node_num_id - 1)
-    while level > 0:
-        nb = levels[level][side]
+    for lvl in range(level, -1, -1):
+        nb = levels[lvl][side]
         if nb is not None and lo <= nb.num_id <= hi:
-            return nb, level
-        level -= 1
-    nb = levels[0][side]
-    return (nb, 0) if nb is not None and lo <= nb.num_id <= hi else (None, 0)
+            return nb, lvl
+    return None, 0
