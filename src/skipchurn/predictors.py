@@ -25,6 +25,17 @@ into the reach set, hence the same Tarjan order and fill order of the solve,
 and the counts enter only in the probabilities, the matrix and the solve, so
 memoized and uncached estimates are the same floats.
 
+Every estimate solves its linear system through ``_solve``, which calls
+numpy's solve gufunc (``numpy.linalg._umath_linalg.solve1``, the one under
+``np.linalg.solve``) directly: the same bits at about a third of the cost,
+since it skips the ``errstate`` that ``np.linalg.solve`` enters on each call.
+On a singular system the gufunc fills the solution with NaN and sets the
+invalid flag (a ``RuntimeWarning`` under numpy's default ``errstate``);
+``_solve`` sees the NaN and raises ``LinAlgError``, as ``np.linalg.solve``
+does.  Each system's matrix is filled in one ``put`` of (flat place, value)
+pairs into fresh zeros or a fresh identity.  Each cell is written at most
+once, so it holds the bits an element-by-element fill gave.
+
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
@@ -43,6 +54,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 PREDICTOR_KINDS = ("swdbg", "dbg1", "dbg2", "dbg3", "dbg4", "lifetime", "ludp")
 # Kinds whose estimate counts the messages a node answers, so it depends on
@@ -52,16 +65,12 @@ TRAFFIC_FED_KINDS = ("ludp",)
 MAX_STATE_SIZE = 8
 
 
-def _stationary_core(P: np.ndarray) -> np.ndarray:
-    """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P."""
-    m = P.shape[0]
-    # P.T - I without building I: off the diagonal p - 0.0 is p, bit for bit
-    A = P.T.copy()
-    A.flat[:: m + 1] -= 1.0
-    A[-1, :] = 1.0
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    return np.linalg.solve(A, rhs)
+def _solve(A: np.ndarray, b) -> list[float]:
+    """x with A x = b, as a list; a singular A raises ``LinAlgError``."""
+    x = _solve1(A, b, signature="dd->d").tolist()
+    if x[0] != x[0]:
+        raise LinAlgError("Singular matrix")
+    return x
 
 
 def _tarjan_sccs(nodes: list[int], succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
@@ -137,8 +146,9 @@ def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> f
     """Stationary online mass of a terminal class under the current counts.
 
     Probabilities are ``count / (count0 + count1)`` and the online mass is
-    summed as numpy scalars in Tarjan order, so a plan built once and reused
-    gives the same float as one built afresh.
+    added up one float at a time in Tarjan order (not by ``sum``, which
+    compensates its rounding from Python 3.12), so a plan built once and
+    reused gives the same float as one built afresh.
     """
     idx = plan.index
     m = len(idx)
@@ -156,17 +166,32 @@ def _class_sop(plan: _ClassPlan, counts: dict[int, list[float]], mask: int) -> f
         p_up = ra[1] / (ra[0] + ra[1])
         p_down = rb[0] / (rb[0] + rb[1])
         return p_up / (p_up + p_down)
-    P = np.zeros((m, m))
+    # pi = pi P with sum(pi) = 1, solved as A pi = e_last: A is P.T - I with
+    # its last row set to ones.  P[j, k] goes to the flat place k * m + j of
+    # P.T; off the diagonal p - 0.0 is p, so no I is built
+    places = []
+    probs = []
     for s, j in idx.items():
         row = counts[s]
         total = row[0] + row[1]
         base = (s << 1) & mask
         if row[0] > 0.0:
-            P[j, idx[base]] = row[0] / total
+            places.append(idx[base] * m + j)
+            probs.append(row[0] / total)
         if row[1] > 0.0:
-            P[j, idx[base | 1]] = row[1] / total
-    pi = _stationary_core(P)
-    return float(sum(pi[j] for j in plan.online))
+            places.append(idx[base | 1] * m + j)
+            probs.append(row[1] / total)
+    A = np.zeros((m, m))
+    A.put(places, probs)
+    A.flat[:: m + 1] -= 1.0
+    A[-1] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    pi = _solve(A, rhs)
+    sop = 0.0
+    for j in plan.online:
+        sop += pi[j]
+    return sop
 
 
 # Unbounded, the shape memo grows with every new edge set of a run.
@@ -235,11 +260,11 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
     weighted by its stationary online mass under the current counts."""
     cur, rows, classes = shape
     m = len(rows) // 3
-    # I - Q filled in place: each (j, t) is written at most once, so 1.0 - p
-    # and 0.0 - p are the bits that subtracting a filled Q would give
-    A = np.eye(m)
-    r = np.zeros(m)
     sops = [c if type(c) is float else _class_sop(c, counts, mask) for c in classes]
+    # I - Q: 1.0 - p and 0.0 - p are the bits that subtracting a filled Q gave
+    places = []
+    cells = []
+    r = [0.0] * m
     it = iter(rows)
     for j, (s, t0, t1) in enumerate(zip(it, it, it)):
         row = counts[s]
@@ -249,11 +274,14 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
                 continue
             p = c / total
             if t < m:
-                A[j, t] -= p
+                places.append(j * m + t)
+                cells.append((1.0 if t == j else 0.0) - p)
             else:
                 r[j] += p * sops[t - m]
-    values = np.linalg.solve(A, r)
-    return float(min(1.0, max(0.0, values[cur])))
+    A = np.eye(m)
+    A.put(places, cells)
+    values = _solve(A, r)
+    return min(1.0, max(0.0, values[cur]))
 
 
 class Dbg:
@@ -419,6 +447,13 @@ class Dbg:
         return child
 
 
+def _window_error(sop: float, state_size: int, recent: int, seen: int) -> float:
+    """|sop - the online fraction of the newest min(state_size, seen) bits of
+    ``recent``|: a window chain's prediction error."""
+    n = min(state_size, seen)
+    return abs(sop - (recent & ((1 << n) - 1)).bit_count() / n)
+
+
 class SlidingWindowDbg:
     """Window of three consecutive-size De Bruijn graphs, sliding adaptively.
 
@@ -441,19 +476,22 @@ class SlidingWindowDbg:
     def prediction(self) -> float:
         return self._prediction
 
-    def _error(self, sop: float, dbg: Dbg) -> float:
-        # every chain of the window holds the same newest bits and bit count
-        n = min(dbg.state_size, dbg.bits_seen)
-        frac = (dbg._recent & ((1 << n) - 1)).bit_count() / n
-        return abs(sop - frac)
-
     def update(self, status: int) -> None:
         status = 1 if status else 0
-        dbgs = [self.left, self.center, self.right]
-        for d in dbgs:
-            d.observe(status)
-        sops = [d.prediction for d in dbgs]
-        errs = [self._error(sops[i], dbgs[i]) for i in range(3)]
+        left, center, right = self.left, self.center, self.right
+        left.observe(status)
+        center.observe(status)
+        right.observe(status)
+        # every chain of the window holds the same newest bits and bit count
+        recent = left._recent
+        seen = left.bits_seen
+        dbgs = [left, center, right]
+        sops = [left.prediction, center.prediction, right.prediction]
+        errs = [
+            _window_error(sops[0], left.state_size, recent, seen),
+            _window_error(sops[1], center.state_size, recent, seen),
+            _window_error(sops[2], right.state_size, recent, seen),
+        ]
 
         while errs[0] > errs[1] > errs[2]:
             if dbgs[2].state_size == MAX_STATE_SIZE:
@@ -462,7 +500,7 @@ class SlidingWindowDbg:
             dbgs = [dbgs[1], dbgs[2], grown]
             sop = grown.prediction
             sops = [sops[1], sops[2], sop]
-            errs = [errs[1], errs[2], self._error(sop, grown)]
+            errs = [errs[1], errs[2], _window_error(sop, grown.state_size, recent, seen)]
 
         while errs[0] < errs[1] < errs[2]:
             if dbgs[0].state_size == 1:
@@ -471,11 +509,11 @@ class SlidingWindowDbg:
             dbgs = [shrunk, dbgs[0], dbgs[1]]
             sop = shrunk.prediction
             sops = [sop, sops[0], sops[1]]
-            errs = [self._error(sop, shrunk), errs[0], errs[1]]
+            errs = [_window_error(sop, shrunk.state_size, recent, seen), errs[0], errs[1]]
 
         self.left, self.center, self.right = dbgs
-        best = min(range(3), key=lambda i: errs[i])
-        self._prediction = sops[best]
+        # the first of equal errors wins
+        self._prediction = sops[errs.index(min(errs))]
 
     def record_incoming(self) -> None:
         pass

@@ -1,5 +1,8 @@
 """Plain restatements that tests compare the package's code against: string-based
-name-ID arithmetic, and routing one level at a time."""
+name-ID arithmetic, routing one level at a time, and the stationary solve
+through ``np.linalg.solve``."""
+
+import numpy as np
 
 
 def common_prefix_length(a: str, b: str) -> int:
@@ -26,3 +29,16 @@ def route_stepwise(node_num_id: int, levels, target: int, level: int):
         if nb is not None and lo <= nb.num_id <= hi:
             return nb, lvl
     return None, 0
+
+
+def stationary_core(P: np.ndarray) -> np.ndarray:
+    """Solve pi = pi P with sum(pi) = 1 for an irreducible stochastic P, with
+    the public ``np.linalg.solve``: A is P.T - I with its last row set to ones."""
+    m = P.shape[0]
+    # P.T - I without building I: off the diagonal p - 0.0 is p, bit for bit
+    A = P.T.copy()
+    A.flat[:: m + 1] -= 1.0
+    A[-1, :] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    return np.linalg.solve(A, rhs)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from oracles import stationary_core
+from skipchurn import cli, predictors
 from skipchurn.predictors import (
     MAX_STATE_SIZE,
     PREDICTOR_KINDS,
@@ -16,8 +19,9 @@ from skipchurn.predictors import (
     Dbg,
     _chain_shape,
     _ClassPlan,
-    _stationary_core,
+    _solve,
     _tarjan_sccs,
+    _window_error,
     LifetimePredictor,
     LudpPredictor,
     PredictorLayer,
@@ -103,24 +107,24 @@ class TestDbgUpdate:
 
 
 class TestSolveStationary:
-    """``_stationary_core``, the one stationary solve, on irreducible chains."""
+    """The oracle's stationary solve, ``stationary_core``, on irreducible chains."""
 
     def test_uniform_chain(self):
         P = np.full((4, 4), 0.25)
-        pi = _stationary_core(P)
+        pi = stationary_core(P)
         assert pi == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_two_state_closed_form(self):
         a, b = 0.3, 0.2
         P = np.array([[1 - a, a], [b, 1 - b]])
-        pi = _stationary_core(P)
+        pi = stationary_core(P)
         assert pi[1] == pytest.approx(a / (a + b), abs=1e-12)
 
     def test_matches_chain_walk(self):
         rng = np.random.default_rng(11)
         P = rng.random((4, 4)) + 0.05
         P /= P.sum(axis=1, keepdims=True)
-        pi = _stationary_core(P)
+        pi = stationary_core(P)
         # Monte-Carlo oracle: frequency of state visits along a long walk
         steps = 1_000_000
         states = np.zeros(steps, dtype=np.int64)
@@ -137,7 +141,76 @@ class TestSolveStationary:
         rng = np.random.default_rng(2)
         P = rng.random((6, 6)) + 0.01
         P /= P.sum(axis=1, keepdims=True)
-        assert _stationary_core(P).sum() == pytest.approx(1.0, abs=1e-9)
+        assert stationary_core(P).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+# 50 systems of each size from 2 to 39 states and 20 each of 128 and 256
+SOLVE_SIZES = [(m, 50) for m in range(2, 40)] + [(128, 20), (256, 20)]
+
+
+def random_systems(rng):
+    """Nonsingular systems in turn of the estimates' two kinds: a random
+    chain's stationary system (P.T - I with its last row set to ones, and the
+    last unit vector), and I - Q of a random substochastic Q with a random
+    right-hand side."""
+    for m, count in SOLVE_SIZES:
+        for k in range(count):
+            if k % 2 == 0:
+                P = rng.random((m, m))
+                P /= P.sum(axis=1, keepdims=True)
+                A = P.T - np.eye(m)
+                A[-1, :] = 1.0
+                b = np.zeros(m)
+                b[-1] = 1.0
+            else:
+                Q = rng.random((m, m))
+                Q *= rng.random((m, 1)) / Q.sum(axis=1, keepdims=True)
+                A = np.eye(m) - Q
+                b = rng.random(m)
+            yield A, b
+
+
+def test_solve_gives_the_bits_of_numpys_solve():
+    systems = list(random_systems(np.random.default_rng(1940)))
+    assert len(systems) == 1940
+    for A, b in systems:
+        got = _solve(A, b)
+        assert type(got) is list
+        assert np.array(got).tobytes() == np.linalg.solve(A, b).tobytes()
+
+
+def test_solve_raises_on_a_singular_matrix():
+    A = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.0, 1.0, 3.0]])
+    b = np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b)
+    # numpy's default errstate warns of the NaN the gufunc writes
+    with pytest.warns(RuntimeWarning), pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _solve(A, b)
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        _solve(A, b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-bench", "--capacity", "64", "--slots", "48", "--topologies", "1", "--seed", "1",
+     "--interarrival-mean-seconds", "300"],
+    ["run", "--capacity", "64", "--slots", "24", "--topologies", "1", "--search-cap", "40", "--seed", "1",
+     "--interarrival-mean-seconds", "300", "--stabilizer", "interlaced", "--predictor", "swdbg", "--backup-size", "8"],
+], ids=["predict-bench", "run-swdbg"])
+def test_a_run_raises_no_floating_point_warning(tmp_path, monkeypatch, argv):
+    # _solve skips the errstate that np.linalg.solve enters, so an overflow,
+    # division or invalid value in a solve would surface here as a warning
+    solves = []
+
+    def counted(A, b):
+        solves.append(len(b))
+        return _solve(A, b)
+
+    monkeypatch.setattr(predictors, "_solve", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--workers", "1", "--out", str(tmp_path)]) == 0
+    assert len(solves) > 1000 and max(solves) >= 128
 
 
 def reference_sop(dbg):
@@ -216,7 +289,7 @@ def reference_sop(dbg):
         for s in comp:
             for t, p in prob_edges[s]:
                 P[idx[s], idx[t]] = p
-        pi = _stationary_core(P)
+        pi = stationary_core(P)
         return float(sum(pi[idx[s]] for s in comp if s & 1))
 
     cur_comp = comp_id[cur]
@@ -517,14 +590,13 @@ class TestSlidingWindow:
 
     def test_worked_error_example(self):
         # each chain has seen the bits 1, 0, 1 (newest last)
-        w = SlidingWindowDbg()
         chains = {3: Dbg(3), 2: Dbg(2)}
         for d in chains.values():
             for b in (1, 0, 1):
                 d.observe(b)
-        err = w._error(0.2, chains[3])
+        err = _window_error(0.2, 3, chains[3]._recent, chains[3].bits_seen)
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
-        assert w._error(0.2, chains[2]) == pytest.approx(0.3, abs=1e-12)
+        assert _window_error(0.2, 2, chains[2]._recent, chains[2].bits_seen) == pytest.approx(0.3, abs=1e-12)
 
     def test_chains_share_the_recent_bits(self):
         # the window's error reads each chain's own history, which must
