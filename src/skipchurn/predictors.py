@@ -33,8 +33,8 @@ On a singular system the gufunc fills the solution with NaN and sets the
 invalid flag (a ``RuntimeWarning`` under numpy's default ``errstate``);
 ``_solve`` sees the NaN and raises ``LinAlgError``, as ``np.linalg.solve``
 does.  Each system's matrix is filled in one ``put`` of (flat place, value)
-pairs into fresh zeros or a fresh identity.  Each cell is written at most
-once, so it holds the bits an element-by-element fill gave.
+pairs into fresh zeros or a fresh identity.  The put writes each cell at most
+once, so every cell holds the bits an element-by-element fill gave.
 
 The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
