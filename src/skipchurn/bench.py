@@ -44,7 +44,7 @@ def _bench_one_topology(args) -> dict[str, Counters]:
             c = counters[k]
             for i in arrivals:
                 layer.catch_up(i, slot)
-            layer.feed_online(churn.online, slot)
+            layer.feed_online(churn.online)
             c.sum_prediction_error = layer.error_sum(churn.online, c.sum_prediction_error)
             size_sum, samples = layer.wide_end_sample()
             c.right_size_sum += size_sum

@@ -552,7 +552,7 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     # prediction error sampled for every registered node
     scores = {}
     for layer in state.layers:
-        layer.feed_online(up, slot)
+        layer.feed_online(up)
         scores[layer] = (layer.error_sum(up, 0.0), *layer.wide_end_sample())
     for cell, metrics in zip(state.cells, series):
         metrics.sum_prediction_error, metrics.right_size_sum, metrics.right_size_samples = scores[cell.layer]

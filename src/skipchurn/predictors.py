@@ -5,7 +5,8 @@ bit per time slot (1 online, 0 offline) and returns nothing; ``prediction`` is
 the estimate of the node's availability probability in [0, 1] after the last
 bit, 0.0 before any; ``record_incoming()`` counts one message the node
 answers, which only ``ludp`` reads, so the engine calls it only for the kinds
-in ``TRAFFIC_FED_KINDS``.
+in ``TRAFFIC_FED_KINDS``.  Each predictor's ``history`` (a ``History``) is the
+one record of the bits it has been fed; a window's three chains share it.
 
 The De Bruijn graph predictor keeps empirical transition counts between k-bit
 uptime histories and reports the stationary probability mass of the states
@@ -40,11 +41,10 @@ The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
 
-``PredictorLayer`` holds one predictor of one kind per registered node and
-the last slot fed to each; a run and ``predict-bench`` both feed predictors
-through it.  A node is fed a 1 for each slot it is online.  The slots it
-missed are replayed as 0s only when it returns, so an offline node keeps its
-last prediction until that catch-up.
+``PredictorLayer`` holds one predictor of one kind per registered node; a
+run and ``predict-bench`` both feed predictors through it.  A node is fed a 1
+for each slot it is online.  The slots it missed are replayed as 0s only when
+it returns, so an offline node keeps its last prediction until that catch-up.
 """
 
 from __future__ import annotations
@@ -284,6 +284,29 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
     return min(1.0, max(0.0, values[cur]))
 
 
+class History:
+    """The status bits a predictor has been fed: how many (``seen``), how many
+    were 1 (``ones``), and the newest ``MAX_STATE_SIZE + 1`` of them, newest
+    lowest (``recent``)."""
+
+    __slots__ = ("seen", "ones", "recent")
+
+    def __init__(self):
+        self.seen = 0
+        self.ones = 0
+        self.recent = 0
+
+    def push(self, status: int) -> None:
+        """Record one bit, 0 or 1."""
+        self.seen += 1
+        self.ones += status
+        self.recent = ((self.recent << 1) | status) & ((2 << MAX_STATE_SIZE) - 1)
+
+    def fraction(self) -> float:
+        """The share of 1s among the bits seen; 0.0 before any."""
+        return self.ones / self.seen if self.seen else 0.0
+
+
 class Dbg:
     """Empirical De Bruijn graph over k-bit uptime histories; the ``dbg1`` to
     ``dbg4`` predictors are one chain each.
@@ -306,52 +329,36 @@ class Dbg:
     the last one (the step that fills the warm-up window included), and
     clears it otherwise, so ``prediction`` solves once when it is read.  A new
     chain holds 0.0; one made by ``enlarge`` or ``shrink`` starts uncached.
-
-    ``_recent`` holds the newest ``MAX_STATE_SIZE + 1`` status bits, newest
-    lowest; ``bits_seen`` is its length until it is full.
     """
 
-    __slots__ = (
-        "state_size",
-        "bits_seen",
-        "ones_seen",
-        "_mask",
-        "_counts",
-        "_current",
-        "_recent",
-        "_edges",
-        "_plan",
-        "_prediction",
-    )
+    __slots__ = ("state_size", "history", "_mask", "_counts", "_current", "_edges", "_plan", "_prediction")
 
-    def __init__(self, state_size: int):
+    def __init__(self, state_size: int, history: Optional[History] = None):
         if not 1 <= state_size <= MAX_STATE_SIZE:
             raise ValueError(f"state size must be in 1..{MAX_STATE_SIZE}, got {state_size}")
         self.state_size = state_size
-        self.bits_seen = 0
-        self.ones_seen = 0
+        self.history = History() if history is None else history
         self._mask = (1 << state_size) - 1
         self._counts: dict[int, list[float]] = {}
         self._current: Optional[int] = None
-        self._recent = 0
         self._edges = 0
         self._plan: Optional[_ClassPlan] = None
         self._prediction: Optional[float] = 0.0
 
-    def _warm_fraction(self) -> float:
-        return self.ones_seen / self.bits_seen if self.bits_seen else 0.0
+    def update(self, status: int) -> None:
+        status = 1 if status else 0
+        self.history.push(status)
+        self.observe(status)
 
     def observe(self, status: int) -> None:
-        """Record one status bit."""
-        status = 1 if status else 0
-        self.bits_seen += 1
-        self.ones_seen += status
-        self._recent = ((self._recent << 1) | status) & ((2 << MAX_STATE_SIZE) - 1)
+        """Count the transition into ``status``, the bit just pushed to the history;
+        a window pushes each bit once and calls each chain's ``observe``."""
         prev = self._current
         if prev is None:
-            if self.bits_seen == self.state_size:
-                self._current = self._recent & self._mask
-            self._prediction = self._warm_fraction()
+            history = self.history
+            if history.seen == self.state_size:
+                self._current = history.recent & self._mask
+            self._prediction = history.fraction()
             return
         row = self._counts.get(prev)
         if row is None:
@@ -364,10 +371,6 @@ class Dbg:
         self._current = ((prev << 1) & self._mask) | status
         self._prediction = None
 
-    # A node's own chain is fed through ``update``, a window's chains through
-    # ``observe``, so a profile tells the two apart.
-    update = observe
-
     @property
     def prediction(self) -> float:
         if self._prediction is None:
@@ -379,11 +382,12 @@ class Dbg:
 
     def stationary_online_probability(self) -> float:
         """Long-run probability of an online slot under the observed chain."""
+        history = self.history
         if self._current is None:
-            return self._warm_fraction()
-        if self.ones_seen == self.bits_seen:
+            return history.fraction()
+        if history.ones == history.seen:
             return 1.0
-        if self.ones_seen == 0:
+        if history.ones == 0:
             return 0.0
         mask = self._mask
         counts = self._counts
@@ -396,15 +400,12 @@ class Dbg:
                 return _transient_sop(shape, counts, mask)
         return _class_sop(plan, counts, mask)
 
-    def _seed_from_counts(self, parent: "Dbg") -> None:
-        """Take the parent's bit history, and the edges of the counts just set;
-        the estimate starts uncached."""
-        self.bits_seen = parent.bits_seen
-        self.ones_seen = parent.ones_seen
-        self._recent = parent._recent
+    def _seed_from_counts(self) -> None:
+        """Take the current state from the history, and the edges from the
+        counts just set; the estimate starts uncached."""
         self._prediction = None
-        if self.bits_seen >= self.state_size:
-            self._current = self._recent & self._mask
+        if self.history.seen >= self.state_size:
+            self._current = self.history.recent & self._mask
         for s, row in self._counts.items():
             self._edges |= (row[0] > 0.0) << (s << 1) | (row[1] > 0.0) << ((s << 1) | 1)
 
@@ -414,11 +415,11 @@ class Dbg:
         Every state maps to its two one-bit extensions; both inherit the
         parent's transition counts.  A chain at ``MAX_STATE_SIZE`` raises.
         """
-        child = Dbg(self.state_size + 1)
+        child = Dbg(self.state_size + 1, self.history)
         for s, row in self._counts.items():
             child._counts[s << 1] = [row[0], row[1]]
             child._counts[(s << 1) | 1] = [row[0], row[1]]
-        child._seed_from_counts(self)
+        child._seed_from_counts()
         return child
 
     def shrink(self) -> "Dbg":
@@ -428,7 +429,7 @@ class Dbg:
         probabilities are the arithmetic mean of the sources' probabilities,
         rescaled so total transition mass is preserved.
         """
-        child = Dbg(self.state_size - 1)
+        child = Dbg(self.state_size - 1, self.history)
         parents = {s >> 1 for s in self._counts}
         for m in parents:
             r0 = self._counts.get(m << 1)
@@ -443,7 +444,7 @@ class Dbg:
             p0 = (r0[0] / t0 + r1[0] / t1) / 2.0
             p1 = (r0[1] / t0 + r1[1] / t1) / 2.0
             child._counts[m] = [p0 * mass, p1 * mass]
-        child._seed_from_counts(self)
+        child._seed_from_counts()
         return child
 
 
@@ -466,10 +467,13 @@ class SlidingWindowDbg:
     the chain with the smallest error.
     """
 
+    __slots__ = ("history", "left", "center", "right", "_prediction")
+
     def __init__(self):
-        self.left = Dbg(1)
-        self.center = Dbg(2)
-        self.right = Dbg(3)
+        history = self.history = History()
+        self.left = Dbg(1, history)
+        self.center = Dbg(2, history)
+        self.right = Dbg(3, history)
         self._prediction = 0.0
 
     @property
@@ -478,13 +482,14 @@ class SlidingWindowDbg:
 
     def update(self, status: int) -> None:
         status = 1 if status else 0
+        history = self.history
+        history.push(status)
         left, center, right = self.left, self.center, self.right
         left.observe(status)
         center.observe(status)
         right.observe(status)
-        # every chain of the window holds the same newest bits and bit count
-        recent = left._recent
-        seen = left.bits_seen
+        recent = history.recent
+        seen = history.seen
         dbgs = [left, center, right]
         sops = [left.prediction, center.prediction, right.prediction]
         errs = [
@@ -519,37 +524,31 @@ class SlidingWindowDbg:
         pass
 
 
-def lifetime_availability(online_slots: int, elapsed_slots: int) -> float:
-    """Fraction of elapsed slots the node was online; 0 before any slot."""
-    if elapsed_slots == 0:
-        return 0.0
-    if online_slots > elapsed_slots:
-        raise ValueError("online slots cannot exceed elapsed slots")
-    return online_slots / elapsed_slots
-
-
 class LifetimePredictor:
+    """The fraction of fed slots the node was online; 0 before any slot."""
+
+    __slots__ = ("history",)
+
     def __init__(self):
-        self.online_slots = 0
-        self.elapsed_slots = 0
+        self.history = History()
 
     @property
     def prediction(self) -> float:
-        return lifetime_availability(self.online_slots, self.elapsed_slots)
+        return self.history.fraction()
 
     def update(self, status: int) -> None:
-        self.elapsed_slots += 1
-        self.online_slots += 1 if status else 0
+        self.history.push(1 if status else 0)
 
     def record_incoming(self) -> None:
         pass
 
 
-def ludp_online_probability(age_slots: int, incoming: int, slot: int, capacity: int) -> float:
-    """Age-and-degree availability estimate, clamped to [0, 1]."""
-    if slot < 1 or capacity < 1:
-        raise ValueError("slot and capacity must be >= 1")
-    value = (age_slots * incoming) / (slot * capacity)
+def ludp_online_probability(uptime: int, incoming: int, slots: int, capacity: int) -> float:
+    """Age-and-degree availability estimate over ``slots`` fed slots, ``uptime``
+    of them online, clamped to [0, 1]."""
+    if slots < 1 or capacity < 1:
+        raise ValueError("slots and capacity must be >= 1")
+    value = (uptime * incoming) / (slots * capacity)
     return min(1.0, max(0.0, value))
 
 
@@ -560,21 +559,22 @@ class LudpPredictor:
     overlay traffic the estimate stays at 0.
     """
 
+    __slots__ = ("capacity", "history", "incoming")
+
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.age_slots = 0
+        self.history = History()
         self.incoming = 0
-        self.slot = 0
 
     @property
     def prediction(self) -> float:
-        if self.slot == 0:
+        history = self.history
+        if history.seen == 0:
             return 0.0
-        return ludp_online_probability(self.age_slots, self.incoming, self.slot, self.capacity)
+        return ludp_online_probability(history.ones, self.incoming, history.seen, self.capacity)
 
     def update(self, status: int) -> None:
-        self.slot += 1
-        self.age_slots += 1 if status else 0
+        self.history.push(1 if status else 0)
 
     def record_incoming(self) -> None:
         self.incoming += 1
@@ -594,35 +594,32 @@ def make_predictor(kind: str, capacity: int):
 
 
 class PredictorLayer:
-    """One predictor of one kind per registry index, and the last slot fed to each.
+    """One predictor of one kind per registry index.
 
     ``feed_online`` gives every online node its 1 for the slot;
-    ``catch_up`` replays the slots a returning node missed as 0s.  Until its
+    ``catch_up`` replays the slots a returning node missed as 0s, so a
+    node's ``history.seen`` is the number of slots fed so far.  Until its
     catch-up an offline node keeps the prediction of its last online slot,
     and ``error_sum`` scores that prediction.
     """
 
-    __slots__ = ("kind", "predictors", "last_fed")
+    __slots__ = ("kind", "predictors")
 
     def __init__(self, kind: str, size: int):
         self.kind = kind
         self.predictors = [make_predictor(kind, size) for _ in range(size)]
-        self.last_fed = [-1] * size
 
     def catch_up(self, index: int, slot: int) -> None:
         """Feed node ``index`` a 0 for each slot it missed before ``slot``."""
         pred = self.predictors[index]
-        for _ in range(self.last_fed[index] + 1, slot):
+        for _ in range(pred.history.seen, slot):
             pred.update(0)
-        self.last_fed[index] = slot - 1
 
-    def feed_online(self, online: list[bool], slot: int) -> None:
-        """Feed every node online in ``slot`` its 1."""
-        last_fed = self.last_fed
-        for i, (pred, up) in enumerate(zip(self.predictors, online)):
+    def feed_online(self, online: list[bool]) -> None:
+        """Feed every node online in this slot its 1."""
+        for pred, up in zip(self.predictors, online):
             if up:
                 pred.update(1)
-                last_fed[i] = slot
 
     def error_sum(self, online: list[bool], total: float) -> float:
         """``total`` plus every node's |prediction - status|, in index order."""

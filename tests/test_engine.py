@@ -303,6 +303,27 @@ def test_a_node_holds_its_table_and_stores_exactly_while_online(churn):
     assert left > 0 and 0 < sum(online) < len(online)
 
 
+def test_every_layer_has_fed_each_online_node_every_slot_so_far():
+    # a node online at a slot's end was fed that slot and every one before it,
+    # its missed slots caught up on return; an offline node waits for its return
+    cells = [SimConfig(capacity=32, search_cap=20, stabilizer="interlaced", backup_size=8, predictor=kind,
+                       churn=ChurnModel(interarrival_mean_seconds=300.0))
+             for kind in ("swdbg", "ludp")]
+    state = SimulationState(cells, generate_topology(32, seed=3), np.random.default_rng(5))
+    assert [layer.kind for layer in state.layers] == ["swdbg", "ludp"]
+    behind = 0
+    for _ in range(12):
+        engine.run_slot(state)
+        for layer in state.layers:
+            for pred, on in zip(layer.predictors, state.churn.online):
+                if on:
+                    assert pred.history.seen == state.slot_index
+                else:
+                    assert pred.history.seen <= state.slot_index
+                    behind += pred.history.seen < state.slot_index
+    assert behind > 0
+
+
 def test_cells_of_one_run_differ_only_in_the_sweep_axes():
     cells = [SimConfig(capacity=16), SimConfig(capacity=16, seed=2)]
     with pytest.raises(ValueError, match="may differ only in"):

@@ -26,7 +26,6 @@ from skipchurn.predictors import (
     LudpPredictor,
     PredictorLayer,
     SlidingWindowDbg,
-    lifetime_availability,
     ludp_online_probability,
     make_predictor,
 )
@@ -218,10 +217,10 @@ def reference_sop(dbg):
     Tarjan SCCs, then the class solve or the absorption solve.  This is the
     uncached algorithm the chain's cached plans must reproduce bit for bit."""
     if dbg._current is None:
-        return dbg._warm_fraction()
-    if dbg.ones_seen == dbg.bits_seen:
+        return dbg.history.fraction()
+    if dbg.history.ones == dbg.history.seen:
         return 1.0
-    if dbg.ones_seen == 0:
+    if dbg.history.ones == 0:
         return 0.0
     mask = dbg._mask
     counts = dbg._counts
@@ -332,7 +331,7 @@ def made_chain(k, counts, current):
     d._counts = {s: list(row) for s, row in counts.items()}
     d._edges = sum(1 << ((s << 1) | b) for s, row in counts.items() for b in (0, 1) if row[b] > 0.0)
     d._current = current
-    d.bits_seen, d.ones_seen = 10, 5
+    d.history.seen, d.history.ones = 10, 5
     return d
 
 
@@ -362,7 +361,7 @@ class TestCachedPlan:
                 elif op in (0, 1):
                     warm = d._current is None
                     d.update(op)
-                    expected = d._warm_fraction() if warm else reference_sop(d)
+                    expected = d.history.fraction() if warm else reference_sop(d)
                 assert d.prediction == expected
                 assert d.stationary_online_probability() == reference_sop(d)
 
@@ -521,7 +520,7 @@ class TestLazyFixedPrediction:
             for bit in [0] * gap + [status]:
                 warm = lazy._current is None
                 lazy.update(bit)
-                expected = lazy._warm_fraction() if warm else reference_sop(lazy)
+                expected = lazy.history.fraction() if warm else reference_sop(lazy)
                 if read:
                     assert lazy.prediction == expected
             assert lazy.prediction == expected
@@ -552,8 +551,8 @@ class TestEnlargeShrink:
         d = Dbg(2)
         d._counts[0b10] = [8.0, 2.0]
         d._counts[0b11] = [4.0, 6.0]
-        d.bits_seen, d.ones_seen = 20, 10
-        d._recent = 0b10
+        d.history.seen, d.history.ones = 20, 10
+        d.history.recent = 0b10
         d._current = 0b10
         s = d.shrink()
         assert s._current == 0
@@ -593,14 +592,15 @@ class TestSlidingWindow:
         chains = {3: Dbg(3), 2: Dbg(2)}
         for d in chains.values():
             for b in (1, 0, 1):
-                d.observe(b)
-        err = _window_error(0.2, 3, chains[3]._recent, chains[3].bits_seen)
+                d.update(b)
+        h3, h2 = chains[3].history, chains[2].history
+        err = _window_error(0.2, 3, h3.recent, h3.seen)
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
-        assert _window_error(0.2, 2, chains[2]._recent, chains[2].bits_seen) == pytest.approx(0.3, abs=1e-12)
+        assert _window_error(0.2, 2, h2.recent, h2.seen) == pytest.approx(0.3, abs=1e-12)
 
     def test_chains_share_the_recent_bits(self):
-        # the window's error reads each chain's own history, which must
-        # match the bits fed across every enlarge and shrink
+        # every chain reads the window's one history, which must hold the
+        # bits fed, across every enlarge and shrink
         rng = np.random.default_rng(5)
         w = SlidingWindowDbg()
         fed = []
@@ -610,8 +610,9 @@ class TestSlidingWindow:
             fed.append(b)
             windows.add(sizes(w))
             want = int("".join(map(str, fed[-(MAX_STATE_SIZE + 1):])), 2)
+            assert (w.history.recent, w.history.seen, w.history.ones) == (want, len(fed), sum(fed))
             for d in (w.left, w.center, w.right):
-                assert (d._recent, d.bits_seen) == (want, len(fed))
+                assert d.history is w.history
         assert len(windows) > 1
 
     def test_periodic_trace_settles_near_duty_cycle(self):
@@ -644,10 +645,10 @@ class TestSlidingWindow:
 
 class TestBaselines:
     def test_lifetime_fraction(self):
-        assert lifetime_availability(5, 20) == 0.25
-        assert lifetime_availability(7, 7) == 1.0
-        assert lifetime_availability(0, 9) == 0.0
-        assert lifetime_availability(0, 0) == 0.0
+        assert LifetimePredictor().prediction == 0.0
+        assert feed(LifetimePredictor(), [1] * 7) == 1.0
+        assert feed(LifetimePredictor(), [0] * 9) == 0.0
+        assert feed(LifetimePredictor(), [1] * 5 + [0] * 15) == 0.25
 
     def test_lifetime_predictor_accumulates(self):
         p = LifetimePredictor()
@@ -686,7 +687,7 @@ class TestOfflineReplay:
         assert got == pytest.approx(direct.prediction)
         assert sizes(gap) == sizes(direct)
 
-    @pytest.mark.parametrize("kind", ["swdbg", "dbg3", "lifetime"])
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
     def test_layer_catches_up_on_return_only(self, kind):
         # node 0 is online in slots 0, 1 and 5 and away in 2-4; node 1 never
         # comes online
@@ -694,18 +695,18 @@ class TestOfflineReplay:
         for b in [1, 1, 0, 0, 0, 1]:
             direct.update(b)
         layer = PredictorLayer(kind, 2)
-        for slot in (0, 1):
-            layer.feed_online([True, False], slot)
+        for _ in range(2):
+            layer.feed_online([True, False])
         kept = layer.predictors[0].prediction
-        for slot in (2, 3, 4):
-            layer.feed_online([False, False], slot)
+        for _ in range(3):
+            layer.feed_online([False, False])
             # away, node 0 keeps the prediction of its last online slot
             assert layer.predictors[0].prediction == kept
             assert layer.error_sum([False, False], 0.25) == 0.25 + kept + 0.0
         layer.catch_up(0, 5)
-        layer.feed_online([True, False], 5)
+        layer.feed_online([True, False])
         assert layer.predictors[0].prediction == direct.prediction
-        assert layer.last_fed == [5, -1]
+        assert [pred.history.seen for pred in layer.predictors] == [6, 0]
         layer.catch_up(0, 6)  # nothing missed
         assert layer.predictors[0].prediction == direct.prediction
         assert layer.error_sum([True, False], 0.0) == abs(direct.prediction - 1)
@@ -718,6 +719,13 @@ class TestFactory:
         assert make_predictor("dbg3", 64).state_size == 3
         assert isinstance(make_predictor("lifetime", 64), LifetimePredictor)
         assert isinstance(make_predictor("ludp", 64), LudpPredictor)
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_per_node_objects_have_no_instance_dict(self, kind):
+        # a run holds one predictor per node and kind; slots keep them small
+        pred = make_predictor(kind, 4)
+        assert not hasattr(pred, "__dict__")
+        assert not hasattr(pred.history, "__dict__")
 
     def test_unknown_kind_rejected(self):
         for kind in ("dbg9", "dbg0", "dbg", "markov"):
