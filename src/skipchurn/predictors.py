@@ -324,7 +324,7 @@ class Dbg:
     class.  A chain made by ``enlarge`` or ``shrink`` derives ``_edges`` from
     its counts and starts without a plan.
 
-    ``_prediction`` caches the estimate after the last bit: ``observe`` sets
+    ``_prediction`` caches the estimate after the last bit: ``_observe`` sets
     it to the warm-up fraction while fewer than ``state_size`` bits preceded
     the last one (the step that fills the warm-up window included), and
     clears it otherwise, so ``prediction`` solves once when it is read.  A new
@@ -348,11 +348,13 @@ class Dbg:
     def update(self, status: int) -> None:
         status = 1 if status else 0
         self.history.push(status)
-        self.observe(status)
+        self._observe(status)
 
-    def observe(self, status: int) -> None:
-        """Count the transition into ``status``, the bit just pushed to the history;
-        a window pushes each bit once and calls each chain's ``observe``."""
+    def _observe(self, status: int) -> None:
+        """Count the transition into ``status``, which the caller must have
+        pushed to ``history`` first: ``update`` does both, and a window pushes
+        each bit once to the history its chains share and then calls each
+        chain's ``_observe``."""
         prev = self._current
         if prev is None:
             history = self.history
@@ -485,9 +487,9 @@ class SlidingWindowDbg:
         history = self.history
         history.push(status)
         left, center, right = self.left, self.center, self.right
-        left.observe(status)
-        center.observe(status)
-        right.observe(status)
+        left._observe(status)
+        center._observe(status)
+        right._observe(status)
         recent = history.recent
         seen = history.seen
         dbgs = [left, center, right]

@@ -432,7 +432,7 @@ from skipchurn.predictors import Dbg
 # a 256-state chain with every state seen: one terminal class of 256 states
 dbg = Dbg(8)
 for bit in np.random.default_rng(9).integers(0, 2, 6000).tolist():
-    dbg.observe(bit)
+    dbg.update(bit)
 P = np.zeros((256, 256))
 for s, (c0, c1) in dbg._counts.items():
     P[s, (s << 1) & 255] = c0 / (c0 + c1)
@@ -485,6 +485,12 @@ def test_blas_thread_count_does_not_change_the_bits():
         for order in ("package-first", "numpy-first")
     }
     assert len(set(outputs.values())) == 1, outputs
+    # the probe's chain reached all 256 states, so both bit strings come from
+    # a full solve: every state carries mass and the estimate is not a fraction
+    # of warm-up bits
+    solved, sop = outputs["1", "package-first"].split()
+    assert np.frombuffer(bytes.fromhex(solved)).min() > 0.0
+    assert 0.0 < float.fromhex(sop) < 1.0
 
 
 def test_warns_when_loaded_blas_cannot_be_pinned():
