@@ -1,12 +1,13 @@
 """Predictor comparison without the overlay.
 
-Runs the engine's ``ChurnProcess`` and feeds every requested predictor kind
-through its own ``PredictorLayer``, accumulating per-slot prediction error for
-every registered node, so the kinds are compared on identical status traces.
-Churn is drawn from the stream ``[seed, topology, 2]``, not the run's
-``[seed, topology, 1]``, so the table scores a different churn realization
-than ``run`` does.  No searches run, hence no messages: predictors that feed
-on incoming traffic receive none here.
+Runs the engine's ``ChurnProcess`` and feeds one ``StatusFeed``: each node's
+status history is written once per slot and read by every requested predictor
+kind, each through its own ``PredictorLayer``.  Per-slot prediction error is
+accumulated for every registered node, so the kinds are compared on identical
+status traces.  Churn is drawn from the stream ``[seed, topology, 2]``, not
+the run's ``[seed, topology, 1]``, so the table scores a different churn
+realization than ``run`` does.  No searches run, hence no messages:
+predictors that feed on incoming traffic receive none here.
 
 Each topology yields one engine ``Counters`` per kind, the record ``run``
 reports from; ``error_table`` reduces each kind's records to its table row.
@@ -26,7 +27,7 @@ import numpy as np
 # engine.ChurnProcess.
 from .churn import draw_arrival_count, draw_session_length  # noqa: F401
 from .engine import ChurnProcess, Counters, SimConfig, _ratio, topology_map
-from .predictors import PredictorLayer
+from .predictors import StatusFeed
 
 
 def _bench_one_topology(args) -> dict[str, Counters]:
@@ -36,15 +37,17 @@ def _bench_one_topology(args) -> dict[str, Counters]:
     rng = np.random.default_rng([config.seed, topo_index, 2])
     # churn only needs node count, not identities: registry indices 0..capacity-1
     churn = ChurnProcess(config.churn, capacity)
-    layers = {k: PredictorLayer(k, capacity) for k in kinds}
+    feed = StatusFeed(capacity)
+    layers = {k: feed.layer(k) for k in kinds}
     counters = {k: Counters(prediction_samples=slots * capacity) for k in kinds}
     for slot in range(slots):
         arrivals = churn.arrive(rng)
+        for i in arrivals:
+            feed.catch_up(i, slot)
+        feed.feed_online(churn.online)
         for k, layer in layers.items():
             c = counters[k]
-            for i in arrivals:
-                layer.catch_up(i, slot)
-            layer.feed_online(churn.online)
+            # one running total per kind: summing each slot first would round differently
             c.sum_prediction_error = layer.error_sum(churn.online, c.sum_prediction_error)
             size_sum, samples = layer.wide_end_sample()
             c.right_size_sum += size_sum

@@ -13,7 +13,8 @@ and every offline node's lookup table and stores are dropped.
 
 What cannot differ between cells runs once per slot, in ``SimulationState``:
 the churn, the search count and every (initiator, target) pair, each joiner's
-lookup table, and one ``PredictorLayer`` per predictor kind.  The registry is
+lookup table, and the ``StatusFeed``: one status history per node, which every
+predictor kind reads, and one ``PredictorLayer`` per kind.  The registry is
 ``topology.nodes``.  One online set, built after arrivals, serves the joins and
 every ping of the slot, since departures come last.  Each ``Cell`` holds only
 what its config shapes: one stabilizer store per node, ``None`` while the
@@ -64,7 +65,7 @@ from .overlay import (
     join_node,
     route_step,
 )
-from .predictors import PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer
+from .predictors import PREDICTOR_KINDS, TRAFFIC_FED_KINDS, PredictorLayer, StatusFeed
 from .stabilizers import STABILIZER_KINDS, make_stabilizer
 
 DEFAULT_SEARCH_CAP = 2000
@@ -312,12 +313,13 @@ class SimulationState:
     """Mutable state of one topology run, shared by all its cells.
 
     A node is its index in ``topology.nodes``, the one registry: ``churn``,
-    the predictor layers, ``lookups`` and each cell's stabilizers are lists by
-    that index, the last two ``None`` while the node is offline, and
-    ``topology.index_of`` turns the numerical IDs that searches, lookup tables
-    and stores speak in back into it.  ``online_ids`` is the set of online
-    numerical IDs, derived from ``churn`` once per slot, after arrivals.
-    ``config`` is the first cell's, and holds every setting the cells share.
+    the status histories and predictors of ``feed``, ``lookups`` and each
+    cell's stabilizers are lists by that index, the last two ``None`` while
+    the node is offline, and ``topology.index_of`` turns the numerical IDs
+    that searches, lookup tables and stores speak in back into it.
+    ``online_ids`` is the set of online numerical IDs, derived from ``churn``
+    once per slot, after arrivals.  ``config`` is the first cell's, and holds
+    every setting the cells share.
     """
 
     def __init__(self, cells: Sequence[SimConfig], topology: TopologySnapshot, rng: np.random.Generator):
@@ -332,24 +334,14 @@ class SimulationState:
         idents = topology.nodes
         self.churn = ChurnProcess(config.churn, len(idents))
         self.lookups: list[Optional[LookupTable]] = [None] * len(idents)
-        self.layers: list[PredictorLayer] = []
-        shared: dict[str, PredictorLayer] = {}
-        self.cells: list[Cell] = []
-        for cfg in cells:
-            layer = shared.get(cfg.predictor)
-            if layer is None:
-                layer = PredictorLayer(cfg.predictor, len(idents))
-                self.layers.append(layer)
-                if cfg.predictor not in TRAFFIC_FED_KINDS:
-                    shared[cfg.predictor] = layer
-            self.cells.append(Cell(cfg, [None] * len(idents), layer))
+        self.feed = StatusFeed(len(idents))
+        self.cells = [Cell(cfg, [None] * len(idents), self.feed.layer(cfg.predictor)) for cfg in cells]
         self.online_ids: set[int] = set()
         self.slot_index = 0
 
     def bring_online(self, index: int, slot: int) -> None:
         """Replay the slots an arriving node missed as offline bits, in every layer."""
-        for layer in self.layers:
-            layer.catch_up(index, slot)
+        self.feed.catch_up(index, slot)
 
     def join(self, index: int) -> None:
         """Build the node's lookup table and each cell's store anew.
@@ -503,8 +495,8 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
 def run_slot(state: SimulationState) -> list[SlotMetrics]:
     """Advance every cell by one slot; returns each cell's metrics, in cell order.
 
-    Churn, joins, the search pairs and each shared predictor layer run once;
-    only the searches and the backup sampling run per cell.
+    Churn, joins, the search pairs, the status feed and each shared predictor
+    layer run once; only the searches and the backup sampling run per cell.
     """
     slot = state.slot_index
     cfg = state.config
@@ -550,10 +542,8 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
     # end-of-slot status updates for every node online during this slot
     # (departures come last, so ``up`` is still the slot's status), then
     # prediction error sampled for every registered node
-    scores = {}
-    for layer in state.layers:
-        layer.feed_online(up)
-        scores[layer] = (layer.error_sum(up, 0.0), *layer.wide_end_sample())
+    state.feed.feed_online(up)
+    scores = {layer: (layer.error_sum(up, 0.0), *layer.wide_end_sample()) for layer in state.feed.layers}
     for cell, metrics in zip(state.cells, series):
         metrics.sum_prediction_error, metrics.right_size_sum, metrics.right_size_samples = scores[cell.layer]
         metrics.prediction_samples = len(nodes)

@@ -1,12 +1,13 @@
 """Availability predictors.
 
-Every predictor kind follows one protocol.  ``update(bit)`` records one status
-bit per time slot (1 online, 0 offline) and returns nothing; ``prediction`` is
-the estimate of the node's availability probability in [0, 1] after the last
-bit, 0.0 before any; ``record_incoming()`` counts one message the node
-answers, which only ``ludp`` reads, so the engine calls it only for the kinds
-in ``TRAFFIC_FED_KINDS``.  Each predictor's ``history`` (a ``History``) is the
-one record of the bits it has been fed; a window's three chains share it.
+Every predictor kind follows one protocol.  A predictor reads its node's
+``history``, the one record of the node's status bits (1 online, 0 offline,
+one per time slot), which every kind of the node shares.  ``update()`` takes
+in the bit just pushed to it and returns nothing; ``prediction`` is the
+estimate of the node's availability probability in [0, 1] after the last bit,
+0.0 before any; ``record_incoming()`` counts one message the node answers,
+which only ``ludp`` reads, so the engine calls it only for the kinds in
+``TRAFFIC_FED_KINDS``.
 
 The De Bruijn graph predictor keeps empirical transition counts between k-bit
 uptime histories and reports the stationary probability mass of the states
@@ -41,10 +42,12 @@ The sliding-window predictor holds three De Bruijn graphs of consecutive state
 sizes and shifts the window towards whichever size currently tracks the recent
 uptime fraction best.
 
-``PredictorLayer`` holds one predictor of one kind per registered node; a
-run and ``predict-bench`` both feed predictors through it.  A node is fed a 1
-for each slot it is online.  The slots it missed are replayed as 0s only when
-it returns, so an offline node keeps its last prediction until that catch-up.
+``StatusFeed`` holds every registered node's ``History`` and, per kind, a
+``PredictorLayer`` of one predictor per node; a run and ``predict-bench`` both
+feed predictors through it, and it is the one writer of a history.  A node is
+fed a 1 for each slot it is online.  The slots it missed are replayed as 0s
+only when it returns, so an offline node keeps its last prediction until that
+catch-up.
 """
 
 from __future__ import annotations
@@ -285,9 +288,10 @@ def _transient_sop(shape: tuple, counts: dict[int, list[float]], mask: int) -> f
 
 
 class History:
-    """The status bits a predictor has been fed: how many (``seen``), how many
+    """The status bits a node has been fed: how many (``seen``), how many
     were 1 (``ones``), and the newest ``MAX_STATE_SIZE + 1`` of them, newest
-    lowest (``recent``)."""
+    lowest (``recent``).  It is also the ``lifetime`` predictor, whose whole
+    state it is, so its ``update`` and ``record_incoming`` do nothing."""
 
     __slots__ = ("seen", "ones", "recent")
 
@@ -302,9 +306,16 @@ class History:
         self.ones += status
         self.recent = ((self.recent << 1) | status) & ((2 << MAX_STATE_SIZE) - 1)
 
-    def fraction(self) -> float:
+    @property
+    def prediction(self) -> float:
         """The share of 1s among the bits seen; 0.0 before any."""
         return self.ones / self.seen if self.seen else 0.0
+
+    def update(self) -> None:
+        pass
+
+    def record_incoming(self) -> None:
+        pass
 
 
 class Dbg:
@@ -324,7 +335,7 @@ class Dbg:
     class.  A chain made by ``enlarge`` or ``shrink`` derives ``_edges`` from
     its counts and starts without a plan.
 
-    ``_prediction`` caches the estimate after the last bit: ``_observe`` sets
+    ``_prediction`` caches the estimate after the last bit: ``update`` sets
     it to the warm-up fraction while fewer than ``state_size`` bits preceded
     the last one (the step that fills the warm-up window included), and
     clears it otherwise, so ``prediction`` solves once when it is read.  A new
@@ -333,11 +344,11 @@ class Dbg:
 
     __slots__ = ("state_size", "history", "_mask", "_counts", "_current", "_edges", "_plan", "_prediction")
 
-    def __init__(self, state_size: int, history: Optional[History] = None):
+    def __init__(self, state_size: int, history: History):
         if not 1 <= state_size <= MAX_STATE_SIZE:
             raise ValueError(f"state size must be in 1..{MAX_STATE_SIZE}, got {state_size}")
         self.state_size = state_size
-        self.history = History() if history is None else history
+        self.history = history
         self._mask = (1 << state_size) - 1
         self._counts: dict[int, list[float]] = {}
         self._current: Optional[int] = None
@@ -345,23 +356,16 @@ class Dbg:
         self._plan: Optional[_ClassPlan] = None
         self._prediction: Optional[float] = 0.0
 
-    def update(self, status: int) -> None:
-        status = 1 if status else 0
-        self.history.push(status)
-        self._observe(status)
-
-    def _observe(self, status: int) -> None:
-        """Count the transition into ``status``, which the caller must have
-        pushed to ``history`` first: ``update`` does both, and a window pushes
-        each bit once to the history its chains share and then calls each
-        chain's ``_observe``."""
+    def update(self) -> None:
+        """Count the transition into the bit just pushed to ``history``."""
+        history = self.history
         prev = self._current
         if prev is None:
-            history = self.history
             if history.seen == self.state_size:
                 self._current = history.recent & self._mask
-            self._prediction = history.fraction()
+            self._prediction = history.prediction
             return
+        status = history.recent & 1
         row = self._counts.get(prev)
         if row is None:
             row = [0.0, 0.0]
@@ -386,7 +390,7 @@ class Dbg:
         """Long-run probability of an online slot under the observed chain."""
         history = self.history
         if self._current is None:
-            return history.fraction()
+            return history.prediction
         if history.ones == history.seen:
             return 1.0
         if history.ones == 0:
@@ -471,8 +475,8 @@ class SlidingWindowDbg:
 
     __slots__ = ("history", "left", "center", "right", "_prediction")
 
-    def __init__(self):
-        history = self.history = History()
+    def __init__(self, history: History):
+        self.history = history
         self.left = Dbg(1, history)
         self.center = Dbg(2, history)
         self.right = Dbg(3, history)
@@ -482,14 +486,12 @@ class SlidingWindowDbg:
     def prediction(self) -> float:
         return self._prediction
 
-    def update(self, status: int) -> None:
-        status = 1 if status else 0
-        history = self.history
-        history.push(status)
+    def update(self) -> None:
         left, center, right = self.left, self.center, self.right
-        left._observe(status)
-        center._observe(status)
-        right._observe(status)
+        left.update()
+        center.update()
+        right.update()
+        history = self.history
         recent = history.recent
         seen = history.seen
         dbgs = [left, center, right]
@@ -526,25 +528,6 @@ class SlidingWindowDbg:
         pass
 
 
-class LifetimePredictor:
-    """The fraction of fed slots the node was online; 0 before any slot."""
-
-    __slots__ = ("history",)
-
-    def __init__(self):
-        self.history = History()
-
-    @property
-    def prediction(self) -> float:
-        return self.history.fraction()
-
-    def update(self, status: int) -> None:
-        self.history.push(1 if status else 0)
-
-    def record_incoming(self) -> None:
-        pass
-
-
 def ludp_online_probability(uptime: int, incoming: int, slots: int, capacity: int) -> float:
     """Age-and-degree availability estimate over ``slots`` fed slots, ``uptime``
     of them online, clamped to [0, 1]."""
@@ -563,9 +546,9 @@ class LudpPredictor:
 
     __slots__ = ("capacity", "history", "incoming")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, history: History):
         self.capacity = capacity
-        self.history = History()
+        self.history = history
         self.incoming = 0
 
     @property
@@ -575,53 +558,33 @@ class LudpPredictor:
             return 0.0
         return ludp_online_probability(history.ones, self.incoming, history.seen, self.capacity)
 
-    def update(self, status: int) -> None:
-        self.history.push(1 if status else 0)
+    def update(self) -> None:
+        pass
 
     def record_incoming(self) -> None:
         self.incoming += 1
 
 
-def make_predictor(kind: str, capacity: int):
+def make_predictor(kind: str, capacity: int, history: History):
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"unknown predictor kind: {kind}")
     if kind == "swdbg":
-        return SlidingWindowDbg()
+        return SlidingWindowDbg(history)
     if kind == "lifetime":
-        return LifetimePredictor()
+        return history
     if kind == "ludp":
-        return LudpPredictor(capacity)
-    size = int(kind[3:])  # dbg1 to dbg4
-    return Dbg(size)
+        return LudpPredictor(capacity, history)
+    return Dbg(int(kind[3:]), history)  # dbg1 to dbg4
 
 
 class PredictorLayer:
-    """One predictor of one kind per registry index.
+    """One predictor of one kind per registry index, predictor ``i`` reading
+    ``histories[i]``.  Until its catch-up an offline node keeps the prediction
+    of its last online slot, and ``error_sum`` scores that prediction."""
 
-    ``feed_online`` gives every online node its 1 for the slot;
-    ``catch_up`` replays the slots a returning node missed as 0s, so a
-    node's ``history.seen`` is the number of slots fed so far.  Until its
-    catch-up an offline node keeps the prediction of its last online slot,
-    and ``error_sum`` scores that prediction.
-    """
-
-    __slots__ = ("kind", "predictors")
-
-    def __init__(self, kind: str, size: int):
+    def __init__(self, kind: str, histories: list[History]):
         self.kind = kind
-        self.predictors = [make_predictor(kind, size) for _ in range(size)]
-
-    def catch_up(self, index: int, slot: int) -> None:
-        """Feed node ``index`` a 0 for each slot it missed before ``slot``."""
-        pred = self.predictors[index]
-        for _ in range(pred.history.seen, slot):
-            pred.update(0)
-
-    def feed_online(self, online: list[bool]) -> None:
-        """Feed every node online in this slot its 1."""
-        for pred, up in zip(self.predictors, online):
-            if up:
-                pred.update(1)
+        self.predictors = [make_predictor(kind, len(histories), h) for h in histories]
 
     def error_sum(self, online: list[bool], total: float) -> float:
         """``total`` plus every node's |prediction - status|, in index order."""
@@ -635,3 +598,44 @@ class PredictorLayer:
         if self.kind != "swdbg":
             return 0, 0
         return sum(pred.right.state_size for pred in self.predictors), len(self.predictors)
+
+
+class StatusFeed:
+    """Every registered node's ``History``, by registry index, and the layers
+    reading them.  Each bit is pushed once, and every layer's predictor of the
+    node updates before the node's next bit, so ``histories[i].seen`` is the
+    number of slots node ``i`` has been fed."""
+
+    def __init__(self, size: int):
+        self.histories = [History() for _ in range(size)]
+        self.layers: list[PredictorLayer] = []
+
+    def layer(self, kind: str) -> PredictorLayer:
+        """The kind's one layer, made on first use; a kind fed by traffic gets
+        a new layer on each call, since each cell's traffic is its own."""
+        if kind not in TRAFFIC_FED_KINDS:
+            for layer in self.layers:
+                if layer.kind == kind:
+                    return layer
+        layer = PredictorLayer(kind, self.histories)
+        self.layers.append(layer)
+        return layer
+
+    def catch_up(self, index: int, slot: int) -> None:
+        """Feed node ``index`` a 0 for each slot it missed before ``slot``."""
+        history = self.histories[index]
+        preds = [layer.predictors[index] for layer in self.layers]
+        for _ in range(history.seen, slot):
+            history.push(0)
+            for pred in preds:
+                pred.update()
+
+    def feed_online(self, online: list[bool]) -> None:
+        """Feed every node online in this slot its 1."""
+        for history, up in zip(self.histories, online):
+            if up:
+                history.push(1)
+        for layer in self.layers:
+            for pred, up in zip(layer.predictors, online):
+                if up:
+                    pred.update()

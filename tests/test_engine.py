@@ -250,7 +250,11 @@ def test_cells_share_one_predictor_layer_per_kind_except_traffic_fed():
     for cell in state.cells:
         layers.setdefault(cell.config.predictor, set()).add(id(cell.layer))
     assert {kind: len(ids) for kind, ids in layers.items()} == {"swdbg": 1, "dbg2": 1, "ludp": 4}
-    assert len(state.layers) == 6
+    assert len(state.feed.layers) == 6
+    assert {id(cell.layer) for cell in state.cells} == {id(layer) for layer in state.feed.layers}
+    # every layer reads the one history per node
+    for layer in state.feed.layers:
+        assert all(pred.history is h for pred, h in zip(layer.predictors, state.feed.histories, strict=True))
     state.join(0)
     assert len({id(cell.stabilizers[0]) for cell in state.cells}) == len(cells)
 
@@ -310,17 +314,16 @@ def test_every_layer_has_fed_each_online_node_every_slot_so_far():
                        churn=ChurnModel(interarrival_mean_seconds=300.0))
              for kind in ("swdbg", "ludp")]
     state = SimulationState(cells, generate_topology(32, seed=3), np.random.default_rng(5))
-    assert [layer.kind for layer in state.layers] == ["swdbg", "ludp"]
+    assert [layer.kind for layer in state.feed.layers] == ["swdbg", "ludp"]
     behind = 0
     for _ in range(12):
         engine.run_slot(state)
-        for layer in state.layers:
-            for pred, on in zip(layer.predictors, state.churn.online):
-                if on:
-                    assert pred.history.seen == state.slot_index
-                else:
-                    assert pred.history.seen <= state.slot_index
-                    behind += pred.history.seen < state.slot_index
+        for history, on in zip(state.feed.histories, state.churn.online, strict=True):
+            if on:
+                assert history.seen == state.slot_index
+            else:
+                assert history.seen <= state.slot_index
+                behind += history.seen < state.slot_index
     assert behind > 0
 
 

@@ -22,20 +22,33 @@ from skipchurn.predictors import (
     _solve,
     _tarjan_sccs,
     _window_error,
-    LifetimePredictor,
+    History,
     LudpPredictor,
-    PredictorLayer,
     SlidingWindowDbg,
+    StatusFeed,
     ludp_online_probability,
     make_predictor,
 )
 
 
+def history_of(predictor):
+    """The history a predictor reads; the ``lifetime`` predictor is its own."""
+    return predictor if isinstance(predictor, History) else predictor.history
+
+
 def feed(predictor, bits):
-    """Feed ``bits`` in order; the prediction after the last one."""
+    """Feed ``bits`` in order, each pushed to the predictor's history before
+    the predictor updates, as ``StatusFeed`` does; the prediction after the
+    last one."""
+    history = history_of(predictor)
     for b in bits:
-        predictor.update(b)
+        history.push(b)
+        predictor.update()
     return predictor.prediction
+
+
+def lifetime():
+    return make_predictor("lifetime", 1, History())
 
 
 def transition_probability(dbg, state, bit):
@@ -62,32 +75,32 @@ def cycle_sop_oracle(pattern, state_size, steps=30000):
 
 class TestDbgUpdate:
     def test_alternating_stream_is_half(self):
-        d = Dbg(1)
+        d = Dbg(1, History())
         assert feed(d, [0, 1, 0, 1, 0, 1]) == pytest.approx(0.5)
 
     def test_all_online_returns_one(self):
-        d = Dbg(1)
+        d = Dbg(1, History())
         assert feed(d, [1] * 8) == 1.0
 
     def test_all_offline_returns_zero(self):
-        d = Dbg(2)
+        d = Dbg(2, History())
         assert feed(d, [0] * 8) == 0.0
 
     def test_three_cycle_matches_brute_force(self):
-        d = Dbg(2)
+        d = Dbg(2, History())
         got = feed(d, [1, 1, 0] * 20)
         assert got == pytest.approx(2 / 3, abs=1e-9)
         assert got == pytest.approx(cycle_sop_oracle([1, 1, 0], 2), abs=1e-3)
 
     def test_warm_up_returns_observed_fraction(self):
-        d = Dbg(3)
+        d = Dbg(3, History())
         assert feed(d, [1]) == 1.0
         assert feed(d, [0]) == 0.5
         assert feed(d, [1]) == pytest.approx(2 / 3)
 
     def test_outgoing_probabilities_normalized(self):
         rng = np.random.default_rng(3)
-        d = Dbg(3)
+        d = Dbg(3, History())
         feed(d, rng.integers(0, 2, 500).tolist())
         for state in range(8):
             p0 = transition_probability(d, state, 0)
@@ -100,7 +113,7 @@ class TestDbgUpdate:
         theta = 0.3
         bits = (rng.random(10000) < theta).astype(int).tolist()
         for k in (1, 2, 3, 4):
-            d = Dbg(k)
+            d = Dbg(k, History())
             got = feed(d, bits)
             assert abs(got - theta) < 0.05
 
@@ -217,7 +230,7 @@ def reference_sop(dbg):
     Tarjan SCCs, then the class solve or the absorption solve.  This is the
     uncached algorithm the chain's cached plans must reproduce bit for bit."""
     if dbg._current is None:
-        return dbg.history.fraction()
+        return dbg.history.prediction
     if dbg.history.ones == dbg.history.seen:
         return 1.0
     if dbg.history.ones == 0:
@@ -327,7 +340,7 @@ chain_ops = st_.lists(
 def made_chain(k, counts, current):
     """A chain of state size ``k`` with the given counts and current state,
     as if it had seen five online and five offline bits."""
-    d = Dbg(k)
+    d = Dbg(k, History())
     d._counts = {s: list(row) for s, row in counts.items()}
     d._edges = sum(1 << ((s << 1) | b) for s, row in counts.items() for b in (0, 1) if row[b] > 0.0)
     d._current = current
@@ -349,7 +362,7 @@ class TestCachedPlan:
         # the ops run twice: on a cold memo, then on the memo the first run filled
         _chain_shape.cache_clear()
         for _ in ("cold", "warm"):
-            d = Dbg(k)
+            d = Dbg(k, History())
             expected = 0.0
             for op in ops:
                 if op == "enlarge" and d.state_size < MAX_STATE_SIZE:
@@ -360,13 +373,13 @@ class TestCachedPlan:
                     expected = reference_sop(d)
                 elif op in (0, 1):
                     warm = d._current is None
-                    d.update(op)
-                    expected = d.history.fraction() if warm else reference_sop(d)
+                    feed(d, [op])
+                    expected = d.history.prediction if warm else reference_sop(d)
                 assert d.prediction == expected
                 assert d.stationary_online_probability() == reference_sop(d)
 
     def test_new_edge_drops_cached_plan(self):
-        d = Dbg(2)
+        d = Dbg(2, History())
         feed(d, [0, 1, 0, 1, 0, 1])  # walks the 2-cycle 01 <-> 10
         two_cycle = d.stationary_online_probability()
         assert d._plan is not None and sorted(d._plan.index) == [0b01, 0b10]
@@ -414,7 +427,7 @@ class TestCachedPlan:
         assert _chain_shape.cache_info().maxsize == SHAPE_MEMO_SIZE < float("inf")
 
     def test_resized_chain_starts_without_a_plan(self):
-        d = Dbg(2)
+        d = Dbg(2, History())
         feed(d, [0, 1, 1, 0, 1, 1, 0, 1])
         assert d._plan is not None
         for resized in (d.enlarge(), d.shrink()):
@@ -427,12 +440,14 @@ if sys.argv[1] == "numpy-first":
     import numpy
 import skipchurn
 import numpy as np
-from skipchurn.predictors import Dbg
+from skipchurn.predictors import Dbg, History
 
-# a 256-state chain with every state seen: one terminal class of 256 states
-dbg = Dbg(8)
+# a 256-state chain with every state seen: one terminal class of 256 states;
+# each bit is pushed before the chain counts it
+dbg = Dbg(8, History())
 for bit in np.random.default_rng(9).integers(0, 2, 6000).tolist():
-    dbg.update(bit)
+    dbg.history.push(bit)
+    dbg.update()
 P = np.zeros((256, 256))
 for s, (c0, c1) in dbg._counts.items():
     P[s, (s << 1) & 255] = c0 / (c0 + c1)
@@ -499,10 +514,11 @@ def test_warns_when_loaded_blas_cannot_be_pinned():
 
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
 def test_every_kind_follows_the_predictor_protocol(kind):
-    pred = make_predictor(kind, 64)
+    pred = make_predictor(kind, 64, History())
     assert {"update", "prediction", "record_incoming"} <= set(vars(type(pred)))
     assert pred.prediction == 0.0
-    assert pred.update(1) is None
+    history_of(pred).push(1)
+    assert pred.update() is None
     assert pred.record_incoming() is None
 
 
@@ -517,7 +533,7 @@ class TestLazyFixedPrediction:
     )
     @settings(max_examples=200, deadline=None)
     def test_reads_the_uncached_estimate_or_the_warm_fraction(self, k, steps):
-        lazy = make_predictor(f"dbg{k}", 64)
+        lazy = make_predictor(f"dbg{k}", 64, History())
         expected = 0.0
         assert lazy.prediction == expected
         for status, gap, read in steps:
@@ -525,23 +541,21 @@ class TestLazyFixedPrediction:
             # engine and the bench do when a node comes back
             for bit in [0] * gap + [status]:
                 warm = lazy._current is None
-                lazy.update(bit)
-                expected = lazy.history.fraction() if warm else reference_sop(lazy)
+                feed(lazy, [bit])
+                expected = lazy.history.prediction if warm else reference_sop(lazy)
                 if read:
                     assert lazy.prediction == expected
             assert lazy.prediction == expected
 
     def test_warm_fill_step_reads_the_warm_fraction(self):
-        p = make_predictor("dbg3", 64)
-        for b in (1, 0, 1):
-            p.update(b)
-        assert p.prediction == 2 / 3
+        p = make_predictor("dbg3", 64, History())
+        assert feed(p, (1, 0, 1)) == 2 / 3
         assert p.stationary_online_probability() == 1.0
 
 
 class TestEnlargeShrink:
     def test_enlarge_copies_probabilities_to_extensions(self):
-        d = Dbg(1)
+        d = Dbg(1, History())
         feed(d, [0, 0, 1, 0, 0, 1, 0, 1, 0, 0])
         p = transition_probability(d, 0, 1)
         e = d.enlarge()
@@ -551,10 +565,10 @@ class TestEnlargeShrink:
 
     def test_enlarge_respects_cap(self):
         with pytest.raises(ValueError):
-            Dbg(MAX_STATE_SIZE).enlarge()
+            Dbg(MAX_STATE_SIZE, History()).enlarge()
 
     def test_shrink_merges_by_probability_mean(self):
-        d = Dbg(2)
+        d = Dbg(2, History())
         d._counts[0b10] = [8.0, 2.0]
         d._counts[0b11] = [4.0, 6.0]
         d.history.seen, d.history.ones = 20, 10
@@ -567,12 +581,12 @@ class TestEnlargeShrink:
 
     def test_shrink_below_one_rejected(self):
         with pytest.raises(ValueError):
-            Dbg(1).shrink()
+            Dbg(1, History()).shrink()
 
     @given(st_.lists(st_.integers(0, 1), min_size=10, max_size=120), st_.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_preserves_probabilities(self, bits, k):
-        d = Dbg(k)
+        d = Dbg(k, History())
         feed(d, bits)
         back = d.enlarge().shrink()
         assert back.state_size == d.state_size
@@ -589,16 +603,15 @@ class TestEnlargeShrink:
 
 class TestSlidingWindow:
     def test_first_update_keeps_initial_sizes(self):
-        w = SlidingWindowDbg()
-        w.update(1)
+        w = SlidingWindowDbg(History())
+        feed(w, [1])
         assert sizes(w) == (1, 2, 3)
 
     def test_worked_error_example(self):
         # each chain has seen the bits 1, 0, 1 (newest last)
-        chains = {3: Dbg(3), 2: Dbg(2)}
+        chains = {3: Dbg(3, History()), 2: Dbg(2, History())}
         for d in chains.values():
-            for b in (1, 0, 1):
-                d.update(b)
+            feed(d, (1, 0, 1))
         h3, h2 = chains[3].history, chains[2].history
         err = _window_error(0.2, 3, h3.recent, h3.seen)
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
@@ -608,11 +621,11 @@ class TestSlidingWindow:
         # every chain reads the window's one history, which must hold the
         # bits fed, across every enlarge and shrink
         rng = np.random.default_rng(5)
-        w = SlidingWindowDbg()
+        w = SlidingWindowDbg(History())
         fed = []
         windows = set()
         for b in rng.integers(0, 2, 300).tolist():
-            w.update(b)
+            feed(w, [b])
             fed.append(b)
             windows.add(sizes(w))
             want = int("".join(map(str, fed[-(MAX_STATE_SIZE + 1):])), 2)
@@ -622,7 +635,7 @@ class TestSlidingWindow:
         assert len(windows) > 1
 
     def test_periodic_trace_settles_near_duty_cycle(self):
-        w = SlidingWindowDbg()
+        w = SlidingWindowDbg(History())
         for _ in range(40):
             got = feed(w, (1, 1, 1, 0))
         assert abs(got - 0.75) < 0.05
@@ -630,7 +643,7 @@ class TestSlidingWindow:
 
     def test_always_in_unit_interval_with_consecutive_sizes(self):
         rng = np.random.default_rng(23)
-        w = SlidingWindowDbg()
+        w = SlidingWindowDbg(History())
         for b in rng.integers(0, 2, 400).tolist():
             got = feed(w, [b])
             assert 0.0 <= got <= 1.0
@@ -640,10 +653,10 @@ class TestSlidingWindow:
 
     def test_size_capped_at_maximum(self):
         # seeded so the window reaches the cap and the enlarge refusal runs
-        w = SlidingWindowDbg()
+        w = SlidingWindowDbg(History())
         widest = 0
         for b in np.random.default_rng(5).integers(0, 2, 2000).tolist():
-            w.update(b)
+            feed(w, [b])
             widest = max(widest, w.right.state_size)
             assert w.right.state_size <= MAX_STATE_SIZE
         assert widest == MAX_STATE_SIZE
@@ -651,15 +664,15 @@ class TestSlidingWindow:
 
 class TestBaselines:
     def test_lifetime_fraction(self):
-        assert LifetimePredictor().prediction == 0.0
-        assert feed(LifetimePredictor(), [1] * 7) == 1.0
-        assert feed(LifetimePredictor(), [0] * 9) == 0.0
-        assert feed(LifetimePredictor(), [1] * 5 + [0] * 15) == 0.25
+        assert lifetime().prediction == 0.0
+        assert feed(lifetime(), [1] * 7) == 1.0
+        assert feed(lifetime(), [0] * 9) == 0.0
+        assert feed(lifetime(), [1] * 5 + [0] * 15) == 0.25
 
     def test_lifetime_predictor_accumulates(self):
-        p = LifetimePredictor()
+        p = lifetime()
         for b in [1, 0, 0, 1]:
-            p.update(b)
+            feed(p, [b])
         assert p.prediction == 0.5
 
     def test_ludp_formula(self):
@@ -671,9 +684,8 @@ class TestBaselines:
         assert ludp_online_probability(100, 10**6, 100, 16) == 1.0
 
     def test_ludp_predictor_counts_incoming(self):
-        p = LudpPredictor(capacity=16)
-        p.update(1)
-        assert p.prediction == 0.0
+        p = LudpPredictor(capacity=16, history=History())
+        assert feed(p, [1]) == 0.0
         p.record_incoming()
         assert p.prediction == pytest.approx(1 / 16)
 
@@ -681,14 +693,12 @@ class TestBaselines:
 class TestOfflineReplay:
     def test_offline_gap_replayed_as_zeros(self):
         # same trace fed two ways must agree: explicit zeros vs gap replay
-        direct = SlidingWindowDbg()
-        for b in [1, 1, 0, 0, 0, 1]:
-            direct.update(b)
-        gap = SlidingWindowDbg()
-        for b in [1, 1]:
-            gap.update(b)
+        direct = SlidingWindowDbg(History())
+        feed(direct, [1, 1, 0, 0, 0, 1])
+        gap = SlidingWindowDbg(History())
+        feed(gap, [1, 1])
         for _ in range(3):
-            gap.update(0)
+            feed(gap, [0])
         got = feed(gap, [1])
         assert got == pytest.approx(direct.prediction)
         assert sizes(gap) == sizes(direct)
@@ -697,43 +707,101 @@ class TestOfflineReplay:
     def test_layer_catches_up_on_return_only(self, kind):
         # node 0 is online in slots 0, 1 and 5 and away in 2-4; node 1 never
         # comes online
-        direct = make_predictor(kind, 2)
-        for b in [1, 1, 0, 0, 0, 1]:
-            direct.update(b)
-        layer = PredictorLayer(kind, 2)
+        direct = make_predictor(kind, 2, History())
+        feed(direct, [1, 1, 0, 0, 0, 1])
+        status = StatusFeed(2)
+        layer = status.layer(kind)
         for _ in range(2):
-            layer.feed_online([True, False])
+            status.feed_online([True, False])
         kept = layer.predictors[0].prediction
         for _ in range(3):
-            layer.feed_online([False, False])
+            status.feed_online([False, False])
             # away, node 0 keeps the prediction of its last online slot
             assert layer.predictors[0].prediction == kept
             assert layer.error_sum([False, False], 0.25) == 0.25 + kept + 0.0
-        layer.catch_up(0, 5)
-        layer.feed_online([True, False])
+        status.catch_up(0, 5)
+        status.feed_online([True, False])
         assert layer.predictors[0].prediction == direct.prediction
-        assert [pred.history.seen for pred in layer.predictors] == [6, 0]
-        layer.catch_up(0, 6)  # nothing missed
+        assert [history.seen for history in status.histories] == [6, 0]
+        status.catch_up(0, 6)  # nothing missed
         assert layer.predictors[0].prediction == direct.prediction
         assert layer.error_sum([True, False], 0.0) == abs(direct.prediction - 1)
 
 
+def status_trace(nodes, slots, seed):
+    """Each slot's online list: every node flips its status with chance 0.3
+    a slot, so sessions and offline gaps last a few slots each."""
+    rng = np.random.default_rng(seed)
+    online = [False] * nodes
+    trace = []
+    for _ in range(slots):
+        online = [on != (rng.random() < 0.3) for on in online]
+        trace.append(online)
+    return trace
+
+
+def feed_trace(kinds, trace):
+    """Feed ``trace`` to a ``StatusFeed`` with a layer per entry of ``kinds``
+    as a run does (each returning node's missed slots, then the slot's 1s),
+    every online node answering one message a slot; yields the feed and its
+    layers after each slot."""
+    status = StatusFeed(len(trace[0]))
+    layers = [status.layer(kind) for kind in kinds]
+    before = trace[0]
+    for slot, online in enumerate(trace):
+        for i, (was, on) in enumerate(zip(before, online)):
+            if on and not was:
+                status.catch_up(i, slot)
+        status.feed_online(online)
+        for layer in layers:
+            for pred, on in zip(layer.predictors, online):
+                if on:
+                    pred.record_incoming()
+        before = online
+        yield status, layers
+
+
+def test_kinds_fed_together_predict_as_each_kind_fed_alone():
+    # every kind reads the one history per node, which must not change a bit
+    # of any prediction: each bit is pushed once, then every layer updates.
+    # Alone, a node's predictor of each kind gets its missed 0s and its 1 one
+    # bit at a time through ``feed``.
+    nodes = 12
+    trace = status_trace(nodes, 80, seed=4)
+    assert sum(on and not was for before, now in zip(trace, trace[1:]) for was, on in zip(before, now)) > 50
+    kinds = PREDICTOR_KINDS + ("ludp",)
+    alone = {kind: [make_predictor(kind, nodes, History()) for _ in range(nodes)] for kind in PREDICTOR_KINDS}
+    for slot, (status, layers) in enumerate(feed_trace(kinds, trace)):
+        assert [layer.kind for layer in status.layers] == list(kinds)
+        for preds in alone.values():
+            for pred, on in zip(preds, trace[slot]):
+                if on:
+                    feed(pred, [0] * (slot - history_of(pred).seen) + [1])
+                    pred.record_incoming()
+        for layer in layers:
+            got = [pred.prediction.hex() for pred in layer.predictors]
+            assert got == [pred.prediction.hex() for pred in alone[layer.kind]], (slot, layer.kind)
+            assert all(history_of(pred) is h for pred, h in zip(layer.predictors, status.histories, strict=True))
+    assert {pred.right.state_size for pred in layers[0].predictors} != {3}
+
+
 class TestFactory:
     def test_kinds(self):
-        assert isinstance(make_predictor("swdbg", 64), SlidingWindowDbg)
-        assert isinstance(make_predictor("dbg3", 64), Dbg)
-        assert make_predictor("dbg3", 64).state_size == 3
-        assert isinstance(make_predictor("lifetime", 64), LifetimePredictor)
-        assert isinstance(make_predictor("ludp", 64), LudpPredictor)
+        history = History()
+        assert isinstance(make_predictor("swdbg", 64, history), SlidingWindowDbg)
+        assert isinstance(make_predictor("dbg3", 64, history), Dbg)
+        assert make_predictor("dbg3", 64, history).state_size == 3
+        assert make_predictor("lifetime", 64, history) is history
+        assert isinstance(make_predictor("ludp", 64, history), LudpPredictor)
 
     @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
     def test_per_node_objects_have_no_instance_dict(self, kind):
         # a run holds one predictor per node and kind; slots keep them small
-        pred = make_predictor(kind, 4)
+        pred = make_predictor(kind, 4, History())
         assert not hasattr(pred, "__dict__")
-        assert not hasattr(pred.history, "__dict__")
+        assert not hasattr(history_of(pred), "__dict__")
 
     def test_unknown_kind_rejected(self):
         for kind in ("dbg9", "dbg0", "dbg", "markov"):
             with pytest.raises(ValueError):
-                make_predictor(kind, 64)
+                make_predictor(kind, 64, History())

@@ -78,3 +78,22 @@ def test_every_definition_is_reached_from_the_package():
             if used[name] <= _uses(node).count(name):
                 unreached.append(f"{module}:{node.lineno} {name}")
     assert unreached == [], "defined but never used in the package: " + ", ".join(unreached)
+
+
+def test_only_the_status_feed_writes_a_history():
+    # A node's history is the one record of its status bits, which every
+    # predictor kind reads; a push from anywhere else would give some kinds a
+    # bit twice, or one they did not count.
+    pushes = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for cls in ast.walk(tree):  # breadth first, so an inner class wins
+            if isinstance(cls, ast.ClassDef):
+                owner.update((sub, cls.name) for sub in ast.walk(cls))
+        pushes += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "push"
+        ]
+    assert pushes and set(pushes) == {("predictors.py", "StatusFeed")}, pushes
