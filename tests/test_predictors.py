@@ -36,14 +36,18 @@ def history_of(predictor):
     return predictor if isinstance(predictor, History) else predictor.history
 
 
-def feed(predictor, bits):
+def feed_bits(predictor, bits):
     """Feed ``bits`` in order, each pushed to the predictor's history before
-    the predictor updates, as ``StatusFeed`` does; the prediction after the
-    last one."""
+    the predictor updates, as ``StatusFeed`` does; no prediction is read."""
     history = history_of(predictor)
     for b in bits:
         history.push(b)
         predictor.update()
+
+
+def feed(predictor, bits):
+    """``feed_bits``, then the prediction after the last bit."""
+    feed_bits(predictor, bits)
     return predictor.prediction
 
 
@@ -373,7 +377,7 @@ class TestCachedPlan:
                     expected = reference_sop(d)
                 elif op in (0, 1):
                     warm = d._current is None
-                    feed(d, [op])
+                    feed_bits(d, [op])
                     expected = d.history.prediction if warm else reference_sop(d)
                 assert d.prediction == expected
                 assert d.stationary_online_probability() == reference_sop(d)
@@ -541,7 +545,7 @@ class TestLazyFixedPrediction:
             # engine and the bench do when a node comes back
             for bit in [0] * gap + [status]:
                 warm = lazy._current is None
-                feed(lazy, [bit])
+                feed_bits(lazy, [bit])
                 expected = lazy.history.prediction if warm else reference_sop(lazy)
                 if read:
                     assert lazy.prediction == expected
@@ -604,14 +608,14 @@ class TestEnlargeShrink:
 class TestSlidingWindow:
     def test_first_update_keeps_initial_sizes(self):
         w = SlidingWindowDbg(History())
-        feed(w, [1])
+        feed_bits(w, [1])
         assert sizes(w) == (1, 2, 3)
 
     def test_worked_error_example(self):
         # each chain has seen the bits 1, 0, 1 (newest last)
         chains = {3: Dbg(3, History()), 2: Dbg(2, History())}
         for d in chains.values():
-            feed(d, (1, 0, 1))
+            feed_bits(d, (1, 0, 1))
         h3, h2 = chains[3].history, chains[2].history
         err = _window_error(0.2, 3, h3.recent, h3.seen)
         assert err == pytest.approx(abs(0.2 - 2 / 3), abs=1e-12)
@@ -625,7 +629,7 @@ class TestSlidingWindow:
         fed = []
         windows = set()
         for b in rng.integers(0, 2, 300).tolist():
-            feed(w, [b])
+            feed_bits(w, [b])
             fed.append(b)
             windows.add(sizes(w))
             want = int("".join(map(str, fed[-(MAX_STATE_SIZE + 1):])), 2)
@@ -656,7 +660,7 @@ class TestSlidingWindow:
         w = SlidingWindowDbg(History())
         widest = 0
         for b in np.random.default_rng(5).integers(0, 2, 2000).tolist():
-            feed(w, [b])
+            feed_bits(w, [b])
             widest = max(widest, w.right.state_size)
             assert w.right.state_size <= MAX_STATE_SIZE
         assert widest == MAX_STATE_SIZE
@@ -671,8 +675,7 @@ class TestBaselines:
 
     def test_lifetime_predictor_accumulates(self):
         p = lifetime()
-        for b in [1, 0, 0, 1]:
-            feed(p, [b])
+        feed_bits(p, [1, 0, 0, 1])
         assert p.prediction == 0.5
 
     def test_ludp_formula(self):
@@ -694,11 +697,11 @@ class TestOfflineReplay:
     def test_offline_gap_replayed_as_zeros(self):
         # same trace fed two ways must agree: explicit zeros vs gap replay
         direct = SlidingWindowDbg(History())
-        feed(direct, [1, 1, 0, 0, 0, 1])
+        feed_bits(direct, [1, 1, 0, 0, 0, 1])
         gap = SlidingWindowDbg(History())
-        feed(gap, [1, 1])
+        feed_bits(gap, [1, 1])
         for _ in range(3):
-            feed(gap, [0])
+            feed_bits(gap, [0])
         got = feed(gap, [1])
         assert got == pytest.approx(direct.prediction)
         assert sizes(gap) == sizes(direct)
@@ -708,7 +711,7 @@ class TestOfflineReplay:
         # node 0 is online in slots 0, 1 and 5 and away in 2-4; node 1 never
         # comes online
         direct = make_predictor(kind, 2, History())
-        feed(direct, [1, 1, 0, 0, 0, 1])
+        feed_bits(direct, [1, 1, 0, 0, 0, 1])
         status = StatusFeed(2)
         layer = status.layer(kind)
         for _ in range(2):
@@ -765,7 +768,7 @@ def test_kinds_fed_together_predict_as_each_kind_fed_alone():
     # every kind reads the one history per node, which must not change a bit
     # of any prediction: each bit is pushed once, then every layer updates.
     # Alone, a node's predictor of each kind gets its missed 0s and its 1 one
-    # bit at a time through ``feed``.
+    # bit at a time through ``feed_bits``.
     nodes = 12
     trace = status_trace(nodes, 80, seed=4)
     assert sum(on and not was for before, now in zip(trace, trace[1:]) for was, on in zip(before, now)) > 50
@@ -776,7 +779,7 @@ def test_kinds_fed_together_predict_as_each_kind_fed_alone():
         for preds in alone.values():
             for pred, on in zip(preds, trace[slot]):
                 if on:
-                    feed(pred, [0] * (slot - history_of(pred).seen) + [1])
+                    feed_bits(pred, [0] * (slot - history_of(pred).seen) + [1])
                     pred.record_incoming()
         for layer in layers:
             got = [pred.prediction.hex() for pred in layer.predictors]
