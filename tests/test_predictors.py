@@ -52,6 +52,7 @@ def feed(predictor, bits):
 
 
 def lifetime():
+    """A new ``lifetime`` predictor, which is its node's history."""
     return make_predictor("lifetime", 1, History())
 
 
