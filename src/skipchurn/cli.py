@@ -320,7 +320,10 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
     if spec.out_dir is not None:
         preflight_out_dir(spec.out_dir)
     kinds = tuple(spec.sweep["predictor"])
-    per_topology = run_predictor_bench(spec.base, kinds, spec.workers)
+    try:
+        per_topology = run_predictor_bench(spec.base, kinds, spec.workers)
+    except Exception as exc:
+        raise RuntimeError(f"predictor bench failed: {exc}") from exc
     rows = error_table(per_topology)
     width = max(len(k) for k, _, _ in rows)
     print(f"{'predictor':<{width}}  mean_error  std_across_topologies")

@@ -43,8 +43,6 @@ in parallel; ``topology_map`` is the one rule for how ``run`` and
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Iterator, Optional, Sequence
@@ -497,6 +495,7 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
 
     Churn, joins, the search pairs, the status feed and each shared predictor
     layer run once; only the searches and the backup sampling run per cell.
+    The search pairs come from one draw of the slot's endpoint indices.
     """
     slot = state.slot_index
     cfg = state.config
@@ -519,8 +518,10 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
         max_pairs = n_o * (n_o - 1) // 2
         count = int(rng.integers(0, max_pairs + 1)) if max_pairs > 0 else 0
         count = min(count, cfg.search_cap)
-        draw = rng.integers
-        pairs = [(online[int(draw(n_o))], online[int(draw(n_o))]) for _ in range(count)]
+        # One draw of 2 * count indices, paired as (even, odd) positions: the
+        # same stream as drawing each initiator and then its target in turn.
+        drawn = iter(rng.integers(n_o, size=2 * count).tolist())
+        pairs = [(online[i], online[j]) for i, j in zip(drawn, drawn)]
 
     series = []
     for cell in state.cells:
@@ -568,6 +569,10 @@ def topology_map(workers: int, topologies: int) -> Iterator[Callable]:
     one worker or one topology, else on a spawn-context pool of
     ``min(workers, topologies)`` processes, closed on exit."""
     if workers > 1 and topologies > 1:
+        # Imported here: a serial run never loads the pool's modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=min(workers, topologies), mp_context=context) as pool:
             yield pool.map

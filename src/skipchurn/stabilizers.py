@@ -20,8 +20,10 @@ to descend a level, or to end the whole search when already at level 0.
 Strategies:
 
 * scored backup table (``interlaced``): a bounded set of the piggybacked
-  entries, kept beside ``_order``, their eviction order; eviction drops the
-  globally lowest-scored entry, resolution contacts candidates by score.
+  entries, split by side into one dict per search direction and kept beside
+  ``_order``, their eviction order; eviction drops the globally lowest-scored
+  entry, resolution scans only the search side's dict and contacts
+  candidates by score.
 * recency buckets (``kademlia``): per-level fixed-capacity lists, newest at
   the head, oldest evicted, contacted head first.
 * successor pointers (``dks``): per-level lists of the immediately following
@@ -90,18 +92,18 @@ def _score(sop: float, cpl: int, distance: int) -> float:
 class BackupTable:
     """Score-managed backup neighbors, at most ``max_size`` of them.
 
-    ``_entries`` maps numerical ID to the piggybacked entry itself, which is
-    immutable; a newer piggyback with another ``sop`` replaces it.  An entry's
-    side is whether its numerical ID exceeds the owner's, and its level is its
-    capped common prefix with the owner (:func:`_entry_level`); both are
-    derived when needed, never stored.
+    ``_sides`` holds two dicts indexed by :class:`Direction` value: the left
+    one maps each numerical ID below the owner's to its piggybacked entry, the
+    right one each ID above it.  An entry is immutable; a newer piggyback with
+    another ``sop`` replaces it.  An entry's level is its capped common prefix
+    with the owner (:func:`_entry_level`), derived when needed, never stored.
 
-    ``_order`` is the eviction order: every entry's :meth:`_rank`, ascending.
-    A full table drops the first, the entry whose owner-relative score is
-    minimal, before accepting a new one; ties evict the farther entry, then
-    the larger name ID, then the left one.  A rank changes only with the
-    entry's ``sop``; resolution ranks candidates by their target-relative
-    score without storing it.
+    ``_order`` is the eviction order: every entry's :meth:`_rank`, ascending,
+    so its length is the table's size.  A full table drops the first, the
+    entry whose owner-relative score is minimal, before accepting a new one;
+    ties evict the farther entry, then the larger name ID, then the left one.
+    A rank changes only with the entry's ``sop``; resolution ranks candidates
+    by their target-relative score without storing it.
     """
 
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
@@ -111,7 +113,7 @@ class BackupTable:
         self.height = height
         self.max_size = max_size
         self.reads_path = max_size > 0
-        self._entries: dict[int, PiggybackEntry] = {}
+        self._sides: tuple[dict[int, PiggybackEntry], dict[int, PiggybackEntry]] = ({}, {})
         self._order: list[tuple[float, int, int, int]] = []
 
     def _rank(self, e: PiggybackEntry) -> tuple[float, int, int, int]:
@@ -125,21 +127,28 @@ class BackupTable:
         if self.max_size == 0:
             return
         owner_id = self.owner.num_id
-        entries = self._entries
+        owner_bits = self.owner.name_bits
+        height = self.height
+        sides = self._sides
+        order = self._order
         lookup_ids = lookup.neighbor_ids
         for item in piggyback:
             num_id = item.num_id
             if num_id == owner_id or num_id in lookup_ids:
                 continue
+            entries = sides[num_id > owner_id]
             old = entries.get(num_id)
             if old is not None:
                 if old.sop == item.sop:
                     continue
                 self._unrank(old)
-            elif len(entries) >= self.max_size:
+            elif len(order) >= self.max_size:
                 self._evict_minimum()
             entries[num_id] = item
-            insort(self._order, self._rank(item))
+            # :meth:`_rank`, inlined
+            distance = abs(num_id - owner_id)
+            cpl = height - (owner_bits ^ item.name_bits).bit_length()
+            insort(order, (_score(item.sop, cpl, distance), -distance, -item.name_bits, num_id))
 
     def _unrank(self, e: PiggybackEntry) -> None:
         order = self._order
@@ -148,7 +157,8 @@ class BackupTable:
     def _evict_minimum(self) -> PiggybackEntry:
         if not self._order:
             raise RuntimeError("eviction requested on an empty table")
-        return self._entries.pop(self._order.pop(0)[3])
+        num_id = self._order.pop(0)[3]
+        return self._sides[num_id > self.owner.num_id].pop(num_id)
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """Pick an online routing candidate eligible at the level and side of ``msg``.
@@ -162,33 +172,34 @@ class BackupTable:
         contacts are purged from the table.  The candidate is None when no
         online eligible entry exists.
         """
-        if not self._entries:
+        entries = self._sides[msg.direction]
+        if not entries:
             return None, []
-        return _first_online(self._candidates(msg), ping, self._drop)
+        return _first_online(self._candidates(msg, entries), ping, self._drop)
 
     def _drop(self, e: PiggybackEntry) -> None:
-        del self._entries[e.num_id]
+        del self._sides[e.num_id > self.owner.num_id][e.num_id]
         self._unrank(e)
 
-    def _candidates(self, msg: SearchMessage) -> Iterator[PiggybackEntry]:
-        """The eligible entries in contact order; ranked only if the exact target fails."""
-        entries = self._entries
+    def _candidates(self, msg: SearchMessage, entries: dict[int, PiggybackEntry]) -> Iterator[PiggybackEntry]:
+        """The eligible entries of the search side's ``entries``, in contact
+        order; ranked only if the exact target fails."""
         target = msg.target_num_id
         level = msg.level
-        owner_id = self.owner.num_id
         owner_bits = self.owner.name_bits
         height = self.height
-        # Eligible IDs lie past the owner on the search side, up to the target.
-        lo, hi = (owner_id + 1, target) if msg.direction is Direction.RIGHT else (target, owner_id - 1)
+        # Every entry of the side lies past the owner; eligible ones reach no
+        # further than the target, which the exact target does by construction.
         exact = entries.get(target)
-        if exact is not None and lo <= target <= hi and _entry_level(self.owner, exact.name_bits, height) >= level:
+        if exact is not None and _entry_level(self.owner, exact.name_bits, height) >= level:
             yield exact
         # An offline exact target is gone by now; an ineligible one fails the
         # same tests below.
+        right = msg.direction is Direction.RIGHT
         visited = msg.piggyback
         ranked = []
         for num_id, e in entries.items():
-            if not lo <= num_id <= hi or num_id in visited:
+            if (num_id > target if right else num_id < target) or num_id in visited:
                 continue
             cpl = cpl_ints(owner_bits, e.name_bits, height)
             # level < height, so capping cpl at height - 1 changes nothing here
@@ -200,7 +211,7 @@ class BackupTable:
         yield from map(itemgetter(3), ranked)
 
     def total_entries(self) -> int:
-        return len(self._entries)
+        return len(self._order)
 
 
 @lru_cache(maxsize=None)

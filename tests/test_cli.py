@@ -4,9 +4,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from skipchurn import cli
+from skipchurn import cli, predictors
 from skipchurn.churn import ChurnModel
 from skipchurn.engine import SimConfig
 from skipchurn.overlay import ConfigError
@@ -241,3 +242,19 @@ def test_failing_cell_names_itself_and_its_topology(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert "error: combination dks/swdbg/b=8 failed: boom (topology 0)" in err
     assert not (tmp_path / "results.json").exists()
+
+
+def test_an_internal_fault_exits_1_in_both_commands_and_a_bad_flag_still_exits_2(tmp_path, capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(predictors, "_solve", singular)
+    # 12 arrivals a slot keep some of the 64 nodes offline, so the chains need solves
+    argv = ["--capacity", "64", "--slots", "6", "--topologies", "1", "--workers", "1", "--predictor", "swdbg",
+            "--interarrival-mean-seconds", "300"]
+    assert cli.main(["run", *argv, "--search-cap", "20", "--out", str(tmp_path)]) == 1
+    assert "error: sweep failed: Singular matrix" in capsys.readouterr().err
+    assert cli.main(["predict-bench", *argv]) == 1
+    assert "error: predictor bench failed: Singular matrix" in capsys.readouterr().err
+    assert cli.main(["predict-bench", *argv, "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err

@@ -353,6 +353,26 @@ def test_the_smallest_accepted_arrival_mean_draws():
         np.random.default_rng(0).poisson(MAX_ARRIVAL_RATE * 1.01)
 
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 301, 1024])
+@pytest.mark.parametrize("k", [0, 1, 500])
+def test_one_pair_draw_is_the_stream_of_scalar_draws(n, k):
+    # run_slot draws a slot's 2k search endpoints in one call; it must give
+    # the scalar draws' values and leave the stream where they leave it.
+    one, scalar = np.random.default_rng([5, n, k]), np.random.default_rng([5, n, k])
+    assert one.integers(n, size=2 * k).tolist() == [int(scalar.integers(n)) for _ in range(2 * k)]
+    assert int(one.integers(n)) == int(scalar.integers(n))
+    assert one.random() == scalar.random()
+
+
+def test_a_serial_run_does_not_load_the_process_pool():
+    # topology_map imports the pool only when it spreads work over processes.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, skipchurn.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
+
 def _run_slots(process, rng, slots):
     """(online before, arrivals, online after arrive, online after depart) per slot."""
     out = []

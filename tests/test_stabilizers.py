@@ -70,6 +70,12 @@ def online_set(ids):
     return lambda nid: nid in ids
 
 
+def stored(table):
+    """Every entry of a backup table by numerical ID: the union of its two side dicts."""
+    left, right = table._sides
+    return {**left, **right}
+
+
 def members(table, level, direction):
     """Ids a resolve at (level, direction) contacts when nobody answers, on a copy."""
     target = 10**6 if direction is Direction.RIGHT else 0
@@ -122,8 +128,8 @@ class TestBackupUpdate:
     def test_placement_by_prefix_level_and_direction(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        assert _entry_level(OWNER, table._entries[106].name_bits, HEIGHT) == 2
-        assert _entry_level(OWNER, table._entries[90].name_bits, HEIGHT) == 0
+        assert _entry_level(OWNER, stored(table)[106].name_bits, HEIGHT) == 2
+        assert _entry_level(OWNER, stored(table)[90].name_bits, HEIGHT) == 0
         # an entry serves its own side at its level and below, nowhere else
         assert members(table, 2, Direction.RIGHT) == {106}
         assert members(table, 3, Direction.RIGHT) == set()
@@ -133,7 +139,7 @@ class TestBackupUpdate:
     def test_prefix_level_capped_at_top(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1000")])
-        assert _entry_level(OWNER, table._entries[106].name_bits, HEIGHT) == HEIGHT - 1
+        assert _entry_level(OWNER, stored(table)[106].name_bits, HEIGHT) == HEIGHT - 1
         assert members(table, HEIGHT - 1, Direction.RIGHT) == {106}
         assert members(table, HEIGHT - 1, Direction.LEFT) == set()
 
@@ -142,7 +148,7 @@ class TestBackupUpdate:
         table.update(empty_lookup(), [entry(106, "1011", sop=0.2)])
         table.update(empty_lookup(), [entry(106, "1011", sop=0.9)])
         assert table.total_entries() == 1
-        assert table._entries[106].sop == 0.9
+        assert stored(table)[106].sop == 0.9
         assert members(table, 2, Direction.RIGHT) == {106}
 
     def test_full_table_evicts_minimum_score(self):
@@ -152,8 +158,8 @@ class TestBackupUpdate:
         # prefix-0 entry scores zero and is dropped first
         table.update(lookup, [entry(110, "1001", sop=0.9)])
         assert table.total_entries() == 2
-        assert 90 not in table._entries
-        assert {106, 110} <= set(table._entries)
+        assert 90 not in stored(table)
+        assert {106, 110} <= set(stored(table))
 
     def test_zero_capacity_accepts_nothing(self):
         table = BackupTable(OWNER, HEIGHT, max_size=0)
@@ -183,12 +189,18 @@ class TestBackupUpdate:
                 score = e.sop * cpl / abs(e.num_id - OWNER.num_id)
                 inv = "".join("1" if c == "0" else "0" for c in name_of(e))
                 return (score, -abs(e.num_id - OWNER.num_id), inv)
-            expected_evict = min(table._entries.values(), key=rank).num_id
+            expected_evict = min(stored(table).values(), key=rank).num_id
             newcomer = entry(1001, "1100", sop=0.5)
             table.update(lookup, [newcomer])
             assert table.total_entries() == size
-            assert expected_evict not in table._entries
-            assert 1001 in table._entries
+            assert expected_evict not in stored(table)
+            assert 1001 in stored(table)
+            # each entry sits on its own side, once
+            left, right = table._sides
+            assert all(nid < OWNER.num_id for nid in left)
+            assert all(nid > OWNER.num_id for nid in right)
+            assert not left.keys() & right.keys()
+            assert len(left) + len(right) == table.total_entries()
 
     @given(st_.lists(st_.tuples(st_.integers(0, 5000), st_.floats(0, 1)), min_size=1, max_size=400))
     @settings(max_examples=40, deadline=None)
@@ -291,7 +303,7 @@ class TestCachedScores:
         for nid in range(111, 116):
             table.update(empty_lookup(), [entry(nid, "1010", sop=1.0)])
         assert table.evicted == [120, 80, 90, 110, 101]
-        assert set(table._entries) == {105, 111, 112, 113, 114, 115}
+        assert set(stored(table)) == {105, 111, 112, 113, 114, 115}
 
     def test_full_tie_evicts_left_entry(self):
         # equal scores, distances and names either side of the owner
@@ -329,10 +341,10 @@ class TestCachedScores:
                 for nid, answered in trace:
                     if not answered:
                         del model[nid]
-            assert {nid: e.sop for nid, e in table._entries.items()} == model
+            assert {nid: e.sop for nid, e in stored(table).items()} == model
             ranks = {r[3]: r for r in table._order}
             assert len(ranks) == len(table._order)
-            for e in table._entries.values():
+            for e in stored(table).values():
                 assert e.name_bits == int(names[e.num_id], 2)
                 cpl = common_prefix_length(OWNER_NAME, names[e.num_id])
                 assert ranks[e.num_id][0] == e.sop * cpl / abs(e.num_id - OWNER.num_id)
@@ -358,7 +370,7 @@ class TestBackupResolve:
         got, trace = table.resolve(msg(140, 1), online_set({120}))
         assert got == 120
         assert contacted(trace) == [140, 120]
-        assert 140 not in table._entries
+        assert 140 not in stored(table)
 
     def test_exact_target_is_contacted_only_from_its_side(self):
         table = self.make_table([entry(90, "1001")])
@@ -385,7 +397,7 @@ class TestBackupResolve:
         assert contacted(trace)[0] == 149
         assert trace[0][1] is False
         assert got == 120
-        assert 149 not in table._entries
+        assert 149 not in stored(table)
 
     def test_contact_order_non_increasing_in_score(self):
         rng = np.random.default_rng(4)
