@@ -36,6 +36,15 @@ EVICTION_SWEEP = [
     "--stabilizer", "interlaced", "--predictor", "swdbg,lifetime", "--backup-size", "2,3",
 ]
 
+# Kademlia buckets and DKS lists under heavy traffic with tiny budgets: at b 2
+# and 3 only the lowest one or two levels hold one entry a side; at b 16 every
+# level holds one or two.
+SMALL_STORE_SWEEP = [
+    "run", "--capacity", "64", "--slots", "24", "--topologies", "2", "--search-cap", "40",
+    "--interarrival-mean-seconds", "300", "--seed", "1", "--workers", "1",
+    "--stabilizer", "kademlia,dks", "--predictor", "swdbg", "--backup-size", "2,3,16",
+]
+
 PREDICTOR_SWEEP_CONFIG = """\
 # lifetime, LUDP and DBG-3 under uniform churn
 capacity = 64
@@ -69,6 +78,10 @@ GOLDEN = {
     "eviction_sweep": {
         "results.csv": "879e4c4c5fff62098fda637b0a348a82dc891eb0e38659dda0cb59a9a32aa935",
         "results.json": "bc3d7c1038fcd61addf93dae8cf42970e06c1089a67f4629621ca15d9d36d7be",
+    },
+    "small_store_sweep": {
+        "results.csv": "8c26ca4d50e7fc1625daa0304d9d5d6ddb4c527ee78c93ceff07df8f31fafbc7",
+        "results.json": "1a8d8755ad8b242ace2524071b3e9b5b4c1f5a0df22217319abd6197f8ceb0a9",
     },
     "predictor_sweep": {
         "results.csv": "19122232dc70c9759d2bfb2c7a3181b42fa6128bb6af8cb89f1ae2e413640ae8",
@@ -104,6 +117,11 @@ def test_stabilizer_sweep_over_three_topologies(tmp_path):
 def test_interlaced_sweep_with_heavy_eviction(tmp_path):
     assert cli.main(EVICTION_SWEEP + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, RESULTS) == GOLDEN["eviction_sweep"]
+
+
+def test_kademlia_and_dks_sweep_with_small_budgets(tmp_path):
+    assert cli.main(SMALL_STORE_SWEEP + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, RESULTS) == GOLDEN["small_store_sweep"]
 
 
 def test_predictor_sweep_from_config_file(tmp_path):
