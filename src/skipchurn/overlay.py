@@ -6,9 +6,10 @@ prefixes govern membership in the higher-level lists) and a pair of synthetic
 coordinates used by the latency model.  Name IDs are assigned by recursive
 median bisection of the coordinates so that spatial proximity shows up as
 longer common prefixes.  From assignment on, a name ID is an integer
-(``name_bits``) of ``name_length`` bits, compared with :func:`cpl_ints`.  The
-topology's prefix groups (per level, the nodes sharing that many name-ID bits)
-are the one membership structure that joins and the DKS store both read.
+(``name_bits``) of ``name_length`` bits, and two of them share
+``name_length - (a ^ b).bit_length()`` leading bits.  The topology's prefix
+groups (per level, the nodes sharing that many name-ID bits) are the one
+membership structure that joins and the DKS store both read.
 
 A search side is a :class:`Direction`, whose value (0 left, 1 right) indexes
 every (left, right) pair directly.
@@ -121,12 +122,6 @@ class TopologySnapshot:
         """
         length = self.name_length
         return [self._prefix_groups[lvl][ident.name_bits >> (length - lvl)] for lvl in range(length)]
-
-
-def cpl_ints(a_bits: int, b_bits: int, length: int) -> int:
-    """Number of leading bits shared by two ``length``-bit integer name IDs (hot path)."""
-    x = a_bits ^ b_bits
-    return length - x.bit_length()
 
 
 def assign_name_ids(coords: Sequence[tuple[float, float]]) -> list[int]:

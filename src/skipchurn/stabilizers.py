@@ -20,14 +20,15 @@ to descend a level, or to end the whole search when already at level 0.
 Strategies:
 
 * scored backup table (``interlaced``): a bounded set of the piggybacked
-  entries, split by side into one dict per search direction and kept beside
-  ``_order``, their eviction order; eviction drops the globally lowest-scored
-  entry, resolution scans only the search side's dict and contacts
-  candidates by score.
-* recency buckets (``kademlia``): per-level fixed-capacity lists, newest at
-  the head, oldest evicted, contacted head first.
-* successor pointers (``dks``): per-level lists of the immediately following
-  topology nodes, refilled from the identifier space as heads fail.
+  entries, split by side into one dict per search direction, each entry kept
+  with its rank and common prefix, beside ``_order``, the ranks in eviction
+  order; eviction drops the globally lowest-scored entry, resolution scans
+  only the search side's dict and contacts candidates by score.
+* recency buckets (``kademlia``): per level and side a fixed-capacity dict in
+  recency order, newest last, oldest evicted, contacted newest first.
+* successor pointers (``dks``): per level and side a window of the level's
+  prefix group, the nodes that follow the owner; it slides away from the
+  owner as heads fail.
 * ``none``: a scored backup table of size 0, which keeps nothing and
   resolves nothing.
 """
@@ -39,15 +40,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .overlay import (
-    Direction,
-    LookupTable,
-    NodeIdentity,
-    PiggybackEntry,
-    SearchMessage,
-    TopologySnapshot,
-    cpl_ints,
-)
+from .overlay import Direction, LookupTable, NodeIdentity, PiggybackEntry, SearchMessage, TopologySnapshot
 
 STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
 
@@ -55,6 +48,8 @@ PingFn = Callable[[int], bool]
 
 
 ResolveResult = tuple[Optional[int], list[tuple[int, bool]]]
+Rank = tuple[float, int, int, int]
+Slot = tuple[Rank, int, PiggybackEntry]
 
 
 def cand_check(num_id: int, msg: SearchMessage) -> bool:
@@ -78,11 +73,6 @@ def _first_online(candidates: Iterable, ping: PingFn, drop: Callable) -> Resolve
     return None, trace
 
 
-def _entry_level(owner: NodeIdentity, name_bits: int, height: int) -> int:
-    """The highest level an entry shares with ``owner``: its capped common prefix."""
-    return min(cpl_ints(owner.name_bits, name_bits, height), height - 1)
-
-
 def _score(sop: float, cpl: int, distance: int) -> float:
     if distance == 0:
         raise ValueError("scoring distance must be nonzero")
@@ -93,16 +83,17 @@ class BackupTable:
     """Score-managed backup neighbors, at most ``max_size`` of them.
 
     ``_sides`` holds two dicts indexed by :class:`Direction` value: the left
-    one maps each numerical ID below the owner's to its piggybacked entry, the
-    right one each ID above it.  An entry is immutable; a newer piggyback with
-    another ``sop`` replaces it.  An entry's level is its capped common prefix
-    with the owner (:func:`_entry_level`), derived when needed, never stored.
+    one maps each numerical ID below the owner's to ``(rank, cpl, entry)``,
+    the right one each ID above it.  ``entry`` is the piggybacked entry, which
+    is immutable; a newer piggyback with another ``sop`` replaces all three.
+    ``cpl`` is the entry's common name-ID prefix with the owner; capped at
+    ``height - 1`` it is the entry's level.  ``rank`` is ``(owner score,
+    -distance, -name_bits, num_id)``, unique by its num_id.
 
-    ``_order`` is the eviction order: every entry's :meth:`_rank`, ascending,
-    so its length is the table's size.  A full table drops the first, the
-    entry whose owner-relative score is minimal, before accepting a new one;
-    ties evict the farther entry, then the larger name ID, then the left one.
-    A rank changes only with the entry's ``sop``; resolution ranks candidates
+    ``_order`` is every entry's rank, ascending, so its length is the table's
+    size.  A full table drops the first, the entry whose owner-relative score
+    is minimal, before accepting a new one; ties evict the farther entry,
+    then the larger name ID, then the left one.  Resolution ranks candidates
     by their target-relative score without storing it.
     """
 
@@ -113,14 +104,8 @@ class BackupTable:
         self.height = height
         self.max_size = max_size
         self.reads_path = max_size > 0
-        self._sides: tuple[dict[int, PiggybackEntry], dict[int, PiggybackEntry]] = ({}, {})
-        self._order: list[tuple[float, int, int, int]] = []
-
-    def _rank(self, e: PiggybackEntry) -> tuple[float, int, int, int]:
-        """``(owner score, -distance, -name_bits, num_id)``; num_id makes it unique."""
-        distance = abs(e.num_id - self.owner.num_id)
-        cpl = cpl_ints(self.owner.name_bits, e.name_bits, self.height)
-        return (_score(e.sop, cpl, distance), -distance, -e.name_bits, e.num_id)
+        self._sides: tuple[dict[int, Slot], dict[int, Slot]] = ({}, {})
+        self._order: list[Rank] = []
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         """Insert piggybacked elements, skipping lookup neighbors and self."""
@@ -139,26 +124,22 @@ class BackupTable:
             entries = sides[num_id > owner_id]
             old = entries.get(num_id)
             if old is not None:
-                if old.sop == item.sop:
+                if old[2].sop == item.sop:
                     continue
-                self._unrank(old)
+                del order[bisect_left(order, old[0])]
             elif len(order) >= self.max_size:
                 self._evict_minimum()
-            entries[num_id] = item
-            # :meth:`_rank`, inlined
             distance = abs(num_id - owner_id)
             cpl = height - (owner_bits ^ item.name_bits).bit_length()
-            insort(order, (_score(item.sop, cpl, distance), -distance, -item.name_bits, num_id))
-
-    def _unrank(self, e: PiggybackEntry) -> None:
-        order = self._order
-        del order[bisect_left(order, self._rank(e))]
+            rank = (_score(item.sop, cpl, distance), -distance, -item.name_bits, num_id)
+            entries[num_id] = (rank, cpl, item)
+            insort(order, rank)
 
     def _evict_minimum(self) -> PiggybackEntry:
         if not self._order:
             raise RuntimeError("eviction requested on an empty table")
         num_id = self._order.pop(0)[3]
-        return self._sides[num_id > self.owner.num_id].pop(num_id)
+        return self._sides[num_id > self.owner.num_id].pop(num_id)[2]
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         """Pick an online routing candidate eligible at the level and side of ``msg``.
@@ -178,32 +159,27 @@ class BackupTable:
         return _first_online(self._candidates(msg, entries), ping, self._drop)
 
     def _drop(self, e: PiggybackEntry) -> None:
-        del self._sides[e.num_id > self.owner.num_id][e.num_id]
-        self._unrank(e)
+        rank = self._sides[e.num_id > self.owner.num_id].pop(e.num_id)[0]
+        del self._order[bisect_left(self._order, rank)]
 
-    def _candidates(self, msg: SearchMessage, entries: dict[int, PiggybackEntry]) -> Iterator[PiggybackEntry]:
+    def _candidates(self, msg: SearchMessage, entries: dict[int, Slot]) -> Iterator[PiggybackEntry]:
         """The eligible entries of the search side's ``entries``, in contact
-        order; ranked only if the exact target fails."""
+        order; ranked only if the exact target fails.  ``level < height``, so
+        testing the uncapped ``cpl`` against it is testing the entry's level."""
         target = msg.target_num_id
         level = msg.level
-        owner_bits = self.owner.name_bits
-        height = self.height
         # Every entry of the side lies past the owner; eligible ones reach no
         # further than the target, which the exact target does by construction.
         exact = entries.get(target)
-        if exact is not None and _entry_level(self.owner, exact.name_bits, height) >= level:
-            yield exact
+        if exact is not None and exact[1] >= level:
+            yield exact[2]
         # An offline exact target is gone by now; an ineligible one fails the
         # same tests below.
         right = msg.direction is Direction.RIGHT
         visited = msg.piggyback
         ranked = []
-        for num_id, e in entries.items():
-            if (num_id > target if right else num_id < target) or num_id in visited:
-                continue
-            cpl = cpl_ints(owner_bits, e.name_bits, height)
-            # level < height, so capping cpl at height - 1 changes nothing here
-            if cpl < level:
+        for num_id, (_, cpl, e) in entries.items():
+            if cpl < level or (num_id > target if right else num_id < target) or num_id in visited:
                 continue
             distance = abs(num_id - target)
             ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
@@ -245,18 +221,19 @@ def kademlia_capacity(b: int, levels: int) -> tuple[tuple[int, int], ...]:
 
 
 class KademliaBuckets:
-    """Recency-ordered backup lists with per-bucket capacity; a bucket holds
-    the piggybacked entries themselves, which are immutable."""
+    """Recency-ordered backup buckets with per-bucket capacity.
+
+    ``buckets[level][side]`` maps num_id to the piggybacked entry, which is
+    immutable, in recency order: newest last.  A re-sent entry moves to the
+    end; a full bucket evicts its first, oldest, entry.
+    """
 
     def __init__(self, owner: NodeIdentity, height: int, max_size: int):
         self.owner = owner
         self.height = height
-        self.max_size = max_size
         self.reads_path = max_size > 0
         self.capacities = kademlia_capacity(max_size, height)
-        # Plain lists: a bucket holds a few entries, and an empty list is far
-        # smaller than an empty deque.
-        self.buckets: list[list[list[PiggybackEntry]]] = [[[], []] for _ in range(height)]
+        self.buckets: list[list[dict[int, PiggybackEntry]]] = [[{}, {}] for _ in range(height)]
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
         owner_id = self.owner.num_id
@@ -269,7 +246,7 @@ class KademliaBuckets:
             num_id = item.num_id
             if num_id == owner_id or num_id in lookup_ids:
                 continue
-            # :func:`_entry_level`, inlined: the common prefix with the owner, capped
+            # the common prefix with the owner, capped
             level = height - (owner_bits ^ item.name_bits).bit_length()
             if level == height:
                 level -= 1
@@ -278,20 +255,18 @@ class KademliaBuckets:
             if cap == 0:
                 continue
             bucket = buckets[level][slot]
-            for i, e in enumerate(bucket):
-                if e.num_id == num_id:
-                    del bucket[i]
-                    break
-            bucket.insert(0, item)
-            del bucket[cap:]
+            if bucket.pop(num_id, None) is None and len(bucket) >= cap:
+                del bucket[next(iter(bucket))]
+            bucket[num_id] = item
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
-        """The exact target first, then a head-to-tail scan of the bucket."""
+        """The exact target first, then the bucket newest to oldest."""
         bucket = self.buckets[msg.level][msg.direction]
         target = msg.target_num_id
-        order = [e for e in bucket if e.num_id == target]
-        order += [e for e in bucket if e.num_id != target and cand_check(e.num_id, msg)]
-        return _first_online(order, ping, bucket.remove)
+        exact = bucket.get(target)
+        order = [] if exact is None else [exact]
+        order += [e for e in reversed(bucket.values()) if e.num_id != target and cand_check(e.num_id, msg)]
+        return _first_online(order, ping, lambda e: bucket.pop(e.num_id))
 
     def total_entries(self) -> int:
         return sum(len(b) for pair in self.buckets for b in pair)
@@ -300,14 +275,18 @@ class KademliaBuckets:
 class DksPointers:
     """Per-level lists of the immediately succeeding topology nodes.
 
-    Lists are filled when the store is built, with the owner's nearest nodes
-    of each level group (:meth:`TopologySnapshot.level_groups`), ignoring
-    online status, and carry no availability information.  When a head fails it is
-    dropped and the list is extended with the node beyond the current tail in
-    the identifier space; the appended node may itself be offline.  Learning
-    that next node requires asking the current tail, so no extension happens
-    while the tail is offline, which is how runs of concurrent failures starve
-    the list.
+    A list is a window of its level group (:meth:`TopologySnapshot.level_groups`):
+    ``_spans[level][side]`` is ``[head, end]``, the group index of its head
+    and the index one step past its tail, a step being +1 on the right side
+    and -1 on the left, away from the owner; ``head == end`` is an empty
+    list.  A new store's lists hold the owner's nearest group members,
+    ignoring online status, and carry no availability information.  When a
+    head fails it is dropped (``head`` steps) and the list is extended with
+    the node beyond the current tail in the identifier space (``end``
+    steps, while it stays in the group); the appended node may itself be
+    offline.  Learning that next node requires asking the current tail, so
+    no extension happens while the tail is offline, which is how runs of
+    concurrent failures starve the list.
 
     The tail ping is not in the contact trace that ``resolve`` returns, so it
     adds no latency, no ``resolve_messages`` and no ``record_incoming`` to the
@@ -322,50 +301,38 @@ class DksPointers:
         nodes whose name ID shares at least ``level`` prefix bits with the
         owner (the owner included).  The groups are kept, not copied: every
         node of a topology shares them and nothing changes them."""
-        self.owner = owner
-        self.height = len(level_groups)
-        self.max_size = max_size
-        self.capacities = kademlia_capacity(max_size, self.height)
         self._groups = level_groups
-        # per (level, slot): list of NodeIdentity plus the group frontier index
-        self.lists: list[list[list[NodeIdentity]]] = []
-        self._frontier: list[list[int]] = []
-        owner_id = owner.num_id
-        for group, (cap_left, cap_right) in zip(level_groups, self.capacities):
-            pos = bisect_left(group, owner_id, key=attrgetter("num_id"))
-            left = group[max(0, pos - cap_left) : pos]
-            left.reverse()
-            right = group[pos + 1 : pos + 1 + cap_right]
-            self.lists.append([left, right])
-            self._frontier.append([pos - len(left) - 1, pos + len(right) + 1])
+        self._spans: list[tuple[list[int], list[int]]] = []
+        for group, (cap_left, cap_right) in zip(level_groups, kademlia_capacity(max_size, len(level_groups))):
+            pos = bisect_left(group, owner.num_id, key=attrgetter("num_id"))
+            left = [pos - 1, max(pos - 1 - cap_left, -1)]
+            right = [pos + 1, min(pos + 1 + cap_right, len(group))]
+            self._spans.append((left, right))
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         target = msg.target_num_id
-        level = msg.level
-        direction = msg.direction
-        right = direction is Direction.RIGHT
-        pointers = self.lists[level][direction]
-        group = self._groups[level]
+        right = msg.direction is Direction.RIGHT
+        step = 1 if right else -1
+        group = self._groups[msg.level]
+        span = self._spans[msg.level][msg.direction]
         trace: list[tuple[int, bool]] = []
-        while pointers:
-            head = pointers[0].num_id
+        while span[0] != span[1]:
+            head = group[span[0]].num_id
             if head > target if right else head < target:
-                return None, trace
+                break
             online = ping(head)
             trace.append((head, online))
             if online:
                 return head, trace
-            tail_online = ping(pointers[-1].num_id) if len(pointers) > 1 else False
-            del pointers[0]
-            if tail_online:
-                idx = self._frontier[level][direction]
-                if 0 <= idx < len(group):
-                    pointers.append(group[idx])
-                    self._frontier[level][direction] = idx + (1 if right else -1)
+            tail = span[1] - step
+            tail_online = tail != span[0] and ping(group[tail].num_id)
+            span[0] += step
+            if tail_online and 0 <= span[1] < len(group):
+                span[1] += step
         return None, trace
 
     def total_entries(self) -> int:
-        return sum(len(lst) for pair in self.lists for lst in pair)
+        return sum(abs(end - head) for pair in self._spans for head, end in pair)
 
 
 def make_stabilizer(kind: str, owner: NodeIdentity, topology: TopologySnapshot, max_size: int):

@@ -1,6 +1,7 @@
 """Plain restatements that tests compare the package's code against: string-based
-name-ID arithmetic, routing one level at a time, and the stationary solve
-through ``np.linalg.solve``."""
+name-ID arithmetic, routing one level at a time, Kademlia buckets and DKS
+successor lists as plain lists, and the stationary solve through
+``np.linalg.solve``."""
 
 import numpy as np
 
@@ -17,6 +18,12 @@ def common_prefix_length(a: str, b: str) -> int:
     return n
 
 
+def cpl_ints(a_bits: int, b_bits: int, length: int) -> int:
+    """Number of leading bits shared by two ``length``-bit integer name IDs: the
+    expression the stores compute inline."""
+    return length - (a_bits ^ b_bits).bit_length()
+
+
 def route_stepwise(node_num_id: int, levels, target: int, level: int):
     """The forward of a search at ``node_num_id``, found as a loop that checks
     one level and descends on no result: ``(neighbor, level)``, or ``(None, 0)``
@@ -29,6 +36,108 @@ def route_stepwise(node_num_id: int, levels, target: int, level: int):
         if nb is not None and lo <= nb.num_id <= hi:
             return nb, lvl
     return None, 0
+
+
+def _first_online(entries, ping, drop):
+    """Ping ``entries`` in order until one answers, dropping each that does not."""
+    trace = []
+    for e in entries:
+        online = ping(e.num_id)
+        trace.append((e.num_id, online))
+        if online:
+            return e.num_id, trace
+        drop(e)
+    return None, trace
+
+
+class ListBuckets:
+    """Kademlia buckets as lists, newest at the head: a re-sent entry is found
+    by a scan and moved to the head, and whatever passes the capacity is cut
+    from the tail.  A resolve contacts the exact target first, then the rest
+    head to tail that neither overshoot the target nor were visited."""
+
+    def __init__(self, owner, height: int, capacities):
+        self.owner = owner
+        self.height = height
+        self.capacities = capacities
+        self.buckets = [[[], []] for _ in range(height)]
+
+    def update(self, lookup_ids, piggyback) -> None:
+        owner_name = format(self.owner.name_bits, f"0{self.height}b")
+        for item in piggyback:
+            if item.num_id == self.owner.num_id or item.num_id in lookup_ids:
+                continue
+            cpl = common_prefix_length(owner_name, format(item.name_bits, f"0{self.height}b"))
+            level = min(cpl, self.height - 1)
+            side = int(item.num_id > self.owner.num_id)
+            cap = self.capacities[level][side]
+            if cap == 0:
+                continue
+            bucket = self.buckets[level][side]
+            for i, e in enumerate(bucket):
+                if e.num_id == item.num_id:
+                    del bucket[i]
+                    break
+            bucket.insert(0, item)
+            del bucket[cap:]
+
+    def resolve(self, msg, ping):
+        bucket = self.buckets[msg.level][msg.direction]
+        target = msg.target_num_id
+        right = msg.direction == 1
+        order = [e for e in bucket if e.num_id == target]
+        order += [
+            e for e in bucket
+            if e.num_id != target
+            and (e.num_id <= target if right else e.num_id >= target)
+            and e.num_id not in msg.piggyback
+        ]
+        return _first_online(order, ping, bucket.remove)
+
+    def total_entries(self) -> int:
+        return sum(len(b) for pair in self.buckets for b in pair)
+
+
+class ListSuccessors:
+    """DKS successor lists as copies of the owner's nearest group members, the
+    left list reversed, each with the group index of the next node past its
+    tail.  A failed head is dropped; only when the tail answers a ping is the
+    node past it appended, while the group has one."""
+
+    def __init__(self, owner, level_groups, capacities):
+        self.groups = level_groups
+        self.lists = []
+        self.frontier = []
+        for group, (cap_left, cap_right) in zip(level_groups, capacities):
+            pos = [n.num_id for n in group].index(owner.num_id)
+            left = group[max(0, pos - cap_left) : pos][::-1]
+            right = group[pos + 1 : pos + 1 + cap_right]
+            self.lists.append([left, right])
+            self.frontier.append([pos - len(left) - 1, pos + len(right) + 1])
+
+    def resolve(self, msg, ping):
+        right = msg.direction == 1
+        pointers = self.lists[msg.level][msg.direction]
+        group = self.groups[msg.level]
+        trace = []
+        while pointers:
+            head = pointers[0].num_id
+            if head > msg.target_num_id if right else head < msg.target_num_id:
+                break
+            online = ping(head)
+            trace.append((head, online))
+            if online:
+                return head, trace
+            tail_online = len(pointers) > 1 and ping(pointers[-1].num_id)
+            del pointers[0]
+            idx = self.frontier[msg.level][msg.direction]
+            if tail_online and 0 <= idx < len(group):
+                pointers.append(group[idx])
+                self.frontier[msg.level][msg.direction] = idx + (1 if right else -1)
+        return None, trace
+
+    def total_entries(self) -> int:
+        return sum(len(lst) for pair in self.lists for lst in pair)
 
 
 def stationary_core(P: np.ndarray) -> np.ndarray:

@@ -12,13 +12,12 @@ from skipchurn.overlay import (
     SearchMessage,
     TopologySnapshot,
     assign_name_ids,
-    cpl_ints,
     generate_topology,
     join_node,
     route_step,
 )
 
-from oracles import common_prefix_length, route_stepwise
+from oracles import common_prefix_length, cpl_ints, route_stepwise
 
 
 def make_topology(pairs):

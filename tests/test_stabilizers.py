@@ -1,4 +1,5 @@
 import copy
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from skipchurn.stabilizers import (
     BackupTable,
     DksPointers,
     KademliaBuckets,
-    _entry_level,
     _score,
     cand_check,
     kademlia_capacity,
     make_stabilizer,
 )
 
-from oracles import common_prefix_length
+from oracles import ListBuckets, ListSuccessors, common_prefix_length
 
 OWNER = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0.5, 0.5))
 HEIGHT = 4
@@ -70,10 +70,27 @@ def online_set(ids):
     return lambda nid: nid in ids
 
 
+def slot(table, num_id):
+    """The ``(rank, cpl, entry)`` a backup table keeps for ``num_id``."""
+    return table._sides[num_id > table.owner.num_id][num_id]
+
+
 def stored(table):
     """Every entry of a backup table by numerical ID: the union of its two side dicts."""
     left, right = table._sides
-    return {**left, **right}
+    return {nid: e for nid, (_, _, e) in [*left.items(), *right.items()]}
+
+
+def recency(buckets, level, direction):
+    """The num_ids of a Kademlia bucket, newest first."""
+    return list(reversed(buckets.buckets[level][direction]))
+
+
+def pointers(dks, level, direction):
+    """The num_ids of a DKS successor list, head first."""
+    head, end = dks._spans[level][direction]
+    group = dks._groups[level]
+    return [group[i].num_id for i in range(head, end, 1 if direction else -1)]
 
 
 def members(table, level, direction):
@@ -102,8 +119,8 @@ class TestBackupUpdate:
     def test_scoring_substitution(self):
         # sop 0.8, shared prefix 3, numerical distance 6
         table = BackupTable(OWNER, HEIGHT, max_size=8)
-        e = PiggybackEntry(106, 0b1001, 0.8)
-        assert table._rank(e)[0] == pytest.approx(0.8 * 3 / 6)
+        table.update(empty_lookup(), [PiggybackEntry(106, 0b1001, 0.8)])
+        assert slot(table, 106)[0][0] == pytest.approx(0.8 * 3 / 6)
 
     def test_score_at_zero_distance_raises(self):
         with pytest.raises(ValueError, match="distance must be nonzero"):
@@ -128,8 +145,8 @@ class TestBackupUpdate:
     def test_placement_by_prefix_level_and_direction(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1011"), entry(90, "0111")])
-        assert _entry_level(OWNER, stored(table)[106].name_bits, HEIGHT) == 2
-        assert _entry_level(OWNER, stored(table)[90].name_bits, HEIGHT) == 0
+        assert slot(table, 106)[1] == 2
+        assert slot(table, 90)[1] == 0
         # an entry serves its own side at its level and below, nowhere else
         assert members(table, 2, Direction.RIGHT) == {106}
         assert members(table, 3, Direction.RIGHT) == set()
@@ -139,7 +156,8 @@ class TestBackupUpdate:
     def test_prefix_level_capped_at_top(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1000")])
-        assert _entry_level(OWNER, stored(table)[106].name_bits, HEIGHT) == HEIGHT - 1
+        # the whole name is shared; as a level that is the top one
+        assert slot(table, 106)[1] == HEIGHT
         assert members(table, HEIGHT - 1, Direction.RIGHT) == {106}
         assert members(table, HEIGHT - 1, Direction.LEFT) == set()
 
@@ -348,6 +366,7 @@ class TestCachedScores:
                 assert e.name_bits == int(names[e.num_id], 2)
                 cpl = common_prefix_length(OWNER_NAME, names[e.num_id])
                 assert ranks[e.num_id][0] == e.sop * cpl / abs(e.num_id - OWNER.num_id)
+                assert slot(table, e.num_id)[:2] == (ranks[e.num_id], cpl)
             assert table.total_entries() == len(model)
             # the index holds exactly the model's entries, in eviction order
             assert [r[3] for r in table._order] == sorted(model, key=lambda n: oracle_rank(n, names[n], model[n]))
@@ -460,8 +479,7 @@ class TestKademlia:
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011")])
         buckets.update(lookup, [entry(108, "1010")])
-        bucket = buckets.buckets[2][Direction.RIGHT]
-        assert [e.num_id for e in bucket] == [108]
+        assert recency(buckets, 2, Direction.RIGHT) == [108]
 
     def test_reinsert_moves_to_head(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
@@ -469,8 +487,8 @@ class TestKademlia:
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
         buckets.update(lookup, [entry(106, "1011")])
-        bucket = buckets.buckets[2][Direction.RIGHT]
-        assert [e.num_id for e in bucket] == [106, 108]
+        bucket = recency(buckets, 2, Direction.RIGHT)
+        assert bucket == [106, 108]
         assert len(bucket) == 2
 
     def test_resolve_scans_recency_order(self):
@@ -481,7 +499,7 @@ class TestKademlia:
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
         assert contacted(trace) == [108, 106]
         assert got == 106
-        assert all(e.num_id != 108 for e in buckets.buckets[2][Direction.RIGHT])
+        assert all(nid != 108 for nid in recency(buckets, 2, Direction.RIGHT))
 
 
 def dks_fixture(max_size=8):
@@ -511,18 +529,18 @@ class TestDks:
     def test_init_lists_are_consecutive(self):
         topo, ids, owner, dks = dks_fixture()
         pos = ids.index(owner.num_id)
-        right = [n.num_id for n in dks.lists[0][1]]
-        cap = dks.capacities[0][1]
+        right = pointers(dks, 0, 1)
+        cap = kademlia_capacity(8, topo.name_length)[0][1]
         assert right == ids[pos + 1 : pos + 1 + cap]
-        left = [n.num_id for n in dks.lists[0][0]]
-        cap_l = dks.capacities[0][0]
+        left = pointers(dks, 0, 0)
+        cap_l = kademlia_capacity(8, topo.name_length)[0][0]
         assert left == list(reversed(ids[max(0, pos - cap_l) : pos]))
 
     def test_all_online_head_returned(self):
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
         got, trace = dks.resolve(msg(target), always_online)
-        assert got == (dks.lists[0][1][0].num_id if dks.lists[0][1] else None)
+        assert got == (pointers(dks, 0, 1)[0] if pointers(dks, 0, 1) else None)
         assert len(trace) == 1
 
     def test_offline_head_shifts_window(self):
@@ -531,11 +549,11 @@ class TestDks:
         first, second = ids[pos + 1], ids[pos + 2]
         target = ids[-1]
         ping = online_set(set(ids) - {first})
-        before = [n.num_id for n in dks.lists[0][1]]
+        before = pointers(dks, 0, 1)
         got, trace = dks.resolve(msg(target), ping)
         assert contacted(trace) == [first, second]
         assert got == second
-        after = [n.num_id for n in dks.lists[0][1]]
+        after = pointers(dks, 0, 1)
         assert first not in after
         assert len(after) == len(before)  # tail was extended
 
@@ -543,25 +561,70 @@ class TestDks:
         # with head == tail there is nobody left to ask for an extension
         topo, ids, owner, dks = dks_fixture(max_size=8)  # one pointer per direction
         target = ids[-1]
-        before = len(dks.lists[0][1])
+        before = len(pointers(dks, 0, 1))
         assert before == 1
         got, trace = dks.resolve(msg(target), lambda _: False)
         assert got is None and len(trace) == 1
-        assert len(dks.lists[0][1]) == 0
+        assert len(pointers(dks, 0, 1)) == 0
 
     def test_concurrent_failures_starve_the_list(self):
         topo, ids, owner, dks = dks_fixture()
         target = ids[-1]
         got, trace = dks.resolve(msg(target), lambda _: False)
         assert got is None
-        assert dks.total_entries() < dks.max_size  # lists shrank, not refilled
+        assert dks.total_entries() < 8  # lists shrank, not refilled
 
     def test_overshoot_returns_none_without_contact(self):
         topo, ids, owner, dks = dks_fixture()
         target = owner.num_id + 1  # below the first right successor
-        assert dks.lists[0][1][0].num_id > target
+        assert pointers(dks, 0, 1)[0] > target
         got, trace = dks.resolve(msg(target), always_online)
         assert got is None and trace == []
+
+
+@lru_cache(maxsize=None)
+def small_topology(capacity, seed):
+    return generate_topology(capacity, seed=seed)
+
+
+def node_subsets(nodes):
+    return st_.lists(st_.sampled_from(nodes), max_size=len(nodes)).map(lambda ns: {n.num_id for n in ns})
+
+
+@pytest.mark.parametrize("kind", ["kademlia", "dks"])
+@given(data=st_.data())
+@settings(max_examples=120, deadline=None)
+def test_store_matches_its_list_model(kind, data):
+    # Random update and resolve sequences through a store and its list model
+    # in tests/oracles.py: every resolve and every size must agree.
+    topo = small_topology(data.draw(st_.sampled_from([8, 16, 32, 64])), data.draw(st_.integers(0, 3)))
+    height = topo.name_length
+    nodes = topo.nodes
+    owner = data.draw(st_.sampled_from(nodes))
+    b = data.draw(st_.sampled_from([0, 1, 2, 3, 8, 16, 40]))
+    store = make_stabilizer(kind, owner, topo, b)
+    capacities = kademlia_capacity(b, height)
+    if kind == "kademlia":
+        model = ListBuckets(owner, height, capacities)
+    else:
+        model = ListSuccessors(owner, topo.level_groups(owner), capacities)
+    others = sorted(n.num_id for n in nodes if n is not owner)
+    for _ in range(data.draw(st_.integers(1, 30))):
+        if kind == "kademlia" and data.draw(st_.booleans()):
+            fed = data.draw(st_.lists(st_.sampled_from(nodes), max_size=12))
+            piggyback = [PiggybackEntry(n.num_id, n.name_bits, 0.5) for n in fed]
+            neighbors = data.draw(st_.lists(st_.sampled_from(nodes), max_size=2 * height))
+            lookup = LookupTable([(neighbors[2 * l : 2 * l + 2] + [None, None])[:2] for l in range(height)])
+            store.update(lookup, piggyback)
+            model.update(lookup.neighbor_ids, piggyback)
+        else:
+            target = data.draw(st_.sampled_from(others) | st_.integers(0, 2**32 - 1))
+            direction = Direction.RIGHT if target > owner.num_id else Direction.LEFT
+            visited = data.draw(node_subsets(nodes))
+            m = msg(target, data.draw(st_.integers(0, height - 1)), direction, visited)
+            online = data.draw(node_subsets(nodes))
+            assert store.resolve(m, online.__contains__) == model.resolve(m, online.__contains__)
+        assert store.total_entries() == model.total_entries()
 
 
 class TestLifecycle:
