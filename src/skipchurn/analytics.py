@@ -99,6 +99,8 @@ def analysis_chain(n: int, q: float, b: int | None = None, target_e_f: float | N
         out["search_path_bound"] = estimate_search_path_bound(int(online))
     if b is not None:
         p_f = failure_probability(p_eff, b)
+        if p_f == 0.0:
+            raise ValueError(f"b = {b} is too large: the failure probability (1 - p')^b underflows to 0")
         out["b"] = b
         out["failure_probability"] = p_f
         out["expected_failure_path"] = expected_failure_path(p_f)

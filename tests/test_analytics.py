@@ -49,6 +49,16 @@ def test_analyze_prints_the_chain(capsys):
     assert chain["estimated_backup_size"] == estimate_backup_size(1024, 0.5, 12.0)
 
 
+def test_analyze_rejects_a_b_whose_failure_probability_underflows(capsys):
+    # (1 - p')^b is about 5e-291 at b = 5000 and 0.0 at b = 6000
+    assert cli.main(["analyze", "--n", "1024", "--q", "0.5", "--b", "5000"]) == 0
+    assert json.loads(capsys.readouterr().out)["failure_probability"] > 0
+    assert cli.main(["analyze", "--n", "1024", "--q", "0.5", "--b", "6000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: b = 6000 is too large: the failure probability (1 - p')^b underflows to 0\n"
+    )
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--q", "0.9999999", "--target-e-f", "1000"],
      "no backup size up to 10,000,000 reaches target path length 1000.0"),
