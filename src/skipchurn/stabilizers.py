@@ -40,7 +40,14 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .overlay import Direction, LookupTable, NodeIdentity, PiggybackEntry, SearchMessage, TopologySnapshot
+from .overlay import (
+    Direction,
+    LookupTable,
+    NodeIdentity,
+    PiggybackEntry,
+    SearchMessage,
+    TopologySnapshot,
+)
 
 STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
 
@@ -49,7 +56,7 @@ PingFn = Callable[[int], bool]
 
 ResolveResult = tuple[Optional[int], list[tuple[int, bool]]]
 Rank = tuple[float, int, int, int]
-Slot = tuple[Rank, int, PiggybackEntry]
+RankedEntry = tuple[Rank, int, PiggybackEntry]
 
 
 def cand_check(num_id: int, msg: SearchMessage) -> bool:
@@ -104,7 +111,7 @@ class BackupTable:
         self.height = height
         self.max_size = max_size
         self.reads_path = max_size > 0
-        self._sides: tuple[dict[int, Slot], dict[int, Slot]] = ({}, {})
+        self._sides: tuple[dict[int, RankedEntry], dict[int, RankedEntry]] = ({}, {})
         self._order: list[Rank] = []
 
     def update(self, lookup: LookupTable, piggyback: Iterable[PiggybackEntry]) -> None:
@@ -162,7 +169,7 @@ class BackupTable:
         rank = self._sides[e.num_id > self.owner.num_id].pop(e.num_id)[0]
         del self._order[bisect_left(self._order, rank)]
 
-    def _candidates(self, msg: SearchMessage, entries: dict[int, Slot]) -> Iterator[PiggybackEntry]:
+    def _candidates(self, msg: SearchMessage, entries: dict[int, RankedEntry]) -> Iterator[PiggybackEntry]:
         """The eligible entries of the search side's ``entries``, in contact
         order; ranked only if the exact target fails.  ``level < height``, so
         testing the uncapped ``cpl`` against it is testing the entry's level."""
@@ -324,6 +331,7 @@ class DksPointers:
             trace.append((head, online))
             if online:
                 return head, trace
+            # a one-pointer list's tail is its failed head, with nobody to ask
             tail = span[1] - step
             tail_online = tail != span[0] and ping(group[tail].num_id)
             span[0] += step
