@@ -56,11 +56,11 @@ class ListBuckets:
     from the tail.  A resolve contacts the exact target first, then the rest
     head to tail that neither overshoot the target nor were visited."""
 
-    def __init__(self, owner, height: int, capacities):
+    def __init__(self, owner, capacities):
         self.owner = owner
-        self.height = height
+        self.height = len(capacities)
         self.capacities = capacities
-        self.buckets = [[[], []] for _ in range(height)]
+        self.buckets = [[[], []] for _ in capacities]
 
     def update(self, lookup_ids, piggyback) -> None:
         owner_name = format(self.owner.name_bits, f"0{self.height}b")

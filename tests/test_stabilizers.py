@@ -605,7 +605,7 @@ def test_store_matches_its_list_model(kind, data):
     store = make_stabilizer(kind, owner, topo, b)
     capacities = kademlia_capacity(b, height)
     if kind == "kademlia":
-        model = ListBuckets(owner, height, capacities)
+        model = ListBuckets(owner, capacities)
     else:
         model = ListSuccessors(owner, topo.level_groups(owner), capacities)
     others = sorted(n.num_id for n in nodes if n is not owner)
