@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def candidate_probability(n: int) -> float:
     """Average of (t - x)/(n - x + 1) over x in [0, n], t in [x, n], times 1/n^2.
 
-    Evaluated exactly; the inner sum over t collapses to (n - x)/2, which
-    matches the literal double loop to 1e-12 and converges to 1/4 for large n.
+    The inner sum over t collapses to (n - x)/2 and the outer one to
+    n(n + 1)/4, so the average is (n + 1)/(4n), which converges to 1/4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.arange(0, n + 1, dtype=float)
-    inner = (n - x) / 2.0
-    return float(inner.sum() / (n * n))
+    return (n + 1) / (4 * n)
 
 
 def effective_probability(p: float, q: float) -> float:
@@ -77,7 +73,11 @@ def estimate_backup_size(n: int, q: float, target_e_f: float) -> int:
     p_f = failure_probability(p_eff, 10**7)
     if p_f > 0 and expected_failure_path(p_f) < target_e_f:
         raise ValueError(f"no backup size up to 10,000,000 reaches target path length {target_e_f}")
-    b = 0
+    # (1 - p')^b = 1/target at b = log(target) / -log(1 - p'); rounding moves
+    # the smallest b by a step at most, so step from there
+    b = max(0, math.ceil(math.log(target_e_f) / -math.log1p(-p_eff)))
+    while b > 0 and expected_failure_path(failure_probability(p_eff, b - 1)) >= target_e_f:
+        b -= 1
     while expected_failure_path(failure_probability(p_eff, b)) < target_e_f:
         b += 1
     return b

@@ -52,7 +52,6 @@ import numpy as np
 from .churn import ChurnModel, draw_arrival_count, draw_session_length
 from .overlay import (
     ConfigError,
-    Direction,
     LookupTable,
     NodeIdentity,
     PiggybackEntry,
@@ -167,7 +166,6 @@ class SearchOutcome:
     hops: int
     resolve_invocations: int
     resolve_messages: int
-    result_num_id: int
 
 
 def _ratio(num: float, den: float) -> float:
@@ -363,14 +361,16 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     """Route one search of ``cell`` for ``target`` starting at ``initiator``,
     both numerical IDs.
 
-    Until the message reaches the target, each step forwards to the eligible
-    level neighbor, which :func:`route_step` finds by descending in one call.
-    A forward to an online neighbor costs one round trip; one to an offline
+    The message carries the target and level only.  Until it reaches the
+    target, each step forwards to the eligible level neighbor on the target's
+    side, which :func:`route_step` finds by descending in one call, so the
+    path moves strictly towards the target and no node sends twice.  A
+    forward to an online neighbor costs one round trip; one to an offline
     neighbor costs a timeout and then consults the cell's stabilizer, whose
     contact trace is charged per attempt (a timeout per offline candidate,
     one round trip for the online one, which also carries the redirect).
     When the cell's stores read the search path, each forward and redirect
-    extends the piggyback with the sender's entry and updates the receiver's
+    appends the sender's entry to the piggyback and updates the receiver's
     store.  An entry of a kind that traffic does not feed is built once per
     node and slot and then reused, since that prediction holds still while
     the searches run; only a traffic-fed kind counts the messages a node
@@ -396,11 +396,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
     entries = {} if traffic_fed else cell.entries
     trace_hops: Optional[list] = [] if cell.trace_sink else None
 
-    msg = SearchMessage(
-        target_num_id=target,
-        level=state.topology.name_length - 1,
-        direction=Direction.RIGHT if target > initiator else Direction.LEFT,
-    )
+    msg = SearchMessage(target_num_id=target, level=state.topology.name_length - 1)
     latency = 0.0
     hops = 0
     resolve_inv = 0
@@ -461,8 +457,8 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
             entry = entries.get(current)
             if entry is None:
                 entry = entries[current] = _piggyback_entry(here, predictors[current])
-            msg.piggyback[current_id] = entry
-            stabilizers[hop].update(lookups[hop], msg.piggyback.values())
+            msg.piggyback.append(entry)
+            stabilizers[hop].update(lookups[hop], msg.piggyback)
         if trace_hops is not None:
             trace_hops.append({"from": current_id, "to": hop_id, "level": msg.level, "kind": kind})
         current, current_id = hop, hop_id
@@ -473,7 +469,6 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
         hops=hops,
         resolve_invocations=resolve_inv,
         resolve_messages=resolve_msgs,
-        result_num_id=current_id,
     )
     if cell.trace_sink is not None:
         cell.trace_sink(
@@ -484,7 +479,7 @@ def run_search(state: SimulationState, cell: Cell, initiator: int, target: int) 
                 "success": outcome.success,
                 "latency_ms": outcome.latency_ms,
                 "hops": trace_hops,
-                "result": outcome.result_num_id,
+                "result": current_id,
             }
         )
     return outcome

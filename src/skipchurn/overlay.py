@@ -11,15 +11,15 @@ longer common prefixes.  From assignment on, a name ID is an integer
 groups (per level, the nodes sharing that many name-ID bits) are the one
 membership structure that joins and the DKS store both read.
 
-A search side is a :class:`Direction`, whose value (0 left, 1 right) indexes
-every (left, right) pair directly.
+A search only ever moves towards its target, so the side it takes at a node
+is ``target > node``: False (0) for left, True (1) for right, which indexes
+every (left, right) pair directly, and no node handles a search twice.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import IntEnum
 from operator import attrgetter
 from typing import Container, Optional, Sequence
 
@@ -28,11 +28,6 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Raised for invalid configuration values."""
-
-
-class Direction(IntEnum):
-    LEFT = 0
-    RIGHT = 1
 
 
 NUM_ID_SPACE = 1 << 32
@@ -77,15 +72,13 @@ class PiggybackEntry:
 class SearchMessage:
     """A search for a numerical ID in flight.
 
-    ``piggyback`` maps num_id to the newest entry seen for that node; the
-    insertion order doubles as the visit order of the routing path.  ``level``
-    only ever decreases while the message is routed.
+    ``piggyback`` holds the entry of each node that sent the message, in path
+    order.  ``level`` only ever decreases while the message is routed.
     """
 
     target_num_id: int
     level: int
-    direction: Direction
-    piggyback: dict[int, PiggybackEntry] = field(default_factory=dict)
+    piggyback: list[PiggybackEntry] = field(default_factory=list)
 
 
 @dataclass
@@ -214,21 +207,18 @@ def route_step(node_num_id: int, lookup: LookupTable, msg: SearchMessage) -> Opt
     """The level neighbor a node other than the target forwards ``msg`` to,
     found by descending from ``msg.level`` in one call.
 
-    At each level, from ``msg.level`` down, the candidate is the neighbor in
-    the search direction; it is eligible when it lies in (node, target]
-    (right) or [target, node) (left).  The first eligible one is returned
-    and ``msg.level`` is lowered to its level.  With none, the result is
-    ``None`` and ``msg.level`` is 0: the search ends at this node.
+    At each level, from ``msg.level`` down, the candidate is the neighbor on
+    the target's side; it is eligible when it lies in (node, target] (right)
+    or [target, node) (left).  The first eligible one is returned and
+    ``msg.level`` is lowered to its level.  With none, the result is ``None``
+    and ``msg.level`` is 0: the search ends at this node.
     """
     target = msg.target_num_id
-    side = msg.direction
-    right = side is Direction.RIGHT
-    if (target > node_num_id) != right:
-        raise ValueError("direction inconsistent with target")
+    right = target > node_num_id
     levels = lookup.levels
     level = msg.level
     while level >= 0:
-        nb = levels[level][side]
+        nb = levels[level][right]
         if nb is not None and (node_num_id < nb.num_id <= target if right else target <= nb.num_id < node_num_id):
             msg.level = level
             return nb

@@ -3,24 +3,26 @@
 Every stabilizer is one node's store behind one protocol: ``reads_path``,
 ``update``, ``resolve`` and ``total_entries``; the engine never asks which kind
 it holds.  A store is built when its node joins, a return included, since a
-departure is a crash that keeps nothing.  ``reads_path`` declares whether the
-store reads the search path: the piggyback in ``update`` or the visited set in
-``resolve``.  For a store that does, ``update(lookup, piggyback)`` runs on each
-search message the node handles and feeds the piggybacked availability entries
-into the store; for one that does not, the engine builds neither and calls no
-``update``.  ``resolve(msg, ping)`` runs after a timeout failure on the lookup
-neighbor at the level and direction of ``msg``; it pings candidates from the
-store until one answers and returns ``(candidate, contacts)``: the answering
-candidate's numerical ID, or ``None`` when none answered, and the ordered
-contacts as ``(num_id, was_online)`` pairs, used for latency accounting.  A
-candidate is always the last contact.  A ``None`` candidate tells the caller
-to descend a level, or to end the whole search when already at level 0.
-``total_entries()`` counts what the store holds.
+departure is a crash that keeps nothing.  ``reads_path`` means that
+``update`` reads the piggyback: for a store that does, ``update(lookup,
+piggyback)`` runs on each search message the node handles and feeds the
+piggybacked availability entries into the store; for one that does not, the
+engine builds neither and calls no ``update``.  ``resolve(msg, ping)`` runs
+after a timeout failure on the owner's lookup neighbor at the level of
+``msg``.  It reads only the target and the level of ``msg``; the side is
+``target > owner``, since a search only moves towards its target.  It pings
+candidates from the store, each strictly past the owner on that side and not
+past the target, until one answers, and returns ``(candidate, contacts)``: the
+answering candidate's numerical ID, or ``None`` when none answered, and the
+ordered contacts as ``(num_id, was_online)`` pairs, used for latency
+accounting.  A candidate is always the last contact.  A ``None`` candidate
+tells the caller to descend a level, or to end the whole search when already
+at level 0.  ``total_entries()`` counts what the store holds.
 
 Strategies:
 
 * scored backup table (``interlaced``): a bounded set of the piggybacked
-  entries, split by side into one dict per search direction, each entry kept
+  entries, split into one dict per side of the owner, each entry kept
   with its rank and common prefix, beside ``_order``, the ranks in eviction
   order; eviction drops the globally lowest-scored entry, resolution scans
   only the search side's dict and contacts candidates by score.
@@ -40,14 +42,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .overlay import (
-    Direction,
-    LookupTable,
-    NodeIdentity,
-    PiggybackEntry,
-    SearchMessage,
-    TopologySnapshot,
-)
+from .overlay import LookupTable, NodeIdentity, PiggybackEntry, SearchMessage, TopologySnapshot
 
 STABILIZER_KINDS = ("interlaced", "kademlia", "dks", "none")
 
@@ -57,14 +52,6 @@ PingFn = Callable[[int], bool]
 ResolveResult = tuple[Optional[int], list[tuple[int, bool]]]
 Rank = tuple[float, int, int, int]
 RankedEntry = tuple[Rank, int, PiggybackEntry]
-
-
-def cand_check(num_id: int, msg: SearchMessage) -> bool:
-    """A routing candidate must not overshoot the target of ``msg`` and must
-    not already have handled it."""
-    target = msg.target_num_id
-    within = num_id <= target if msg.direction is Direction.RIGHT else num_id >= target
-    return within and num_id not in msg.piggyback
 
 
 def _first_online(candidates: Iterable, ping: PingFn, drop: Callable) -> ResolveResult:
@@ -89,7 +76,7 @@ def _score(sop: float, cpl: int, distance: int) -> float:
 class BackupTable:
     """Score-managed backup neighbors, at most ``max_size`` of them.
 
-    ``_sides`` holds two dicts indexed by :class:`Direction` value: the left
+    ``_sides`` holds two dicts indexed by side (0 left, 1 right): the left
     one maps each numerical ID below the owner's to ``(rank, cpl, entry)``,
     the right one each ID above it.  ``entry`` is the piggybacked entry, which
     is immutable; a newer piggyback with another ``sop`` replaces all three.
@@ -160,7 +147,7 @@ class BackupTable:
         contacts are purged from the table.  The candidate is None when no
         online eligible entry exists.
         """
-        entries = self._sides[msg.direction]
+        entries = self._sides[msg.target_num_id > self.owner.num_id]
         if not entries:
             return None, []
         return _first_online(self._candidates(msg, entries), ping, self._drop)
@@ -182,11 +169,10 @@ class BackupTable:
             yield exact[2]
         # An offline exact target is gone by now; an ineligible one fails the
         # same tests below.
-        right = msg.direction is Direction.RIGHT
-        visited = msg.piggyback
+        right = target > self.owner.num_id
         ranked = []
         for num_id, (_, cpl, e) in entries.items():
-            if cpl < level or (num_id > target if right else num_id < target) or num_id in visited:
+            if cpl < level or (num_id > target if right else num_id < target):
                 continue
             distance = abs(num_id - target)
             ranked.append((-_score(e.sop, cpl, distance), distance, e.name_bits, e))
@@ -199,32 +185,21 @@ class BackupTable:
 
 @lru_cache(maxsize=None)
 def kademlia_capacity(b: int, levels: int) -> tuple[tuple[int, int], ...]:
-    """Distribute a backup budget over levels and directions.
+    """Distribute a backup budget over levels and sides.
 
     Each level receives floor(b / levels), split between (left, right) with an
     odd slot going left.  The remainder is handed out two at a time (one per
-    direction) starting at level 0; an odd final slot also goes left.  The
-    table is immutable, so every store shares the one per (b, levels).
+    side) starting at level 0; an odd final slot also goes left.  It is below
+    ``levels``, so it never wraps.  The table is immutable, so every store
+    shares the one per (b, levels).
     """
     if b < 0:
         raise ValueError("backup size must be >= 0")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    base = b // levels
-    shares = [base] * levels
-    remainder = b % levels
-    lvl = 0
-    while remainder > 0:
-        add = min(2, remainder)
-        shares[lvl % levels] += add
-        remainder -= add
-        lvl += 1
-    result = []
-    for share in shares:
-        right = share // 2
-        left = share - right
-        result.append((left, right))
-    return tuple(result)
+    base, remainder = divmod(b, levels)
+    shares = [base + max(0, min(2, remainder - 2 * level)) for level in range(levels)]
+    return tuple((share - share // 2, share // 2) for share in shares)
 
 
 class KademliaBuckets:
@@ -267,12 +242,14 @@ class KademliaBuckets:
             bucket[num_id] = item
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
-        """The exact target first, then the bucket newest to oldest."""
-        bucket = self.buckets[msg.level][msg.direction]
+        """The exact target first, then the bucket newest to oldest, each
+        short of the target."""
         target = msg.target_num_id
+        right = target > self.owner.num_id
+        bucket = self.buckets[msg.level][right]
         exact = bucket.get(target)
         order = [] if exact is None else [exact]
-        order += [e for e in reversed(bucket.values()) if e.num_id != target and cand_check(e.num_id, msg)]
+        order += [e for e in reversed(bucket.values()) if (e.num_id < target if right else e.num_id > target)]
         return _first_online(order, ping, lambda e: bucket.pop(e.num_id))
 
     def total_entries(self) -> int:
@@ -308,6 +285,7 @@ class DksPointers:
         nodes whose name ID shares at least ``level`` prefix bits with the
         owner (the owner included).  The groups are kept, not copied: every
         node of a topology shares them and nothing changes them."""
+        self._owner_id = owner.num_id
         self._groups = level_groups
         self._spans: list[tuple[list[int], list[int]]] = []
         for group, (cap_left, cap_right) in zip(level_groups, kademlia_capacity(max_size, len(level_groups))):
@@ -318,10 +296,10 @@ class DksPointers:
 
     def resolve(self, msg: SearchMessage, ping: PingFn) -> ResolveResult:
         target = msg.target_num_id
-        right = msg.direction is Direction.RIGHT
+        right = target > self._owner_id
         step = 1 if right else -1
         group = self._groups[msg.level]
-        span = self._spans[msg.level][msg.direction]
+        span = self._spans[msg.level][right]
         trace: list[tuple[int, bool]] = []
         while span[0] != span[1]:
             head = group[span[0]].num_id

@@ -1,7 +1,7 @@
 """Plain restatements that tests compare the package's code against: string-based
-name-ID arithmetic, routing one level at a time, Kademlia buckets and DKS
-successor lists as plain lists, and the stationary solve through
-``np.linalg.solve``."""
+name-ID arithmetic, routing one level at a time, the Kademlia capacity table
+as a loop, Kademlia buckets and DKS successor lists as plain lists, and the
+stationary solve through ``np.linalg.solve``."""
 
 import numpy as np
 
@@ -38,6 +38,21 @@ def route_stepwise(node_num_id: int, levels, target: int, level: int):
     return None, 0
 
 
+def kademlia_capacity_loop(b: int, levels: int):
+    """The (left, right) capacities of each level: floor(b / levels) each, then
+    the remainder handed out two at a time from level 0; an odd share's extra
+    slot goes left."""
+    shares = [b // levels] * levels
+    remainder = b % levels
+    lvl = 0
+    while remainder > 0:
+        add = min(2, remainder)
+        shares[lvl % levels] += add
+        remainder -= add
+        lvl += 1
+    return tuple((share - share // 2, share // 2) for share in shares)
+
+
 def _first_online(entries, ping, drop):
     """Ping ``entries`` in order until one answers, dropping each that does not."""
     trace = []
@@ -53,8 +68,8 @@ def _first_online(entries, ping, drop):
 class ListBuckets:
     """Kademlia buckets as lists, newest at the head: a re-sent entry is found
     by a scan and moved to the head, and whatever passes the capacity is cut
-    from the tail.  A resolve contacts the exact target first, then the rest
-    head to tail that neither overshoot the target nor were visited."""
+    from the tail.  A resolve, on the target's side of the owner, contacts the
+    exact target first, then the rest head to tail that do not overshoot it."""
 
     def __init__(self, owner, capacities):
         self.owner = owner
@@ -82,16 +97,11 @@ class ListBuckets:
             del bucket[cap:]
 
     def resolve(self, msg, ping):
-        bucket = self.buckets[msg.level][msg.direction]
         target = msg.target_num_id
-        right = msg.direction == 1
+        right = target > self.owner.num_id
+        bucket = self.buckets[msg.level][right]
         order = [e for e in bucket if e.num_id == target]
-        order += [
-            e for e in bucket
-            if e.num_id != target
-            and (e.num_id <= target if right else e.num_id >= target)
-            and e.num_id not in msg.piggyback
-        ]
+        order += [e for e in bucket if e.num_id != target and (e.num_id <= target if right else e.num_id >= target)]
         return _first_online(order, ping, bucket.remove)
 
     def total_entries(self) -> int:
@@ -105,6 +115,7 @@ class ListSuccessors:
     node past it appended, while the group has one."""
 
     def __init__(self, owner, level_groups, capacities):
+        self.owner = owner
         self.groups = level_groups
         self.lists = []
         self.frontier = []
@@ -116,8 +127,8 @@ class ListSuccessors:
             self.frontier.append([pos - len(left) - 1, pos + len(right) + 1])
 
     def resolve(self, msg, ping):
-        right = msg.direction == 1
-        pointers = self.lists[msg.level][msg.direction]
+        right = msg.target_num_id > self.owner.num_id
+        pointers = self.lists[msg.level][right]
         group = self.groups[msg.level]
         trace = []
         while pointers:
@@ -130,10 +141,10 @@ class ListSuccessors:
                 return head, trace
             tail_online = len(pointers) > 1 and ping(pointers[-1].num_id)
             del pointers[0]
-            idx = self.frontier[msg.level][msg.direction]
+            idx = self.frontier[msg.level][right]
             if tail_online and 0 <= idx < len(group):
                 pointers.append(group[idx])
-                self.frontier[msg.level][msg.direction] = idx + (1 if right else -1)
+                self.frontier[msg.level][right] = idx + (1 if right else -1)
         return None, trace
 
     def total_entries(self) -> int:

@@ -1,5 +1,7 @@
 import json
+import resource
 
+import numpy as np
 import pytest
 
 from skipchurn import cli
@@ -22,9 +24,44 @@ def candidate_probability_quadratic(n):
     return total / (n * n)
 
 
+def candidate_probability_array(n):
+    """The double sum with its inner sum collapsed to (n - x)/2, summed as an array."""
+    x = np.arange(0, n + 1, dtype=float)
+    return float(((n - x) / 2.0).sum() / (n * n))
+
+
 def test_reduced_candidate_probability_matches_double_sum():
     for n in range(1, 301):
         assert candidate_probability(n) == pytest.approx(candidate_probability_quadratic(n), abs=1e-12)
+
+
+def test_closed_form_equals_the_array_sum():
+    ns = [*range(1, 3001), *np.random.default_rng(3).integers(3001, 10**6, size=20).tolist()]
+    for n in ns:
+        assert candidate_probability(n) == candidate_probability_array(n), n
+
+
+def test_candidate_probability_of_a_huge_n_allocates_nothing():
+    # an array sum over 10**9 + 1 terms would need about 16 GB
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert candidate_probability(10**9) == (10**9 + 1) / (4 * 10**9)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 10_000  # KiB
+
+
+def backup_size_loop(n, q, target):
+    """The smallest b reaching ``target``, found by counting up from 0."""
+    p_eff = effective_probability(candidate_probability(n), q)
+    b = 0
+    while expected_failure_path(failure_probability(p_eff, b)) < target:
+        b += 1
+    return b
+
+
+def test_estimated_backup_size_equals_the_loop():
+    for n in (1, 2, 16, 1024):
+        for q in (0.0, 0.2, 0.5, 0.82, 0.99):
+            for target in (0.5, 1.0, 1.5, 5.0, 12.0, 40.0, 1e3, 1e6):
+                assert estimate_backup_size(n, q, target) == backup_size_loop(n, q, target), (n, q, target)
 
 
 @pytest.mark.parametrize("n, q, target", [(64, 0.2, 5.0), (1024, 0.5, 12.0), (1024, 0.82, 40.0), (16, 0.0, 1.0)])

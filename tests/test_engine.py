@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from skipchurn.engine import (
     SWEEP_FIELDS, ChurnProcess, Counters, RunMetrics, SearchOutcome, SimConfig, SimulationState, SlotMetrics,
     run_search,
 )
-from skipchurn.overlay import Direction, PiggybackEntry, SearchMessage, generate_topology, join_node
+from skipchurn.overlay import PiggybackEntry, SearchMessage, generate_topology, join_node
 from skipchurn.stabilizers import STABILIZER_KINDS, BackupTable, KademliaBuckets, make_stabilizer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,7 +54,7 @@ def test_search_for_its_initiator_succeeds_at_once():
     cell.trace_sink = records.append
     nid = topo.nodes[5].num_id
     state.join(5)
-    assert run_search(state, cell, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0, nid)
+    assert run_search(state, cell, nid, nid) == SearchOutcome(True, 0.0, 0, 0, 0)
     assert len(records) == 1
     assert records[0]["hops"] == [] and records[0]["success"] and records[0]["result"] == nid
 
@@ -152,6 +152,35 @@ def test_lockstep_cells_equal_each_cell_run_alone(tmp_path, variant):
         assert _rows(out) == [row]
 
 
+def _towards(origin, num_id, target):
+    """Whether ``num_id`` lies strictly past ``origin`` towards ``target``, and not past it."""
+    return origin < num_id <= target if target > origin else target <= num_id < origin
+
+
+def test_every_hop_and_contact_moves_towards_the_target(tmp_path):
+    # A search only moves towards its target, which is why its message needs
+    # no side and no visited set: every forward and redirect lands strictly
+    # past its sender and not past the target, and so does every node a
+    # store contacts.
+    sweep = ["--stabilizer", ",".join(STABILIZER_KINDS), "--predictor", "swdbg,ludp",
+             "--backup-size", "2,40", "--trace"]
+    assert cli.main(ORACLE_RUN + sweep + ["--out", str(tmp_path)]) == 0
+    seen = Counter()
+    with (tmp_path / "trace.ndjson").open(encoding="utf-8") as lines:
+        for line in lines:
+            record = json.loads(line)
+            target = record["target"]
+            for hop in record["hops"]:
+                seen[hop["kind"]] += 1
+                if hop["kind"] == "resolve":
+                    for num_id, _ in hop["contacts"]:
+                        seen["contact"] += 1
+                        assert _towards(hop["from"], num_id, target), (record, hop)
+                else:
+                    assert _towards(hop["from"], hop["to"], target), (record, hop)
+    assert min(seen[kind] for kind in ("forward", "redirect", "resolve", "contact")) > 100, seen
+
+
 # Per-slot counters that routing and the stabilizer store decide.
 SEARCH_COUNTERS = ("searches_initiated", "searches_succeeded", "sum_latency_ms",
                    "resolve_invocations", "resolve_messages")
@@ -183,12 +212,12 @@ def test_cells_that_ignore_b_or_the_predictor_search_alike(tmp_path):
 
 
 def test_only_stores_that_read_the_path_get_piggybacks_and_updates(tmp_path, monkeypatch):
-    # dks ignores piggybacks and visited sets, and none and a kademlia store
-    # of b = 0 hold nothing, so their searches build no piggyback entry and
-    # call no update.  A store that reads the path gets one update per hop.
-    # A swdbg prediction holds still while a slot's searches run, so each
-    # node's entry is built at most once per slot; a ludp prediction counts
-    # the messages its node answers, so a ludp entry is built for every hop.
+    # dks ignores piggybacks, and none and a kademlia store of b = 0 hold
+    # nothing, so their searches build no piggyback entry and call no update.
+    # A store that reads the path gets one update per hop.  A swdbg
+    # prediction holds still while a slot's searches run, so each node's
+    # entry is built at most once per slot; a ludp prediction counts the
+    # messages its node answers, so a ludp entry is built for every hop.
     calls = defaultdict(int)
     built = defaultdict(int)  # (slot run, sender) -> entries built
     slots_run = [0]
@@ -277,7 +306,7 @@ def test_a_returning_node_builds_its_lookup_table_and_store_anew(kind):
     if store.reads_path:
         store.update(first_lookup, [PiggybackEntry(n.num_id, n.name_bits, 0.5) for n in topo.nodes])
     else:
-        store.resolve(SearchMessage(topo.nodes[-1].num_id, 0, Direction.RIGHT), lambda _: False)
+        store.resolve(SearchMessage(topo.nodes[-1].num_id, 0), lambda _: False)
     assert (store.total_entries() != fresh) == (kind != "none")
     state.online_ids = {n.num_id for n in topo.nodes[::2]}
     state.join(i)

@@ -6,7 +6,6 @@ import pytest
 
 from skipchurn.overlay import (
     ConfigError,
-    Direction,
     LookupTable,
     NodeIdentity,
     SearchMessage,
@@ -184,8 +183,8 @@ class TestJoin:
         topo = sample_topology()
         all_ids = sorted(n.num_id for n in topo.nodes)
         table = join_node(topo, node(topo, 43), all_ids)
-        assert table.levels[0][Direction.LEFT].num_id == 41
-        assert table.levels[0][Direction.RIGHT].num_id == 50
+        left, right = table.levels[0]
+        assert (left.num_id, right.num_id) == (41, 50)
 
     def test_invariants_hold_for_every_node(self):
         topo = generate_topology(64, seed=9)
@@ -194,8 +193,7 @@ class TestJoin:
         for ident in topo.nodes:
             table = join_node(topo, ident, ids)
             for lvl in range(length):
-                left = table.levels[lvl][Direction.LEFT]
-                right = table.levels[lvl][Direction.RIGHT]
+                left, right = table.levels[lvl]
                 if left is not None:
                     left_node = node(topo, left.num_id)
                     assert left is left_node  # the topology's own record
@@ -234,8 +232,7 @@ class TestJoin:
                 group = [i for i in online if i != joiner_id and cpl[i] >= lvl]
                 lefts = [i for i in group if i < joiner_id]
                 rights = [i for i in group if i > joiner_id]
-                left = table.levels[lvl][Direction.LEFT]
-                right = table.levels[lvl][Direction.RIGHT]
+                left, right = table.levels[lvl]
                 assert (left.num_id if left else None) == (max(lefts) if lefts else None)
                 assert (right.num_id if right else None) == (min(rights) if rights else None)
 
@@ -244,16 +241,16 @@ def empty_table(height):
     return LookupTable([[None, None] for _ in range(height)])
 
 
-def _msg(target, level, direction):
-    return SearchMessage(target_num_id=target, level=level, direction=direction)
+def _msg(target, level):
+    return SearchMessage(target_num_id=target, level=level)
 
 
 class TestRouteStep:
     def test_forward_within_interval(self):
         table = empty_table(2)
         neighbor = NodeIdentity(50, 0b10, (0.0, 0.0))
-        table.levels[1][Direction.RIGHT] = neighbor
-        msg = _msg(59, 1, Direction.RIGHT)
+        table.levels[1][1] = neighbor
+        msg = _msg(59, 1)
         assert route_step(43, table, msg) is neighbor
         assert msg.level == 1
 
@@ -261,33 +258,22 @@ class TestRouteStep:
         # the level-1 neighbor lies past the target: the call descends and
         # forwards to the level-0 neighbor, lowering the message's level
         table = empty_table(2)
-        table.levels[1][Direction.RIGHT] = NodeIdentity(50, 0b10, (0.0, 0.0))
-        near = table.levels[0][Direction.RIGHT] = NodeIdentity(44, 0b01, (0.0, 0.0))
-        msg = _msg(45, 1, Direction.RIGHT)
+        table.levels[1][1] = NodeIdentity(50, 0b10, (0.0, 0.0))
+        near = table.levels[0][1] = NodeIdentity(44, 0b01, (0.0, 0.0))
+        msg = _msg(45, 1)
         assert route_step(43, table, msg) is near
         assert msg.level == 0
 
     def test_overshoot_at_every_level_ends_at_level_zero(self):
         table = empty_table(2)
-        table.levels[1][Direction.RIGHT] = NodeIdentity(50, 0b10, (0.0, 0.0))
-        msg = _msg(45, 1, Direction.RIGHT)
+        table.levels[1][1] = NodeIdentity(50, 0b10, (0.0, 0.0))
+        msg = _msg(45, 1)
         assert route_step(43, table, msg) is None
         assert msg.level == 0
 
     def test_level_zero_without_neighbor_terminates(self):
         table = empty_table(2)
-        assert route_step(43, table, _msg(45, 0, Direction.RIGHT)) is None
-
-    # Explicit ids: pytest names an IntEnum member "1" on Python 3.11 and
-    # "Direction.RIGHT" on 3.10.
-    @pytest.mark.parametrize(
-        "target, direction",
-        [(40, Direction.RIGHT), (45, Direction.LEFT)],
-        ids=["40-Direction.RIGHT", "45-Direction.LEFT"],
-    )
-    def test_direction_against_target_raises(self, target, direction):
-        with pytest.raises(ValueError, match="direction inconsistent"):
-            route_step(43, empty_table(2), _msg(target, 1, direction))
+        assert route_step(43, table, _msg(45, 0)) is None
 
     def test_never_forwards_across_target(self):
         # one call reaches the neighbor and level that a descent of one level
@@ -304,17 +290,17 @@ class TestRouteStep:
             # half the nodes online, so that some levels overshoot or are empty
             online = set(rng.choice(ids, size=len(ids) // 2, replace=False).tolist())
             table = join_node(topo, node(topo, nid), online)
-            direction = Direction.RIGHT if target > nid else Direction.LEFT
+            right = target > nid
             lvl = int(rng.integers(0, topo.name_length))
-            msg = _msg(target, lvl, direction)
+            msg = _msg(target, lvl)
             got = route_step(nid, table, msg)
             assert (got, msg.level) == route_stepwise(nid, table.levels, target, lvl)
             if got is None:
                 outcomes["ended"] += 1
                 continue
             outcomes["same level" if msg.level == lvl else "descended"] += 1
-            assert got is table.levels[msg.level][direction]
-            if direction is Direction.RIGHT:
+            assert got is table.levels[msg.level][right]
+            if right:
                 assert nid < got.num_id <= target
             else:
                 assert target <= got.num_id < nid

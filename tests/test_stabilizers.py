@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from skipchurn.overlay import (
-    Direction,
     LookupTable,
     NodeIdentity,
     PiggybackEntry,
@@ -20,12 +19,11 @@ from skipchurn.stabilizers import (
     DksPointers,
     KademliaBuckets,
     _score,
-    cand_check,
     kademlia_capacity,
     make_stabilizer,
 )
 
-from oracles import ListBuckets, ListSuccessors, common_prefix_length
+from oracles import ListBuckets, ListSuccessors, common_prefix_length, kademlia_capacity_loop
 
 OWNER = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0.5, 0.5))
 HEIGHT = 4
@@ -45,11 +43,8 @@ def name_of(e):
 OWNER_NAME = name_of(OWNER)
 
 
-def msg(target, level=0, direction=Direction.RIGHT, visited=()):
-    m = SearchMessage(target_num_id=target, level=level, direction=direction)
-    for v in visited:
-        m.piggyback[v] = entry(v, "0000")
-    return m
+def msg(target, level=0):
+    return SearchMessage(target_num_id=target, level=level)
 
 
 def contacted(trace):
@@ -81,38 +76,42 @@ def stored(table):
     return {nid: e for nid, (_, _, e) in [*left.items(), *right.items()]}
 
 
-def recency(buckets, level, direction):
+def recency(buckets, level, side):
     """The num_ids of a Kademlia bucket, newest first."""
-    return list(reversed(buckets.buckets[level][direction]))
+    return list(reversed(buckets.buckets[level][side]))
 
 
-def pointers(dks, level, direction):
+def pointers(dks, level, side):
     """The num_ids of a DKS successor list, head first."""
-    head, end = dks._spans[level][direction]
+    head, end = dks._spans[level][side]
     group = dks._groups[level]
-    return [group[i].num_id for i in range(head, end, 1 if direction else -1)]
+    return [group[i].num_id for i in range(head, end, 1 if side else -1)]
 
 
-def members(table, level, direction):
-    """Ids a resolve at (level, direction) contacts when nobody answers, on a copy."""
-    target = 10**6 if direction is Direction.RIGHT else 0
-    _, trace = copy.deepcopy(table).resolve(msg(target, level, direction), lambda _: False)
+def members(table, level, side):
+    """Ids a resolve at (level, side) contacts when nobody answers, on a copy."""
+    target = 10**6 if side else 0
+    _, trace = copy.deepcopy(table).resolve(msg(target, level), lambda _: False)
     return set(contacted(trace))
 
 
 class TestCandCheck:
-    def test_right_overshoot(self):
-        assert not cand_check(50, msg(40))
+    """The candidate test of ``KademliaBuckets.resolve``: a level-0 bucket
+    entry is contacted only if it does not lie past the target."""
 
-    def test_visited_is_rejected(self):
-        assert not cand_check(30, msg(40, visited=[30]))
+    def contacts(self, ids, target):
+        buckets = KademliaBuckets(OWNER, HEIGHT, max_size=16)  # cap 2 a side at level 0
+        buckets.update(empty_lookup(), [entry(nid, "0001") for nid in ids])
+        return contacted(buckets.resolve(msg(target), lambda _: False)[1])
+
+    def test_right_overshoot(self):
+        assert self.contacts([130, 150], 140) == [130]
 
     def test_left_in_range(self):
-        assert cand_check(30, msg(20, direction=Direction.LEFT))
-        assert not cand_check(10, msg(20, direction=Direction.LEFT))
+        assert self.contacts([60, 80], 70) == [80]
 
     def test_exact_target_allowed(self):
-        assert cand_check(40, msg(40))
+        assert self.contacts([140, 130], 140) == [140, 130]
 
 
 class TestBackupUpdate:
@@ -133,7 +132,7 @@ class TestBackupUpdate:
     def test_lookup_neighbor_not_duplicated(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         levels = [[None, None] for _ in range(HEIGHT)]
-        levels[0][Direction.RIGHT] = NodeIdentity(106, 0b0001, (0.0, 0.0))
+        levels[0][1] = NodeIdentity(106, 0b0001, (0.0, 0.0))
         table.update(LookupTable(levels), [entry(106, "0001")])
         assert table.total_entries() == 0
 
@@ -148,18 +147,18 @@ class TestBackupUpdate:
         assert slot(table, 106)[1] == 2
         assert slot(table, 90)[1] == 0
         # an entry serves its own side at its level and below, nowhere else
-        assert members(table, 2, Direction.RIGHT) == {106}
-        assert members(table, 3, Direction.RIGHT) == set()
-        assert members(table, 0, Direction.LEFT) == {90}
-        assert members(table, 1, Direction.LEFT) == set()
+        assert members(table, 2, 1) == {106}
+        assert members(table, 3, 1) == set()
+        assert members(table, 0, 0) == {90}
+        assert members(table, 1, 0) == set()
 
     def test_prefix_level_capped_at_top(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
         table.update(empty_lookup(), [entry(106, "1000")])
         # the whole name is shared; as a level that is the top one
         assert slot(table, 106)[1] == HEIGHT
-        assert members(table, HEIGHT - 1, Direction.RIGHT) == {106}
-        assert members(table, HEIGHT - 1, Direction.LEFT) == set()
+        assert members(table, HEIGHT - 1, 1) == {106}
+        assert members(table, HEIGHT - 1, 0) == set()
 
     def test_newest_version_overwrites(self):
         table = BackupTable(OWNER, HEIGHT, max_size=8)
@@ -167,7 +166,7 @@ class TestBackupUpdate:
         table.update(empty_lookup(), [entry(106, "1011", sop=0.9)])
         assert table.total_entries() == 1
         assert stored(table)[106].sop == 0.9
-        assert members(table, 2, Direction.RIGHT) == {106}
+        assert members(table, 2, 1) == {106}
 
     def test_full_table_evicts_minimum_score(self):
         table = BackupTable(OWNER, HEIGHT, max_size=2)
@@ -269,21 +268,20 @@ _RESOLVE = st_.tuples(
     st_.tuples(
         st_.one_of(_IDS, st_.integers(60, 140)),  # often the id of an entry
         st_.integers(0, HEIGHT - 1),
-        st_.sampled_from([Direction.LEFT, Direction.RIGHT]),
         st_.frozensets(_IDS),
     ),
 )
 
 
-def resolve_oracle(model, names, target, level, direction, online):
+def resolve_oracle(model, names, target, level, online):
     """The (num_id, online) contacts of a resolve, computed from scratch.
 
-    Eligible: on the search side of the owner, capped string prefix with the
-    owner at least ``level``, and on the owner's side of the target.  The
+    Eligible: on the target's side of the owner, capped string prefix with
+    the owner at least ``level``, and on the owner's side of the target.  The
     exact target goes first; the rest by best target-relative score, then
     nearer, then smaller name; contacts stop at the first online one.
     """
-    right = direction is Direction.RIGHT
+    right = target > OWNER.num_id
 
     def eligible(nid):
         cpl = common_prefix_length(OWNER_NAME, names[nid])
@@ -350,10 +348,9 @@ class TestCachedScores:
                 table.update(empty_lookup(), [entry(nid, names[nid], sop) for nid, sop in arg])
                 assert table.evicted == expected
             else:
-                target, level, direction, online = arg
-                m = SearchMessage(target_num_id=target, level=level, direction=direction)
-                got, trace = table.resolve(m, online.__contains__)
-                expected = resolve_oracle(model, names, target, level, direction, online)
+                target, level, online = arg
+                got, trace = table.resolve(msg(target, level), online.__contains__)
+                expected = resolve_oracle(model, names, target, level, online)
                 assert trace == expected
                 assert got == (expected[-1][0] if expected and expected[-1][1] else None)
                 for nid, answered in trace:
@@ -393,9 +390,9 @@ class TestBackupResolve:
 
     def test_exact_target_is_contacted_only_from_its_side(self):
         table = self.make_table([entry(90, "1001")])
-        got, trace = table.resolve(msg(90), always_online)
+        got, trace = table.resolve(msg(150), always_online)
         assert got is None and trace == []
-        got, trace = table.resolve(msg(90, 0, Direction.LEFT), always_online)
+        got, trace = table.resolve(msg(90), always_online)
         assert got == 90 and contacted(trace) == [90]
 
     def test_empty_set_returns_none(self):
@@ -446,13 +443,8 @@ class TestBackupResolve:
         table = self.make_table([entry(140, "1001"), entry(90, "0001")])
         got, _ = table.resolve(msg(150), always_online)
         assert got == 140
-        got_left, _ = table.resolve(msg(80, 1, Direction.LEFT), always_online)
+        got_left, _ = table.resolve(msg(80, 1), always_online)
         assert got_left is None
-
-    def test_visited_candidates_skipped(self):
-        table = self.make_table([entry(140, "1011")])
-        got, trace = table.resolve(msg(150, 1, visited=[140]), always_online)
-        assert got is None and trace == []
 
 
 class TestKademlia:
@@ -462,6 +454,11 @@ class TestKademlia:
 
     def test_capacity_zero(self):
         assert kademlia_capacity(0, 4) == ((0, 0),) * 4
+
+    def test_capacity_matches_the_loop(self):
+        for levels in range(1, 20):
+            for b in range(300):
+                assert kademlia_capacity(b, levels) == kademlia_capacity_loop(b, levels), (b, levels)
 
     def test_capacity_exact_division(self):
         caps = kademlia_capacity(8, 4)
@@ -475,19 +472,19 @@ class TestKademlia:
 
     def test_insert_at_head_evict_tail(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
-        buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 per direction
+        buckets = KademliaBuckets(owner, 4, max_size=8)  # cap 1 a side
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011")])
         buckets.update(lookup, [entry(108, "1010")])
-        assert recency(buckets, 2, Direction.RIGHT) == [108]
+        assert recency(buckets, 2, 1) == [108]
 
     def test_reinsert_moves_to_head(self):
         owner = NodeIdentity(num_id=100, name_bits=0b1000, coords=(0, 0))
-        buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 per direction
+        buckets = KademliaBuckets(owner, 4, max_size=16)  # cap 2 a side
         lookup = empty_lookup(4)
         buckets.update(lookup, [entry(106, "1011"), entry(108, "1010")])
         buckets.update(lookup, [entry(106, "1011")])
-        bucket = recency(buckets, 2, Direction.RIGHT)
+        bucket = recency(buckets, 2, 1)
         assert bucket == [106, 108]
         assert len(bucket) == 2
 
@@ -499,7 +496,7 @@ class TestKademlia:
         got, trace = buckets.resolve(msg(150, 2), online_set({106}))
         assert contacted(trace) == [108, 106]
         assert got == 106
-        assert all(nid != 108 for nid in recency(buckets, 2, Direction.RIGHT))
+        assert all(nid != 108 for nid in recency(buckets, 2, 1))
 
 
 def dks_fixture(max_size=8):
@@ -559,7 +556,7 @@ class TestDks:
 
     def test_single_member_list_dies_on_failure(self):
         # with head == tail there is nobody left to ask for an extension
-        topo, ids, owner, dks = dks_fixture(max_size=8)  # one pointer per direction
+        topo, ids, owner, dks = dks_fixture(max_size=8)  # one pointer a side
         target = ids[-1]
         before = len(pointers(dks, 0, 1))
         assert before == 1
@@ -619,9 +616,7 @@ def test_store_matches_its_list_model(kind, data):
             model.update(lookup.neighbor_ids, piggyback)
         else:
             target = data.draw(st_.sampled_from(others) | st_.integers(0, 2**32 - 1))
-            direction = Direction.RIGHT if target > owner.num_id else Direction.LEFT
-            visited = data.draw(node_subsets(nodes))
-            m = msg(target, data.draw(st_.integers(0, height - 1)), direction, visited)
+            m = msg(target, data.draw(st_.integers(0, height - 1)))
             online = data.draw(node_subsets(nodes))
             assert store.resolve(m, online.__contains__) == model.resolve(m, online.__contains__)
         assert store.total_entries() == model.total_entries()
@@ -666,9 +661,8 @@ def test_every_kind_answers_resolve_in_num_ids(kind):
             store.update(empty_lookup(height), piggyback)
         online = {n.num_id for n in TOPOLOGY.nodes if rng.random() < 0.5}
         for target in (n.num_id for n in TOPOLOGY.nodes if n is not owner):
-            direction = Direction.RIGHT if target > owner.num_id else Direction.LEFT
             for level in range(height):
-                got, trace = store.resolve(msg(target, level, direction), online.__contains__)
+                got, trace = store.resolve(msg(target, level), online.__contains__)
                 assert type(trace) is list
                 for contact in trace:
                     assert type(contact) is tuple and len(contact) == 2
