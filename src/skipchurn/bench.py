@@ -31,7 +31,10 @@ from .predictors import StatusFeed
 
 
 def _bench_one_topology(args) -> dict[str, Counters]:
-    """One topology's prediction error and wide-end samples, one ``Counters`` per kind."""
+    """One topology's prediction error and wide-end samples, one ``Counters`` per kind.
+
+    A fault is raised again as a ``RuntimeError`` that names the topology.
+    """
     config, kinds, topo_index = args
     capacity, slots = config.capacity, config.slots
     rng = np.random.default_rng([config.seed, topo_index, 2])
@@ -40,19 +43,22 @@ def _bench_one_topology(args) -> dict[str, Counters]:
     feed = StatusFeed(capacity)
     layers = {k: feed.layer(k) for k in kinds}
     counters = {k: Counters(prediction_samples=slots * capacity) for k in kinds}
-    for slot in range(slots):
-        arrivals = churn.arrive(rng)
-        for i in arrivals:
-            feed.catch_up(i, slot)
-        feed.feed_online(churn.online)
-        for k, layer in layers.items():
-            c = counters[k]
-            # one running total per kind: summing each slot first would round differently
-            c.sum_prediction_error = layer.error_sum(churn.online, c.sum_prediction_error)
-            size_sum, samples = layer.wide_end_sample()
-            c.right_size_sum += size_sum
-            c.right_size_samples += samples
-        churn.depart()
+    try:
+        for slot in range(slots):
+            arrivals = churn.arrive(rng)
+            for i in arrivals:
+                feed.catch_up(i, slot)
+            feed.feed_online(churn.online)
+            for k, layer in layers.items():
+                c = counters[k]
+                # one running total per kind: summing each slot first would round differently
+                c.sum_prediction_error = layer.error_sum(churn.online, c.sum_prediction_error)
+                size_sum, samples = layer.wide_end_sample()
+                c.right_size_sum += size_sum
+                c.right_size_samples += samples
+            churn.depart()
+    except Exception as exc:
+        raise RuntimeError(f"topology {topo_index} failed: {exc}") from exc
     return counters
 
 

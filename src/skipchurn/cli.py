@@ -19,7 +19,11 @@ and the seed.
 A sweep is one task per topology, each running every cell of the sweep in
 lockstep (see ``engine``); ``--workers`` processes share the tasks.  Each
 cell's topology runs reduce in topology order, so the worker count changes
-no output, and ``trace.ndjson`` lists each cell's searches in turn.
+no output.  ``run --trace`` writes one ``trace.ndjson`` record per search,
+labelled with its cell (``stabilizer``, ``predictor``, ``backup_size``) and
+``topology``: topology by topology in index order, each slot by slot, each
+slot's cells in sweep order.  A failed sweep keeps the trace of the
+topologies that finished before the failed one.
 """
 
 from __future__ import annotations
@@ -30,18 +34,15 @@ import io
 import itertools
 import json
 import os
-import shutil
 import sys
-import tempfile
 import time
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, TextIO
 
 from .analytics import analysis_chain
 from .churn import ChurnModel
-from .engine import SWEEP_FIELDS, CellFailure, Counters, RunMetrics, SimConfig, aggregate, run_topology, topology_map
+from .engine import SWEEP_FIELDS, Counters, RunMetrics, SimConfig, aggregate, run_topology, topology_map
 from .bench import error_table, run_predictor_bench
 from .overlay import ConfigError
 from .predictors import PREDICTOR_KINDS
@@ -131,6 +132,8 @@ def _read_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key} given twice")
         values[key] = parse_value(key, raw.split("#", 1)[0])
     return values
 
@@ -175,17 +178,14 @@ def parse_config(
     return spec
 
 
-def _topology_task(
-    args: tuple[list[SimConfig], int, bool],
-) -> tuple[list[RunMetrics], list[list[str]], float]:
-    """One topology run of every cell, each cell's trace lines, and its wall seconds."""
+def _topology_task(args: tuple[list[SimConfig], int, bool]) -> tuple[list[RunMetrics], list[str], float]:
+    """One topology run of every cell, its labelled trace lines, and its wall seconds."""
     cells, index, trace = args
     started = time.perf_counter()
-    lines: list[list[str]] = [[] for _ in cells]
-    sinks = None
-    if trace:
-        sinks = [lambda rec, out=out: out.append(json.dumps(rec, sort_keys=True) + "\n") for out in lines]
-    runs = run_topology(cells, index, sinks)
+    lines: list[str] = []
+    labels = [{**{name: getattr(cfg, name) for name in SWEEP_FIELDS}, "topology": index} for cfg in cells]
+    sinks = [lambda rec, tag=tag: lines.append(json.dumps({**rec, **tag}, sort_keys=True) + "\n") for tag in labels]
+    runs = run_topology(cells, index, sinks if trace else None)
     return runs, lines, time.perf_counter() - started
 
 
@@ -196,44 +196,25 @@ def run_combination(
 
     One task per topology runs all cells in lockstep, spread over processes
     by ``engine.topology_map``.  A line on stderr reports each finished
-    topology.  With ``trace``, each cell's per-search records are spooled as
-    the topologies finish and written cell by cell, each in topology order.
+    topology.  With ``trace``, each topology's per-search records are written
+    as it finishes, in topology order, and within one topology slot by slot,
+    each slot's cells in sweep order.  Every record names its cell and
+    topology (``stabilizer``, ``predictor``, ``backup_size``, ``topology``).
+    A failed sweep keeps the trace of the topologies before the failed one.
     """
     topologies = cells[0].topologies
     jobs = [(cells, t, trace is not None) for t in range(topologies)]
     merged: list[Optional[RunMetrics]] = [None] * len(cells)
-    with ExitStack() as stack:
-        spools = [
-            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-            for _ in (cells if trace is not None else ())
-        ]
-        results = stack.enter_context(topology_map(workers, topologies))(_topology_task, jobs)
-        for t, (runs, lines, seconds) in enumerate(results):
+    with topology_map(workers, topologies) as map_tasks:
+        for t, (runs, lines, seconds) in enumerate(map_tasks(_topology_task, jobs)):
             print(f"[{t + 1}/{topologies}] topology {t}: {len(cells)} cells, {seconds:.2f} s",
                   file=sys.stderr)
             # Reduce as topologies finish: one merged run per cell is held.
             for c, run in enumerate(runs):
                 merged[c] = aggregate([run] if merged[c] is None else [merged[c], run])
-            for spool, cell_lines in zip(spools, lines):
-                spool.writelines(cell_lines)
-        for spool in spools:
-            spool.seek(0)
-            shutil.copyfileobj(spool, trace)
+            if trace is not None:
+                trace.writelines(lines)
     return merged
-
-
-def run_experiments(
-    spec: RunSpec, trace: Optional[TextIO] = None
-) -> list[tuple[SimConfig, RunMetrics]]:
-    """Execute the whole sweep; a failing cell's error names the cell and topology."""
-    cells = spec.combinations()
-    try:
-        runs = run_combination(cells, workers=spec.workers, trace=trace)
-    except CellFailure:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"sweep failed: {exc}") from exc
-    return list(zip(cells, runs))
 
 
 def csv_text(columns: list[str], rows) -> str:
@@ -262,8 +243,9 @@ def emit_reports(results: list[tuple[SimConfig, RunMetrics]], out_dir: Path) -> 
     return [csv_path, json_path]
 
 
-def preflight_out_dir(out_dir: Path) -> None:
-    """Create ``out_dir`` and prove it writable; any failure is a ``ConfigError``."""
+def preflight_out_dir(out_dir: Path, names: list[str]) -> None:
+    """Create ``out_dir``, prove it writable, and check that each output file
+    of ``names`` in it is absent or a regular file; any failure is a ``ConfigError``."""
     out_dir = Path(out_dir)
     probe = out_dir / ".write-probe"
     try:
@@ -272,6 +254,9 @@ def preflight_out_dir(out_dir: Path) -> None:
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {out_dir}: {exc}") from exc
+    for path in (out_dir / name for name in names):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"output file is not a regular file: {path}")
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -291,13 +276,14 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = parse_config(args.config, _overrides_from_args(args))
-    preflight_out_dir(spec.out_dir)
+    preflight_out_dir(spec.out_dir, ["results.csv", "results.json"] + (["trace.ndjson"] if args.trace else []))
+    cells = spec.combinations()
     if args.trace:
         with (spec.out_dir / "trace.ndjson").open("w", encoding="utf-8") as trace:
-            results = run_experiments(spec, trace)
+            runs = run_combination(cells, spec.workers, trace)
     else:
-        results = run_experiments(spec)
-    written = emit_reports(results, spec.out_dir)
+        runs = run_combination(cells, spec.workers)
+    written = emit_reports(list(zip(cells, runs)), spec.out_dir)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -318,12 +304,8 @@ def _cmd_predict_bench(args: argparse.Namespace) -> int:
         defaults={"predictor": list(PREDICTOR_KINDS), "out": None},
     )
     if spec.out_dir is not None:
-        preflight_out_dir(spec.out_dir)
-    kinds = tuple(spec.sweep["predictor"])
-    try:
-        per_topology = run_predictor_bench(spec.base, kinds, spec.workers)
-    except Exception as exc:
-        raise RuntimeError(f"predictor bench failed: {exc}") from exc
+        preflight_out_dir(spec.out_dir, ["predictor_errors.csv"])
+    per_topology = run_predictor_bench(spec.base, tuple(spec.sweep["predictor"]), spec.workers)
     rows = error_table(per_topology)
     width = max(len(k) for k, _, _ in rows)
     print(f"{'predictor':<{width}}  mean_error  std_across_topologies")
@@ -373,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

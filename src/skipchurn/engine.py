@@ -37,7 +37,10 @@ predictor kind.
 
 Topology runs are pure functions of (cells, topology index) and may execute
 in parallel; ``topology_map`` is the one rule for how ``run`` and
-``predict-bench`` spread them over processes.
+``predict-bench`` spread them over processes.  A fault names where it
+happened: ``run_topology`` raises any fault again as ``topology <t> failed:
+...``, and ``run_slot`` names a fault in one cell's searches first, as in
+``topology 0 failed: combination dks/swdbg/b=8 failed: ...``.
 """
 
 from __future__ import annotations
@@ -293,10 +296,6 @@ class Cell:
     entries: dict[int, PiggybackEntry] = field(default_factory=dict)
 
 
-class CellFailure(RuntimeError):
-    """A fault in one cell's own work; the message names the cell."""
-
-
 # The sweep axes: the only fields in which the cells of one topology run differ.
 SWEEP_FIELDS = ("stabilizer", "predictor", "backup_size")
 
@@ -532,7 +531,7 @@ def run_slot(state: SimulationState) -> list[SlotMetrics]:
                 metrics.resolve_messages += outcome.resolve_messages
         except Exception as exc:
             c = cell.config
-            raise CellFailure(f"combination {c.stabilizer}/{c.predictor}/b={c.backup_size} failed: {exc}") from exc
+            raise RuntimeError(f"combination {c.stabilizer}/{c.predictor}/b={c.backup_size} failed: {exc}") from exc
         series.append(metrics)
 
     # end-of-slot status updates for every node online during this slot
@@ -587,19 +586,18 @@ def run_topology(
 ) -> list[RunMetrics]:
     """Simulate one topology for every cell in lockstep; one ``RunMetrics`` per cell.
 
-    ``sinks``, when given, holds one per-search trace sink per cell.
+    ``sinks``, when given, holds one per-search trace sink per cell.  Any
+    fault is raised again as a ``RuntimeError`` that names the topology.
     """
     cfg = cells[0]
-    topo = generate_topology(cfg.capacity, topology_seed(cfg.seed, topology_index))
-    rng = np.random.default_rng([cfg.seed, topology_index, 1])
-    state = SimulationState(cells, topo, rng)
-    for cell, sink in zip(state.cells, sinks or ()):
-        cell.trace_sink = sink
     try:
+        topo = generate_topology(cfg.capacity, topology_seed(cfg.seed, topology_index))
+        state = SimulationState(cells, topo, np.random.default_rng([cfg.seed, topology_index, 1]))
+        for cell, sink in zip(state.cells, sinks or ()):
+            cell.trace_sink = sink
         per_slot = [run_slot(state) for _ in range(cfg.slots)]
-    except CellFailure as exc:
-        raise CellFailure(f"{exc} (topology {topology_index})") from exc
-
+    except Exception as exc:
+        raise RuntimeError(f"topology {topology_index} failed: {exc}") from exc
     return [
         RunMetrics(levels=topo.name_length, slot_series=list(series), per_topology=[Counters.sum_of(series)])
         for series in zip(*per_slot)

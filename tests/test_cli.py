@@ -1,6 +1,10 @@
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from skipchurn.churn import ChurnModel
 from skipchurn.engine import SimConfig
 from skipchurn.overlay import ConfigError
 from skipchurn.predictors import PREDICTOR_KINDS
-from skipchurn.stabilizers import DksPointers
+from skipchurn.stabilizers import STABILIZER_KINDS, DksPointers
 
 # field name -> (config key, value text, parsed value); every value differs from its default
 FIELD_SETTINGS = {
@@ -120,6 +124,8 @@ def test_every_sweep_value_is_checked():
 @pytest.mark.parametrize("text, message", [
     ("colour = red\n", "unknown config key"),
     ("capacity = many\n", "invalid value for capacity"),
+    ("slots = 3\nslots = 5\n", "run.conf:2: slots given twice"),
+    ("backup-size = 8\n# the larger size\nbackup-size = 40\n", "run.conf:3: backup-size given twice"),
     *((f"{key} = 1\n", "unknown config key") for key in REMOVED_KEYS),
 ])
 def test_bad_config_file_rejected(tmp_path, text, message):
@@ -201,21 +207,46 @@ def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, f
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "predict-bench"])
-def test_uncreatable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, name", [
+    pytest.param("run", None, id="run"),
+    pytest.param("predict-bench", None, id="predict-bench"),
+    *(pytest.param("run", name, id=f"run-{name}") for name in ("results.csv", "results.json", "trace.ndjson")),
+    pytest.param("predict-bench", "predictor_errors.csv", id="predict-bench-predictor_errors.csv"),
+])
+def test_uncreatable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, name):
+    # Either the output directory cannot be made, or a directory takes the
+    # name of a file the command writes; both are found before any work.
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output directory was checked")
+        raise AssertionError("work started before the output files were checked")
 
-    monkeypatch.setattr(cli, "run_experiments", no_work)
+    monkeypatch.setattr(cli, "run_combination", no_work)
     monkeypatch.setattr(cli, "run_predictor_bench", no_work)
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--workers", "1"]
-    assert cli.main([*argv, "--out", str(blocker / "sub")]) == 2
+    if name is None:
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "sub"
+        message = f"error: output directory not writable: {out}: "
+    else:
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        message = f"error: output file is not a regular file: {out / name}\n"
+        argv += ["--trace"] if name == "trace.ndjson" else []
+    assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: output directory not writable: {blocker / 'sub'}: ")
+    assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+
+
+def test_a_failed_write_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_reports", disk_full)
+    argv = ["run", "--capacity", "16", "--slots", "2", "--topologies", "1", "--workers", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith("\nerror: [Errno 28] No space left on device\n")
 
 
 SMALL_RUN = ["run", "--capacity", "64", "--slots", "6", "--search-cap", "20",
@@ -240,7 +271,7 @@ def test_failing_cell_names_itself_and_its_topology(tmp_path, capsys, monkeypatc
                         "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "error: combination dks/swdbg/b=8 failed: boom (topology 0)" in err
+    assert "error: topology 0 failed: combination dks/swdbg/b=8 failed: boom\n" in err
     assert not (tmp_path / "results.json").exists()
 
 
@@ -253,8 +284,74 @@ def test_an_internal_fault_exits_1_in_both_commands_and_a_bad_flag_still_exits_2
     argv = ["--capacity", "64", "--slots", "6", "--topologies", "1", "--workers", "1", "--predictor", "swdbg",
             "--interarrival-mean-seconds", "300"]
     assert cli.main(["run", *argv, "--search-cap", "20", "--out", str(tmp_path)]) == 1
-    assert "error: sweep failed: Singular matrix" in capsys.readouterr().err
+    assert "error: topology 0 failed: Singular matrix\n" in capsys.readouterr().err
     assert cli.main(["predict-bench", *argv]) == 1
-    assert "error: predictor bench failed: Singular matrix" in capsys.readouterr().err
+    assert "error: topology 0 failed: Singular matrix\n" in capsys.readouterr().err
     assert cli.main(["predict-bench", *argv, "--seed", "-1"]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+# A fault in a phase every cell shares, at module level so that the spawned
+# workers, which import this script again as their main module, run it too.
+SINGULAR_MAIN = """\
+import sys
+
+import numpy as np
+
+from skipchurn import cli, predictors
+
+
+def singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+predictors._solve = singular
+
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "predict-bench"])
+def test_a_shared_phase_fault_in_a_worker_names_its_topology(tmp_path, command):
+    script = tmp_path / "singular_main.py"
+    script.write_text(SINGULAR_MAIN, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = [command, "--capacity", "64", "--slots", "6", "--topologies", "2", "--workers", "2",
+            "--predictor", "swdbg", "--interarrival-mean-seconds", "300", "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, str(script), *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.endswith("error: topology 0 failed: Singular matrix\n"), done.stderr
+
+
+def test_every_trace_record_names_its_cell_and_topology(tmp_path):
+    # The trace of a 2-topology sweep, recounted per cell and slot against
+    # results.json; one or two workers write the same bytes.
+    argv = ["run", "--capacity", "64", "--slots", "12", "--topologies", "2", "--search-cap", "40",
+            "--interarrival-mean-seconds", "300", "--seed", "6", "--stabilizer", ",".join(STABILIZER_KINDS),
+            "--predictor", "swdbg,ludp", "--backup-size", "8", "--trace"]
+    for workers in (1, 2):
+        assert cli.main([*argv, "--workers", str(workers), "--out", str(tmp_path / str(workers))]) == 0
+    trace = (tmp_path / "1" / "trace.ndjson").read_bytes()
+    assert trace == (tmp_path / "2" / "trace.ndjson").read_bytes()
+    records = [json.loads(line) for line in trace.decode("utf-8").splitlines()]
+    topologies = [record["topology"] for record in records]
+    assert topologies == sorted(topologies) and set(topologies) == {0, 1}
+    counted = Counter()
+    for record in records:
+        key = (record["stabilizer"], record["predictor"], record["backup_size"], record["slot"])
+        counted[key + ("searches_initiated",)] += 1
+        counted[key + ("searches_succeeded",)] += record["success"]
+        counted[key + ("resolve_invocations",)] += sum(hop["kind"] == "resolve" for hop in record["hops"])
+    expected = Counter()
+    rows = json.loads((tmp_path / "1" / "results.json").read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 2 * len(STABILIZER_KINDS)
+    for row in rows:
+        for slot in row["slot_series"]:
+            for name in ("searches_initiated", "searches_succeeded", "resolve_invocations"):
+                expected[row["stabilizer"], row["predictor"], row["backup_size"], slot["slot_index"], name] = slot[name]
+    # the labelled cells are exactly the sweep's cells
+    assert {key[:3] for key in counted} == {key[:3] for key in expected}
+    assert +counted == +expected
+    assert sum(n for key, n in counted.items() if key[-1] == "resolve_invocations") > 1000
