@@ -88,7 +88,7 @@ GOLDEN = {
         "results.json": "f6ab0e4516eea9037b9a6214d7f05bbd6f7f0cd3d87e08915f3ff5fd2aeddac4",
     },
     "predictor_sweep_trace": {
-        "trace.ndjson": "629979a74bbb910b6ff7bc1d1ce08efea467cda52dfa35a3c56fe5b0d51239a5",
+        "trace.ndjson": "d14cf33cf01c4d31b6b07423a88169b2aa1d05ed1d2d6fc9aec6984fb1f902ac",
     },
     "predictor_table": {
         "predictor_errors.csv": "6ad2f689f3efed69f3b98a78efcd4e396385aa231e777972ccad4889583fa4b2",
