@@ -592,7 +592,8 @@ def run_topology(
     cfg = cells[0]
     try:
         topo = generate_topology(cfg.capacity, topology_seed(cfg.seed, topology_index))
-        state = SimulationState(cells, topo, np.random.default_rng([cfg.seed, topology_index, 1]))
+        rng = np.random.default_rng([cfg.seed, topology_index, 1])
+        state = SimulationState(cells, topo, rng)
         for cell, sink in zip(state.cells, sinks or ()):
             cell.trace_sink = sink
         per_slot = [run_slot(state) for _ in range(cfg.slots)]
