@@ -87,14 +87,14 @@ def analysis_chain(n: int, q: float, b: int | None = None, target_e_f: float | N
     """Full chain as a dictionary, for the ``analyze`` CLI subcommand."""
     p = candidate_probability(n)
     p_eff = effective_probability(p, q)
+    online = expected_online(n, q)
     out: dict = {
         "n": n,
         "q": q,
         "candidate_probability": p,
         "effective_probability": p_eff,
-        "expected_online": expected_online(n, q),
+        "expected_online": online,
     }
-    online = expected_online(n, q)
     if online >= 1:
         out["search_path_bound"] = estimate_search_path_bound(int(online))
     if b is not None:

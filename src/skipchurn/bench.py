@@ -12,10 +12,10 @@ predictors that feed on incoming traffic receive none here.
 Each topology yields one engine ``Counters`` per kind, the record ``run``
 reports from; ``error_table`` reduces each kind's records to its table row.
 
-A bench reads ``capacity``, ``slots``, ``topologies``, ``seed`` and
-``churn`` from its ``SimConfig``; the kinds are passed on their own, so the
-config's ``predictor``, like its overlay and stabilizer settings, is not
-read.
+A bench reads ``capacity``, ``slots``, ``topologies``, ``seed`` and the
+churn fields ``churn_kind``, ``interarrival_mean_seconds`` and ``uniform_q``
+from its ``SimConfig``; the kinds are passed on their own, so the config's
+``predictor``, like its overlay and stabilizer settings, is not read.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _bench_one_topology(args) -> dict[str, Counters]:
     capacity, slots = config.capacity, config.slots
     rng = np.random.default_rng([config.seed, topo_index, 2])
     # churn only needs node count, not identities: registry indices 0..capacity-1
-    churn = ChurnProcess(config.churn, capacity)
+    churn = ChurnProcess(config, capacity)
     feed = StatusFeed(capacity)
     layers = {k: feed.layer(k) for k in kinds}
     counters = {k: Counters(prediction_samples=slots * capacity) for k in kinds}

@@ -1,10 +1,9 @@
 """Experiment runner: config parsing, sweep execution, report emission.
 
 Configuration is flat ``key = value`` text; command-line flags ``--<key>``
-override file values.  The keys are the field names of ``SimConfig`` and
-``ChurnModel`` with dashes for underscores, each typed by its default, except
-that ``ChurnModel.kind`` is ``churn-kind``; the model's fixed numbers are
-constants, not keys (see ``SimConfig``).  ``workers`` and ``out`` configure
+override file values.  The keys are the field names of ``SimConfig`` with
+dashes for underscores, each typed by its default; the model's fixed numbers
+are constants, not keys (see ``SimConfig``).  ``workers`` and ``out`` configure
 the run itself.  The sweep keys are the keys of the fields in
 ``engine.SWEEP_FIELDS`` (``stabilizer``, ``predictor``, ``backup-size``);
 they take comma-separated lists of distinct values.
@@ -36,12 +35,12 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, TextIO
 
 from .analytics import analysis_chain
-from .churn import ChurnModel
 from .engine import SWEEP_FIELDS, Counters, RunMetrics, SimConfig, aggregate, run_topology, topology_map
 from .bench import error_table, run_predictor_bench
 from .overlay import ConfigError
@@ -49,27 +48,13 @@ from .predictors import PREDICTOR_KINDS
 
 DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
-# Keys that are not their field's name with dashes for underscores.
-_RENAMED = {"kind": "churn-kind"}
-
-
-def _key(name: str) -> str:
-    return _RENAMED.get(name, name.replace("_", "-"))
-
-
-def _field_keys(cls) -> dict[str, str]:
-    """Config key -> field name for every field of ``cls`` but the nested churn model."""
-    return {_key(f.name): f.name for f in fields(cls) if f.name != "churn"}
-
-
-SWEEP_KEYS = {_key(name): name for name in SWEEP_FIELDS}
-_SIM_KEYS = _field_keys(SimConfig)
-_CHURN_KEYS = _field_keys(ChurnModel)
+# Config key -> field name: each key is its field's name with dashes for underscores.
+_SIM_KEYS = {f.name.replace("_", "-"): f.name for f in fields(SimConfig)}
+SWEEP_KEYS = {key: name for key, name in _SIM_KEYS.items() if name in SWEEP_FIELDS}
 
 
 def _defaults() -> dict:
     values = {key: getattr(SimConfig, name) for key, name in _SIM_KEYS.items()}
-    values.update({key: getattr(ChurnModel, name) for key, name in _CHURN_KEYS.items()})
     values.update({key: [values[key]] for key in SWEEP_KEYS})
     values.update(workers=DEFAULT_WORKERS, out="results")
     return values
@@ -118,7 +103,7 @@ def parse_value(key: str, raw: str):
 
 def _read_config_file(path: Path) -> dict:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config file not readable: {path}: {exc}") from exc
     values: dict = {}
@@ -162,12 +147,8 @@ def parse_config(
             raise ConfigError(f"{key} lists a value twice: {','.join(map(str, values[key]))}")
     if values["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {values['workers']}")
-    churn = ChurnModel(**{name: values[key] for key, name in _CHURN_KEYS.items()})
-    base = SimConfig(
-        churn=churn,
-        **{name: values[key][0] if key in SWEEP_KEYS else values[key]
-           for key, name in _SIM_KEYS.items()},
-    )
+    base = SimConfig(**{name: values[key][0] if key in SWEEP_KEYS else values[key]
+                        for key, name in _SIM_KEYS.items()})
     spec = RunSpec(
         base=base,
         sweep={name: list(values[key]) for key, name in SWEEP_KEYS.items()},
@@ -278,11 +259,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = parse_config(args.config, _overrides_from_args(args))
     preflight_out_dir(spec.out_dir, ["results.csv", "results.json"] + (["trace.ndjson"] if args.trace else []))
     cells = spec.combinations()
-    if args.trace:
-        with (spec.out_dir / "trace.ndjson").open("w", encoding="utf-8") as trace:
-            runs = run_combination(cells, spec.workers, trace)
-    else:
-        runs = run_combination(cells, spec.workers)
+    trace_file = (spec.out_dir / "trace.ndjson").open("w", encoding="utf-8") if args.trace else nullcontext()
+    with trace_file as trace:
+        runs = run_combination(cells, spec.workers, trace)
     written = emit_reports(list(zip(cells, runs)), spec.out_dir)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)

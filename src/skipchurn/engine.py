@@ -52,7 +52,7 @@ from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .churn import ChurnModel, draw_arrival_count, draw_session_length
+from .churn import CHURN_KINDS, MAX_ARRIVAL_RATE, SLOT_SECONDS, draw_arrival_count, draw_session_length
 from .overlay import (
     ConfigError,
     LookupTable,
@@ -88,9 +88,12 @@ class SimConfig:
       ``TIMEOUT_MULTIPLIER``;
     - the SW-DBG state-size cap, ``predictors.MAX_STATE_SIZE``;
     - the Debian session law the paper measured, ``churn.SESSION_SHAPE`` and
-      ``churn.SESSION_MEAN_HOURS``, with Poisson arrivals.  Their rate stays
-      a field of ``churn``, because the offline fraction it sets depends on
-      the capacity.
+      ``churn.SESSION_MEAN_HOURS``, with Poisson arrivals.  Their rate is the
+      field ``interarrival_mean_seconds``, because the offline fraction it
+      sets depends on the capacity.
+
+    ``churn_kind`` picks the churn law (``churn.CHURN_KINDS``), and
+    ``uniform_q`` is the uniform law's per-slot offline probability.
     """
 
     capacity: int = 1024
@@ -101,7 +104,9 @@ class SimConfig:
     predictor: str = "swdbg"
     search_cap: int = DEFAULT_SEARCH_CAP
     seed: int = 1
-    churn: ChurnModel = field(default_factory=ChurnModel)
+    churn_kind: str = "debian"
+    interarrival_mean_seconds: float = 39.86
+    uniform_q: float = 0.82
 
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.capacity) or self.capacity < 2:
@@ -120,6 +125,17 @@ class SimConfig:
             raise ConfigError("search-cap must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.churn_kind not in CHURN_KINDS:
+            raise ConfigError(f"unknown churn kind: {self.churn_kind}")
+        if not self.interarrival_mean_seconds > 0:  # rejects NaN as well
+            raise ConfigError(f"interarrival mean must be positive, got {self.interarrival_mean_seconds}")
+        if SLOT_SECONDS / self.interarrival_mean_seconds > MAX_ARRIVAL_RATE:
+            raise ConfigError(
+                f"interarrival mean must be at least {SLOT_SECONDS / MAX_ARRIVAL_RATE} seconds,"
+                f" got {self.interarrival_mean_seconds}"
+            )
+        if not 0.0 <= self.uniform_q <= 1.0:  # rejects NaN as well
+            raise ConfigError(f"uniform-q must be in [0, 1], got {self.uniform_q}")
 
 
 def rtt_ms(a: NodeIdentity, b: NodeIdentity) -> float:
@@ -234,19 +250,19 @@ class ChurnProcess:
     last slot, so a session of s slots is online exactly s slots.
     """
 
-    __slots__ = ("model", "online", "session_left")
+    __slots__ = ("config", "online", "session_left")
 
-    def __init__(self, model: ChurnModel, size: int):
-        self.model = model
+    def __init__(self, config: SimConfig, size: int):
+        self.config = config
         self.online = [False] * size
         self.session_left = [0] * size
 
     def arrive(self, rng: np.random.Generator) -> list[int]:
         """Draw one slot's churn; returns the arrivals in ascending index order."""
-        model = self.model
+        config = self.config
         online = self.online
-        if model.kind == "uniform":
-            q = model.uniform_q
+        if config.churn_kind == "uniform":
+            q = config.uniform_q
             arrivals = []
             for i, u in enumerate(rng.random(len(online)).tolist()):
                 up = u >= q
@@ -255,7 +271,7 @@ class ChurnProcess:
                 online[i] = up
             return arrivals
         offline = [i for i, up in enumerate(online) if not up]
-        count = min(draw_arrival_count(model, rng), len(offline))
+        count = min(draw_arrival_count(config.interarrival_mean_seconds, rng), len(offline))
         if count <= 0:
             return []
         picks = rng.choice(len(offline), size=count, replace=False)
@@ -267,7 +283,7 @@ class ChurnProcess:
 
     def depart(self) -> None:
         """End the Debian sessions that expire with this slot."""
-        if self.model.kind != "debian":
+        if self.config.churn_kind != "debian":
             return
         left = self.session_left
         for i, up in enumerate(self.online):
@@ -327,7 +343,7 @@ class SimulationState:
         self.topology = topology
         self.rng = rng
         idents = topology.nodes
-        self.churn = ChurnProcess(config.churn, len(idents))
+        self.churn = ChurnProcess(config, len(idents))
         self.lookups: list[Optional[LookupTable]] = [None] * len(idents)
         self.feed = StatusFeed(len(idents))
         self.cells = [Cell(cfg, [None] * len(idents), self.feed.layer(cfg.predictor)) for cfg in cells]

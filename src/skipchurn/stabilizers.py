@@ -1,8 +1,9 @@
 """Timeout-failure recovery strategies.
 
 Every stabilizer is one node's store behind one protocol: ``reads_path``,
-``update``, ``resolve`` and ``total_entries``; the engine never asks which kind
-it holds.  A store is built when its node joins, a return included, since a
+``update``, ``resolve`` and ``total_entries``; the engine asks which kind it
+holds only to sample backup entries, which ``run_slot`` skips under
+``none``.  A store is built when its node joins, a return included, since a
 departure is a crash that keeps nothing.  ``reads_path`` means that
 ``update`` reads the piggyback: for a store that does, ``update(lookup,
 piggyback)`` runs on each search message the node handles and feeds the

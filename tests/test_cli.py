@@ -12,25 +12,24 @@ import numpy as np
 import pytest
 
 from skipchurn import cli, predictors
-from skipchurn.churn import ChurnModel
 from skipchurn.engine import SimConfig
 from skipchurn.overlay import ConfigError
 from skipchurn.predictors import PREDICTOR_KINDS
 from skipchurn.stabilizers import STABILIZER_KINDS, DksPointers
 
-# field name -> (config key, value text, parsed value); every value differs from its default
+# field name -> (value text, parsed value); every value differs from its default
 FIELD_SETTINGS = {
-    "capacity": ("capacity", "128", 128),
-    "slots": ("slots", "5", 5),
-    "topologies": ("topologies", "2", 2),
-    "backup_size": ("backup-size", "7", 7),
-    "stabilizer": ("stabilizer", "dks", "dks"),
-    "predictor": ("predictor", "lifetime", "lifetime"),
-    "search_cap": ("search-cap", "17", 17),
-    "seed": ("seed", "9", 9),
-    "kind": ("churn-kind", "uniform", "uniform"),
-    "interarrival_mean_seconds": ("interarrival-mean-seconds", "20", 20.0),
-    "uniform_q": ("uniform-q", "0.5", 0.5),
+    "capacity": ("128", 128),
+    "slots": ("5", 5),
+    "topologies": ("2", 2),
+    "backup_size": ("7", 7),
+    "stabilizer": ("dks", "dks"),
+    "predictor": ("lifetime", "lifetime"),
+    "search_cap": ("17", 17),
+    "seed": ("9", 9),
+    "churn_kind": ("uniform", "uniform"),
+    "interarrival_mean_seconds": ("20", 20.0),
+    "uniform_q": ("0.5", 0.5),
 }
 
 # Settings that no experiment varied, now constants: no file key or flag sets them.
@@ -49,20 +48,21 @@ def _from_flags(flags: list[str], command: str = "run") -> cli.RunSpec:
     return cli.parse_config(args.config, cli._overrides_from_args(args))
 
 
-def test_every_config_field_is_settable():
-    names = {f.name for f in fields(SimConfig) if f.name != "churn"} | {f.name for f in fields(ChurnModel)}
+def test_every_config_key_is_its_field_name():
+    names = {f.name for f in fields(SimConfig)}
+    assert set(cli.DEFAULTS) == {name.replace("_", "-") for name in names} | {"workers", "out"}
     assert set(FIELD_SETTINGS) == names
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_SETTINGS))
 def test_field_from_file_and_flag_agree(tmp_path, name):
-    key, text, value = FIELD_SETTINGS[name]
+    key = name.replace("_", "-")
+    text, value = FIELD_SETTINGS[name]
     by_file = _from_file(tmp_path, f"{key} = {text}\n")
     by_flag = _from_flags([f"--{key}", text])
     assert by_file == by_flag
-    owner = by_flag.base if name in {f.name for f in fields(SimConfig)} else by_flag.base.churn
-    assert getattr(owner, name) == value
-    assert value != getattr(SimConfig() if owner is by_flag.base else ChurnModel(), name)
+    assert getattr(by_flag.base, name) == value
+    assert value != getattr(SimConfig(), name)
 
 
 def test_search_cap_none_from_file_and_flag(tmp_path):
@@ -190,9 +190,14 @@ def test_predict_bench_rejects_trace(capsys):
     (["--unif", "0.5"], "unrecognized arguments: --unif 0.5"),
     (["--interarrival-mean-seconds", "nan"], "interarrival mean must be positive"),
     (["--interarrival-mean-seconds", "1e-300"], "interarrival mean must be at least"),
+    (["--churn-kind", "bogus"], "unknown churn kind: bogus"),
+    (["--uniform-q", "1.5"], "uniform-q must be in [0, 1], got 1.5"),
+    (["--uniform-q", "nan"], "uniform-q must be in [0, 1], got nan"),
+    (["--uniform-q", "-0.1"], "uniform-q must be in [0, 1], got -0.1"),
 ], ids=["seed-negative", "workers-0", "workers-negative", "config-directory", "backup-size-repeated",
         "stabilizer-repeated", *(f"{key}-removed" for key in REMOVED_KEYS), "inter-abbreviated",
-        "unif-abbreviated", "interarrival-nan", "interarrival-1e-300"])
+        "unif-abbreviated", "interarrival-nan", "interarrival-1e-300", "churn-kind-bogus", "uniform-q-1.5",
+        "uniform-q-nan", "uniform-q-negative"])
 def test_out_of_range_input_exits_2_before_any_work(tmp_path, capsys, command, flags, message):
     out = tmp_path / "out"
     argv = [command, "--capacity", "16", "--slots", "2", "--topologies", "1", "--out", str(out)]

@@ -11,7 +11,7 @@ import pytest
 
 from skipchurn import cli, engine
 from skipchurn.churn import (
-    MAX_ARRIVAL_RATE, SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, ChurnModel, draw_arrival_count,
+    MAX_ARRIVAL_RATE, SESSION_SCALE_HOURS, SESSION_SHAPE, SLOT_SECONDS, draw_arrival_count, draw_session_length,
 )
 from skipchurn.engine import (
     SWEEP_FIELDS, ChurnProcess, Counters, RunMetrics, SearchOutcome, SimConfig, SimulationState, SlotMetrics,
@@ -316,12 +316,12 @@ def test_a_returning_node_builds_its_lookup_table_and_store_anew(kind):
 
 
 @pytest.mark.parametrize(
-    "churn", [ChurnModel(interarrival_mean_seconds=300.0), ChurnModel(kind="uniform", uniform_q=0.5)],
+    "churn", [{"interarrival_mean_seconds": 300.0}, {"churn_kind": "uniform", "uniform_q": 0.5}],
     ids=["debian", "uniform"],
 )
 def test_a_node_holds_its_table_and_stores_exactly_while_online(churn):
     # Departing is a crash: an offline node keeps no lookup table and no store.
-    cells = [SimConfig(capacity=32, search_cap=20, stabilizer=kind, backup_size=8, churn=churn)
+    cells = [SimConfig(capacity=32, search_cap=20, stabilizer=kind, backup_size=8, **churn)
              for kind in STABILIZER_KINDS]
     state = SimulationState(cells, generate_topology(32, seed=3), np.random.default_rng(5))
     left = 0
@@ -340,7 +340,7 @@ def test_every_layer_has_fed_each_online_node_every_slot_so_far():
     # a node online at a slot's end was fed that slot and every one before it,
     # its missed slots caught up on return; an offline node waits for its return
     cells = [SimConfig(capacity=32, search_cap=20, stabilizer="interlaced", backup_size=8, predictor=kind,
-                       churn=ChurnModel(interarrival_mean_seconds=300.0))
+                       interarrival_mean_seconds=300.0)
              for kind in ("swdbg", "ludp")]
     state = SimulationState(cells, generate_topology(32, seed=3), np.random.default_rng(5))
     assert [layer.kind for layer in state.feed.layers] == ["swdbg", "ludp"]
@@ -357,9 +357,10 @@ def test_every_layer_has_fed_each_online_node_every_slot_so_far():
 
 
 def test_cells_of_one_run_differ_only_in_the_sweep_axes():
-    cells = [SimConfig(capacity=16), SimConfig(capacity=16, seed=2)]
-    with pytest.raises(ValueError, match="may differ only in"):
-        SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
+    for other in (SimConfig(capacity=16, seed=2), SimConfig(capacity=16, churn_kind="uniform")):
+        cells = [SimConfig(capacity=16), other]
+        with pytest.raises(ValueError, match="may differ only in"):
+            SimulationState(cells, generate_topology(16, seed=3), np.random.default_rng(0))
 
 
 def test_churn_constants_are_the_measured_debian_profile():
@@ -368,16 +369,28 @@ def test_churn_constants_are_the_measured_debian_profile():
     assert SESSION_SCALE_HOURS * math.gamma(1.0 + 1.0 / SESSION_SHAPE) == pytest.approx(2.71, rel=1e-12)
     hours = np.random.default_rng(1).weibull(SESSION_SHAPE, 200_000) * SESSION_SCALE_HOURS
     assert float(hours.mean()) == pytest.approx(2.71, rel=0.01)
-    assert SLOT_SECONDS / ChurnModel().interarrival_mean_seconds == pytest.approx(90.3, abs=0.05)
+    assert SLOT_SECONDS / SimConfig().interarrival_mean_seconds == pytest.approx(90.3, abs=0.05)
+
+
+def test_mean_session_length_in_slots_is_the_rounded_up_weibull_mean():
+    # A session is its Weibull hours rounded up to whole slots, so its mean is
+    # sum over j >= 0 of P(hours > j) = exp(-(j / scale) ** shape): 3.32 slots,
+    # 23% above the 2.71 h the paper measured.
+    closed_form = float(np.exp(-((np.arange(20_000) / SESSION_SCALE_HOURS) ** SESSION_SHAPE)).sum())
+    assert closed_form == pytest.approx(3.32, abs=0.005)
+    rng = np.random.default_rng(1)
+    sample = [draw_session_length(rng) for _ in range(200_000)]
+    assert sum(sample) / len(sample) == pytest.approx(closed_form, rel=0.01)
 
 
 def test_the_smallest_accepted_arrival_mean_draws():
     # the bound is numpy's: the largest accepted rate draws, and a mean just
     # below the smallest accepted one is refused before any draw
     smallest = SLOT_SECONDS / MAX_ARRIVAL_RATE
-    assert draw_arrival_count(ChurnModel(interarrival_mean_seconds=smallest), np.random.default_rng(0)) > 0
+    SimConfig(interarrival_mean_seconds=smallest)
+    assert draw_arrival_count(smallest, np.random.default_rng(0)) > 0
     with pytest.raises(ValueError, match="interarrival mean must be at least"):
-        ChurnModel(interarrival_mean_seconds=smallest * (1 - 1e-9))
+        SimConfig(interarrival_mean_seconds=smallest * (1 - 1e-9))
     with pytest.raises(ValueError):
         np.random.default_rng(0).poisson(MAX_ARRIVAL_RATE * 1.01)
 
@@ -415,7 +428,7 @@ def _run_slots(process, rng, slots):
 
 
 def test_debian_session_stays_online_exactly_its_length():
-    process = ChurnProcess(ChurnModel(interarrival_mean_seconds=600.0), 40)
+    process = ChurnProcess(SimConfig(interarrival_mean_seconds=600.0), 40)
     rng = np.random.default_rng(11)
     slots = 60
     during, after, sessions = [], [], []  # sessions: (index, first slot, length)
@@ -436,7 +449,7 @@ def test_debian_session_stays_online_exactly_its_length():
 
 @pytest.mark.parametrize("kind", ["debian", "uniform"])
 def test_arrivals_are_ascending_and_were_offline(kind):
-    process = ChurnProcess(ChurnModel(kind=kind, uniform_q=0.5, interarrival_mean_seconds=300.0), 64)
+    process = ChurnProcess(SimConfig(churn_kind=kind, uniform_q=0.5, interarrival_mean_seconds=300.0), 64)
     for before, arrivals, during, _ in _run_slots(process, np.random.default_rng(12), 30):
         assert arrivals == sorted(set(arrivals))
         assert all(not before[i] and during[i] for i in arrivals)
@@ -444,7 +457,7 @@ def test_arrivals_are_ascending_and_were_offline(kind):
 
 
 def test_uniform_q_zero_keeps_everyone_online():
-    process = ChurnProcess(ChurnModel(kind="uniform", uniform_q=0.0), 16)
+    process = ChurnProcess(SimConfig(churn_kind="uniform", uniform_q=0.0), 16)
     slots = _run_slots(process, np.random.default_rng(13), 5)
     assert slots[0][1] == list(range(16))
     for _, arrivals, during, after in slots[1:]:
@@ -452,6 +465,6 @@ def test_uniform_q_zero_keeps_everyone_online():
 
 
 def test_uniform_q_one_keeps_everyone_offline():
-    process = ChurnProcess(ChurnModel(kind="uniform", uniform_q=1.0), 16)
+    process = ChurnProcess(SimConfig(churn_kind="uniform", uniform_q=1.0), 16)
     for _, arrivals, during, after in _run_slots(process, np.random.default_rng(14), 5):
         assert arrivals == [] and not any(during) and not any(after)
